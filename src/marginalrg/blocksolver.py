@@ -24,7 +24,14 @@ import math
 import numpy as np
 
 from .errors import Divergence, DomainError, NoConvergence
-from .funcspace import SpectralFunction, weighted_norm, _forward_raw, _inverse_raw
+from .funcspace import (
+    SpectralFunction,
+    weighted_norm,
+    _deriv_rows,
+    _forward_raw,
+    _inverse_raw,
+    _norm_rows,
+)
 
 __all__ = [
     "Nonlinearity",
@@ -36,6 +43,9 @@ __all__ = [
     "solve_block",
     "block_to_csv",
 ]
+
+# Byte budget of one chunk of rows in the whole-stack transforms.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,10 +167,7 @@ class BlockSolution:
     def block_norm(self, q=2):
         """sup over time nodes of the weighted norm of the slice."""
         if q not in self._norm_cache:
-            self._norm_cache[q] = max(
-                weighted_norm(SpectralFunction(self.grid, row), q)
-                for row in self._rows
-            )
+            self._norm_cache[q] = _block_norm(self._rows, self.grid, q)
         return self._norm_cache[q]
 
 
@@ -189,33 +196,35 @@ def _linear_rows(f, kernel, grid, elapsed):
     return rows
 
 
-def _power_rows(rows, powers, grid):
-    """{p: transform of u^p} for each time row, shared dealiasing grid."""
-    if not powers:
-        return {}
+def _chunks(n_rows, width):
+    """Row slices of a stack with rows of width complex values.
+
+    Whole-stack transforms and norms run one chunk of about _CHUNK_BYTES
+    at a time: a batched transform matches the per-row one bit for bit,
+    and the chunk keeps its temporaries small next to the stacks.
+    """
+    step = max(1, _CHUNK_BYTES // (16 * width))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _integrand_rows(rows, coeffs, grid):
+    """Transform of sum_p c_p u^p for each time row, on one dealiasing grid."""
+    if not coeffs:
+        return None
+    powers = sorted(coeffs)
     pad = max((p + 2) // 2 for p in powers)
     n = grid.n_points
     m_big = pad * n
     lo = m_big // 2 - n // 2
     dx_big = 2.0 * grid.x_max / m_big
-    out = {p: np.empty_like(rows) for p in powers}
-    big = np.zeros(m_big, dtype=np.complex128)
-    for i in range(rows.shape[0]):
-        big[lo : lo + n] = rows[i]
+    out = np.zeros_like(rows)
+    for c in _chunks(rows.shape[0], m_big):
+        block = rows[c]
+        big = np.zeros((block.shape[0], m_big), dtype=np.complex128)
+        big[:, lo : lo + n] = block
         phys = _inverse_raw(big, dx_big)
         for p in powers:
-            out[p][i] = _forward_raw(phys**p, dx_big)[lo : lo + n]
-    return out
-
-
-def _integrand_rows(rows, coeffs, grid):
-    if not coeffs:
-        return None
-    powers = sorted(coeffs)
-    pw = _power_rows(rows, powers, grid)
-    out = np.zeros_like(rows)
-    for p in powers:
-        out += coeffs[p] * pw[p]
+            out[c] += coeffs[p] * _forward_raw(phys**p, dx_big)[:, lo : lo + n]
     return out
 
 
@@ -234,34 +243,56 @@ def _duhamel_rows(integrand, emult, h):
     return d
 
 
-def _block_norm_of(rows, grid, q):
-    return max(weighted_norm(SpectralFunction(grid, row), q) for row in rows)
+def _block_norm(rows, grid, q, deriv=None):
+    """sup over rows of the weighted norm; deriv, if given, gets fhat'."""
+    norms = np.empty(rows.shape[0])
+    for c in _chunks(*rows.shape):
+        d = _deriv_rows(rows[c], grid)
+        if deriv is not None:
+            deriv[c] = d
+        norms[c] = _norm_rows(rows[c], d, grid, q)
+    return float(np.max(norms))
 
 
 def _picard_rows(f, kernel, grid, times, elapsed, coeffs, params, q):
-    """Shared Picard core; returns (rows, iterations, final_delta)."""
+    """Shared Picard core; returns (rows, iterations, final_delta).
+
+    du carries the frequency derivative of the current iterate u. Each
+    iteration transforms only the update u_new - u, whose norm is the
+    convergence measure, and adds it to du for the guard norm of u_new:
+    the derivative is linear, so this is one derivative transform per
+    iteration instead of two. The guard norm differs from a fresh one by
+    rounding only, and is only compared with 10x the linear norm.
+    """
     h = np.diff(np.asarray(times, dtype=np.float64))
     u0 = _linear_rows(f, kernel, grid, elapsed)
     guard = params.norm_guard
-    if guard is None:
-        guard = 10.0 * _block_norm_of(u0, grid, q)
-    else:
+    if guard is not None:
         f_norm = weighted_norm(f, q)
         if f_norm > guard:
             raise Divergence(0, f_norm, guard)
+    du = np.empty_like(u0)
+    linear_norm = _block_norm(u0, grid, q, du)
+    if guard is None:
+        guard = 10.0 * linear_norm
     if not coeffs:
         return u0, 1, 0.0
     emult = _step_multipliers(kernel, grid, elapsed)
     u = u0
     delta = math.inf
+    step_norms = np.empty(u0.shape[0])
+    new_norms = np.empty(u0.shape[0])
     for it in range(1, params.picard_max + 1):
-        integrand = _integrand_rows(u, coeffs, grid)
-        u_new = u0 + _duhamel_rows(integrand, emult, h)
-        delta = max(
-            weighted_norm(SpectralFunction(grid, u_new[i] - u[i]), q)
-            for i in range(u.shape[0])
-        )
-        bnorm = _block_norm_of(u_new, grid, q)
+        u_new = _duhamel_rows(_integrand_rows(u, coeffs, grid), emult, h)
+        u_new += u0
+        for c in _chunks(*u0.shape):
+            step = u_new[c] - u[c]
+            dstep = _deriv_rows(step, grid)
+            step_norms[c] = _norm_rows(step, dstep, grid, q)
+            du[c] += dstep
+            new_norms[c] = _norm_rows(u_new[c], du[c], grid, q)
+        delta = float(np.max(step_norms))
+        bnorm = float(np.max(new_norms))
         if bnorm > guard:
             raise Divergence(it, bnorm, guard)
         u = u_new

@@ -144,18 +144,25 @@ def _abs_omega_pow(grid, d):
     return w
 
 
+@functools.lru_cache(maxsize=32)
+def _outer_band(grid, frac=0.25):
+    # frac = 0.25 is the two outermost octaves, where is_resolved looks
+    band = np.abs(_omega_nodes(grid)) >= frac * grid.omega_max
+    band.flags.writeable = False
+    return band
+
+
 def _forward_raw(values, dx):
     # fhat(m dw) = dx (-1)^m FFT[f]_m with x_0 = -x_max; the alternating sign
-    # carries the e^{i m pi} boundary phase. Requires len/2 even.
-    n = values.shape[0]
-    signs = _signs(n)
-    return dx * signs * np.fft.fftshift(np.fft.fft(values))
+    # carries the e^{i m pi} boundary phase. Requires len/2 even. Transforms
+    # the last axis, so a stack of rows goes through in one call.
+    signs = _signs(values.shape[-1])
+    return dx * signs * np.fft.fftshift(np.fft.fft(values), axes=-1)
 
 
 def _inverse_raw(fhat, dx):
-    n = fhat.shape[0]
-    signs = _signs(n)
-    return np.fft.ifft(np.fft.ifftshift(signs * fhat)) / dx
+    signs = _signs(fhat.shape[-1])
+    return np.fft.ifft(np.fft.ifftshift(signs * fhat, axes=-1)) / dx
 
 
 @functools.lru_cache(maxsize=32)
@@ -199,8 +206,7 @@ class SpectralFunction:
 
     def tail_max(self, frac=0.25):
         """Largest |fhat| on the outer band |omega| >= frac * omega_max."""
-        mask = np.abs(self.grid.omega) >= frac * self.grid.omega_max
-        return float(np.max(np.abs(self.fhat[mask])))
+        return float(np.max(np.abs(self.fhat[_outer_band(self.grid, frac)])))
 
     def is_resolved(self):
         """True when |fhat| on the two outermost octaves stays below tail_tol."""
@@ -255,20 +261,33 @@ def weighted_norm(f, q=2):
     still gets its norm, with an UnderResolvedWarning attached because the
     true supremum may then live off the grid.
     """
+    rows = f.fhat[np.newaxis]
+    return float(_norm_rows(rows, _deriv_rows(rows, f.grid), f.grid, q)[0])
+
+
+def _deriv_rows(fhat, grid):
+    """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
+    return _forward_raw(-1j * grid.x * _inverse_raw(fhat, grid.dx), grid.dx)
+
+
+def _norm_rows(fhat, deriv, grid, q):
+    """Weighted sup norm of each row of a stack, given its derivative rows.
+
+    The row-stack form of weighted_norm: one warning covers every row
+    whose outer-octave tail exceeds the grid's tail_tol.
+    """
     if q < 0:
         raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
-    grid = f.grid
-    if not f.is_resolved():
+    size = np.abs(fhat)
+    if not np.max(size[..., _outer_band(grid)]) <= grid.tail_tol:
         warnings.warn(
             "input spectrum is not negligible on the outer frequency "
             "octaves; the reported norm may be under-resolved",
             UnderResolvedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    phys = f.to_physical()
-    deriv = grid.forward(-1j * grid.x * phys)
     weight = 1.0 + grid.abs_omega_pow(q)
-    return float(np.max(weight * (np.abs(f.fhat) + np.abs(deriv))))
+    return np.max(weight * (size + np.abs(deriv)), axis=-1)
 
 
 def pointwise_power(f, k, pad_factor=None):

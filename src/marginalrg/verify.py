@@ -100,12 +100,6 @@ def _json_safe(value):
     return value
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
-
-
 # ---------------------------------------------------------------------------
 # theorem error
 

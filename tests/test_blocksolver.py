@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from marginalrg import blocksolver
 from marginalrg import funcspace as fs
 from marginalrg.blocksolver import (
     BlockSolution,
@@ -17,7 +18,7 @@ from marginalrg.blocksolver import (
     linear_block,
     solve_block,
 )
-from marginalrg.errors import Divergence, DomainError, NoConvergence
+from marginalrg.errors import Divergence, DomainError, NoConvergence, UnderResolvedWarning
 from marginalrg.kernel import fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
@@ -197,13 +198,54 @@ def test_perturbation_scaling():
 
 
 def test_divergence_guard():
-    # mu < 0 turns the damping into self-reinforcing growth
+    # mu < 0 turns the damping into self-reinforcing growth; the default
+    # guard (10x the linear block norm) trips inside the Picard loop
     wild = Nonlinearity(mu=-60.0)
-    with pytest.raises(Divergence):
+    with pytest.raises(Divergence) as info:
         solve_block(profile(), KERNEL, TC, wild, 0, 2.0, SolverParams(m=16))
+    assert info.value.iteration >= 1
+    assert info.value.norm > info.value.guard
+    # the guard norm is taken with the running derivative stack: it matches
+    # a fresh evaluation of the same first iterate up to rounding
+    loose = SolverParams(m=16, picard_max=1, picard_tol=1e300, norm_guard=1e300)
+    fresh = solve_block(profile(), KERNEL, TC, wild, 0, 2.0, loose).block_norm(2)
+    with pytest.raises(Divergence) as info:
+        solve_block(profile(), KERNEL, TC, wild, 0, 2.0, SolverParams(m=16, norm_guard=0.5 * fresh))
+    assert info.value.iteration == 1
+    assert info.value.norm == pytest.approx(fresh, rel=1e-12)
     tiny_guard = SolverParams(m=16, norm_guard=1e-6)
-    with pytest.raises(Divergence):
+    with pytest.raises(Divergence) as info:
         solve_block(profile(), KERNEL, TC, NL, 0, 2.0, tiny_guard)
+    assert info.value.iteration == 0
+
+
+def test_stacked_integrand_and_norm_match_rows():
+    # 77 rows: not a multiple of the chunk of either the padded (2N) or the
+    # plain (N) transforms on this grid, and more than one chunk of each
+    lin = linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=76))
+    rows = np.array([s.fhat for s in lin.slices])
+    for width in (GRID.n_points, 2 * GRID.n_points):
+        chunk = blocksolver._CHUNK_BYTES // (16 * width)
+        assert chunk < rows.shape[0] and rows.shape[0] % chunk != 0
+    coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
+    integrand = blocksolver._integrand_rows(rows, coeffs, GRID)
+    for row, got in zip(rows, integrand):
+        want = np.zeros_like(row)
+        for k in sorted(coeffs):
+            want = want + coeffs[k] * fs.pointwise_power(fs.SpectralFunction(GRID, row), k).fhat
+        assert np.array_equal(got, want)
+    deriv = np.empty_like(rows)
+    norm = blocksolver._block_norm(rows, GRID, 2, deriv)
+    assert np.array_equal(deriv, np.array([fs._deriv_rows(r, GRID) for r in rows]))
+    assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
+
+
+def test_solve_block_warns_when_under_resolved():
+    slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
+    assert not slow.is_resolved()
+    with pytest.warns(UnderResolvedWarning):
+        sol = solve_block(slow, KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
+    assert sol.final_delta < 1e-10
 
 
 def test_no_convergence_error():

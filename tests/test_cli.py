@@ -94,6 +94,13 @@ def test_exit_2_names_the_violated_condition(tmp_path, capsys):
     assert run_cli("flow", "--out", str(tmp_path)) == 2
     assert "--config" in capsys.readouterr().err
 
+    # a DomainError from the numerics takes the same exit: a CSV whose
+    # frequency axis is not uniform
+    path = tmp_path / "skewed.csv"
+    path.write_text("omega,re_fhat,im_fhat\n-2,0,0\n-1,1,0\n0,1,0\n2,0,0\n")
+    assert run_cli("norm", str(path)) == 2
+    assert "config error: frequency axis" in capsys.readouterr().err
+
 
 def test_beta_json_contract(tmp_path, capsys):
     import math

@@ -81,6 +81,44 @@ def test_norm_warns_when_under_resolved():
         fs.weighted_norm(gauss(), 2)
 
 
+def stack(n_rows=37, grid=GRID):
+    # Gaussians of several widths, one per row, with an odd part so fhat
+    # is complex
+    widths = np.linspace(0.5, 3.0, n_rows)[:, None]
+    w = grid.omega
+    return np.exp(-widths * w**2) * (1.0 + 0.3j * w)
+
+
+def test_stacked_transforms_match_rows():
+    rows = stack()
+    fwd = fs._forward_raw(rows, GRID.dx)
+    inv = fs._inverse_raw(rows, GRID.dx)
+    assert np.array_equal(fwd, np.array([GRID.forward(r) for r in rows]))
+    assert np.array_equal(inv, np.array([GRID.inverse(r) for r in rows]))
+
+
+def test_stacked_norm_matches_rows():
+    rows = stack()
+    for q in (0, 2, 4):
+        stacked = fs._norm_rows(rows, fs._deriv_rows(rows, GRID), GRID, q)
+        # per-row reference: the weighted_norm formula on one row at a time
+        weight = 1.0 + np.abs(GRID.omega) ** q
+        expected = [
+            np.max(weight * (np.abs(r) + np.abs(GRID.forward(-1j * GRID.x * GRID.inverse(r)))))
+            for r in rows
+        ]
+        assert np.array_equal(stacked, expected)
+        assert np.array_equal(
+            stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
+        )
+    # one under-resolved row is enough for the stack's warning
+    rows[5] = 1.0 / (1.0 + GRID.omega**2)
+    with pytest.warns(UnderResolvedWarning):
+        fs._norm_rows(rows, fs._deriv_rows(rows, GRID), GRID, 2)
+    with pytest.raises(DomainError):
+        fs._norm_rows(rows, rows, GRID, -1)
+
+
 def test_pointwise_power_rejects_low_powers():
     f = gauss()
     for k in (1, 0, -2):
