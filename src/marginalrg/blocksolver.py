@@ -27,10 +27,11 @@ from .errors import Divergence, DomainError, NoConvergence
 from .funcspace import (
     SpectralFunction,
     weighted_norm,
+    _chunks,
     _deriv_rows,
-    _forward_raw,
-    _inverse_raw,
     _norm_rows,
+    _pad_factor,
+    _padded_power,
 )
 
 __all__ = [
@@ -43,10 +44,6 @@ __all__ = [
     "solve_block",
     "block_to_csv",
 ]
-
-# Byte budget of one chunk of rows in the whole-stack transforms.
-_CHUNK_BYTES = 1 << 20
-
 
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
@@ -87,19 +84,6 @@ class Nonlinearity:
             seen.add(j)
         if self.lam != 0.0 and not terms:
             raise DomainError("lambda != 0 requires at least one perturbation term")
-
-    @property
-    def lead_power(self):
-        """Smallest perturbation power among the irrelevant terms."""
-        if not self.terms:
-            raise DomainError("nonlinearity has no perturbation terms")
-        return min(j for j, _ in self.terms)
-
-    def scaled_coupling(self, n, L, p, d):
-        """Block-n coupling lam * L^{-n (alpha - alpha_c)(p+1)/d} (log space)."""
-        alpha = self.lead_power
-        expo = -n * (alpha - self.critical_power) * (p + 1.0) / d
-        return self.lam * math.exp(expo * math.log(L))
 
     def combined_coefficients(self, n, L, p, d):
         """{power: coefficient} of the block-n Duhamel integrand.
@@ -196,35 +180,13 @@ def _linear_rows(f, kernel, grid, elapsed):
     return rows
 
 
-def _chunks(n_rows, width):
-    """Row slices of a stack with rows of width complex values.
-
-    Whole-stack transforms and norms run one chunk of about _CHUNK_BYTES
-    at a time: a batched transform matches the per-row one bit for bit,
-    and the chunk keeps its temporaries small next to the stacks.
-    """
-    step = max(1, _CHUNK_BYTES // (16 * width))
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
-
-
 def _integrand_rows(rows, coeffs, grid):
     """Transform of sum_p c_p u^p for each time row, on one dealiasing grid."""
     if not coeffs:
         return None
-    powers = sorted(coeffs)
-    pad = max((p + 2) // 2 for p in powers)
-    n = grid.n_points
-    m_big = pad * n
-    lo = m_big // 2 - n // 2
-    dx_big = 2.0 * grid.x_max / m_big
-    out = np.zeros_like(rows)
-    for c in _chunks(rows.shape[0], m_big):
-        block = rows[c]
-        big = np.zeros((block.shape[0], m_big), dtype=np.complex128)
-        big[:, lo : lo + n] = block
-        phys = _inverse_raw(big, dx_big)
-        for p in powers:
-            out[c] += coeffs[p] * _forward_raw(phys**p, dx_big)[:, lo : lo + n]
+    out = np.empty_like(rows)
+    for c in _chunks(rows.shape[0], _pad_factor(coeffs) * grid.n_points):
+        out[c] = _padded_power(rows[c], coeffs, grid)
     return out
 
 

@@ -50,15 +50,11 @@ class GridSpec:
         Absolute bound on |fhat| over the two outermost frequency octaves;
         above it a function counts as under-resolved (norm warnings,
         dilation guards).
-    pad_factor : int or None
-        Dealiasing padding factor for pointwise powers; None picks the
-        smallest exact factor for each power.
     """
 
     n_points: int = 4096
     x_max: float = 40.0
     tail_tol: float = 1e-10
-    pad_factor: int | None = None
 
     def __post_init__(self):
         n = self.n_points
@@ -70,9 +66,6 @@ class GridSpec:
             raise DomainError(f"x_max must be a positive finite number, got {self.x_max}")
         if not (0 < self.tail_tol < 1):
             raise DomainError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        pf = self.pad_factor
-        if pf is not None and (not isinstance(pf, (int, np.integer)) or pf < 1):
-            raise DomainError(f"pad_factor must be a positive integer, got {pf}")
 
     @property
     def dx(self):
@@ -290,33 +283,60 @@ def _norm_rows(fhat, deriv, grid, q):
     return np.max(weight * (size + np.abs(deriv)), axis=-1)
 
 
-def pointwise_power(f, k, pad_factor=None):
+def pointwise_power(f, k):
     """Transform of f(x)**k, dealiased by zero padding in frequency.
 
-    The input spectrum is embedded centered in a grid with pad_factor * N
-    points and the same x_max (finer physical sampling, same frequency
-    spacing), raised to the k-th power in physical space, transformed back,
-    and restricted to the original band. pad_factor falls back to the
-    grid's setting and then to ceil((k+1)/2), the smallest factor that
-    keeps all aliased images of the product outside the retained band.
+    The padding is the smallest exact one for k, so the retained band
+    carries no aliased images of the product.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"power must be an integer >= 2, got {k}")
-    if pad_factor is None:
-        pad_factor = f.grid.pad_factor
-    pad = int(pad_factor) if pad_factor is not None else (k + 2) // 2
-    if pad < 1:
-        raise DomainError(f"pad_factor must be >= 1, got {pad_factor}")
-    grid = f.grid
+    return SpectralFunction(f.grid, _padded_power(f.fhat, {k: 1.0}, f.grid))
+
+
+# Byte budget of one chunk of rows in the whole-stack transforms.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(n_rows, width):
+    """Row slices of a stack with rows of width complex values.
+
+    Whole-stack transforms and norms run one chunk of about _CHUNK_BYTES
+    at a time: a batched transform matches the per-row one bit for bit,
+    and the chunk keeps its temporaries small next to the stacks.
+    """
+    step = max(1, _CHUNK_BYTES // (16 * width))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _pad_factor(coeffs):
+    # ceil((k+1)/2) for the largest power k: the smallest factor that keeps
+    # every aliased image of the product outside the retained band
+    return (max(coeffs) + 2) // 2
+
+
+def _padded_power(fhat, coeffs, grid):
+    """Transform of sum_p c_p u^p along the last axis, for {p: c_p}.
+
+    Each spectrum is embedded centered in a grid with _pad_factor * N
+    points and the same x_max (finer physical sampling, same frequency
+    spacing); the powers are taken in physical space, transformed back,
+    restricted to the original band and combined there. Takes one row or
+    a stack of rows.
+    """
+    powers = sorted(coeffs)
     n = grid.n_points
-    m = pad * n
-    big = np.zeros(m, dtype=np.complex128)
-    lo = m // 2 - n // 2
-    big[lo : lo + n] = f.fhat
+    m = _pad_factor(coeffs) * n
+    band = slice(m // 2 - n // 2, m // 2 + n // 2)
+    big = np.zeros(fhat.shape[:-1] + (m,), dtype=np.complex128)
+    big[..., band] = fhat
     dx_big = 2.0 * grid.x_max / m
     phys = _inverse_raw(big, dx_big)
-    spec = _forward_raw(phys**k, dx_big)
-    return SpectralFunction(grid, spec[lo : lo + n])
+    out = _forward_raw(phys ** powers[0], dx_big)[..., band]
+    out *= coeffs[powers[0]]
+    for p in powers[1:]:
+        out += coeffs[p] * _forward_raw(phys**p, dx_big)[..., band]
+    return out
 
 
 def apply_multiplier(f, kernel, t):
@@ -421,7 +441,10 @@ def from_csv(path):
     Downstream grid compatibility checks are tolerant of the roundoff this
     introduces in x_max.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise DomainError(f"{path} is not a numeric CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:
         raise DomainError(f"expected 3 CSV columns omega,re,im in {path}")
     omega = data[:, 0]

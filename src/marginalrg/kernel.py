@@ -12,16 +12,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, UnderResolved
+from .errors import DomainError
 from .funcspace import SpectralFunction
 
 __all__ = [
     "ScalingKernel",
-    "KernelConstants",
     "heat_kernel",
     "semigroup_residual",
     "selfsim_residual",
-    "kernel_constants",
     "fixed_point_profile",
 ]
 
@@ -66,14 +64,6 @@ class ScalingKernel:
         return np.exp((-self.kappa * t) * grid.abs_omega_pow(self.d))
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelConstants:
-    """sup |ghat(omega,1)| and sup |d ghat(omega,1)/d omega|."""
-
-    sup_value: float
-    sup_slope: float
-
-
 def heat_kernel(q=2):
     return ScalingKernel(d=2.0, kappa=1.0, q=q)
 
@@ -93,29 +83,6 @@ def selfsim_residual(kernel, grid, t):
         raise DomainError(f"self-similarity residual needs t > 0, got {t}")
     scaled = kernel.ghat(t ** (1.0 / kernel.d) * grid.omega, 1.0)
     return float(np.max(np.abs(scaled - kernel.multiplier(grid, t))))
-
-
-def kernel_constants(kernel, grid):
-    """Grid suprema of the time-1 multiplier and its frequency slope.
-
-    The slope uses the closed-form derivative
-    kappa d |omega|^{d-1} exp(-kappa |omega|^d) evaluated on the grid
-    nodes. Rejects grids too coarse to contain the multiplier: the tail
-    value of ghat at the last represented frequency must be below 1e-12.
-    """
-    tail = float(kernel.ghat(grid.omega_max, 1.0))
-    if tail > 1e-12:
-        raise UnderResolved(
-            f"ghat at the grid boundary is {tail:.3e} > 1e-12; "
-            "the grid does not resolve this kernel"
-        )
-    absw = np.abs(grid.omega)
-    value = np.exp(-kernel.kappa * grid.abs_omega_pow(kernel.d))
-    # 0^0 = 1 at the origin node handles d = 1, where the sup is kappa
-    slope = kernel.kappa * kernel.d * absw ** (kernel.d - 1.0) * value
-    return KernelConstants(
-        sup_value=float(np.max(value)), sup_slope=float(np.max(slope))
-    )
 
 
 def fixed_point_profile(kernel, p, grid):

@@ -3,8 +3,8 @@
 Everything the amplitude recursion feeds on lives here: the kernel
 self-interaction constant (two independent routes), the per-level decay
 coefficient beta_n (again two routes), its n -> infinity limit, the
-analytic bracket that must contain every beta_n, and the predicted
-amplitude law with its prefactor.
+analytic bracket that must contain every beta_n, and the prefactor of
+the amplitude law.
 
 Conventions: the working kernel profile is ghat(., 1), the critical power
 alpha_c = (p+1+d)/(p+1) is required to be an integer, and all large-n
@@ -33,7 +33,6 @@ __all__ = [
     "decay_bracket",
     "DecayGapRow",
     "decay_convergence",
-    "predicted_amplitude",
     "amplitude_prefactor",
     "marginal_constants",
 ]
@@ -263,15 +262,6 @@ def decay_convergence(kernel, tc, L, alpha_c, n_range, r_value=None):
     }
     c = gaps[ns[0]] * ns[0] ** expo
     return [DecayGapRow(n=n, gap=gaps[n], envelope=c * n ** (-expo)) for n in ns]
-
-
-def predicted_amplitude(n, mu, alpha_c, beta_value, p, d):
-    """Leading-order amplitude [mu (alpha_c - 1) beta n]^{-(p+1)/d}."""
-    if n < 1:
-        raise DomainError(f"the amplitude law needs n >= 1, got {n}")
-    if not (mu > 0):
-        raise DomainError(f"the amplitude law needs mu > 0, got {mu}")
-    return (mu * (alpha_c - 1.0) * beta_value * n) ** (-(p + 1.0) / d)
 
 
 def amplitude_prefactor(kernel, p, mu, r_value=None):

@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "TimeChange",
-    "RemainderDecayRow",
-    "ElapsedBracketRow",
-    "check_remainder_decay",
-    "check_elapsed_bracket",
-]
+__all__ = ["TimeChange"]
 
 _T_SLOP = 1e-12
 
@@ -119,82 +113,3 @@ class TimeChange:
             raise DomainError(f"block index must be a nonnegative integer, got {n}")
         if not (L > 1.0) or not math.isfinite(L):
             raise DomainError(f"block scale L must exceed 1, got {L}")
-
-
-@dataclasses.dataclass(frozen=True)
-class RemainderDecayRow:
-    n: int
-    drift_integral: float
-    endpoint_ratio: float
-    bound: float
-    ok: bool
-
-
-def check_remainder_decay(tc, L, n_max, d):
-    """Checks that the remainder is asymptotically negligible by level.
-
-    For n in [2, n_max], evaluates
-        L^{-n(p+1)} * integral_1^{L^n} |drift remainder| dt  and
-        |r(L^n)| L^{-n(p+1)}
-    against the bound n^{-(p+1)/d}. Returns (rows, first_pass_n) where
-    first_pass_n is the smallest n from which every later row passes
-    (None if the last row fails). Failures are reported, never raised.
-    """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
-    TimeChange._validate_block_args(0, L)
-    exponent = (tc.p + 1.0) / d
-    rows = []
-    for n in range(2, n_max + 1):
-        if tc.r_model == "zero":
-            integral = 0.0
-            endpoint = 0.0
-        else:
-            # |r'(t)| = coeff t^{p-delta} integrates to r(L^n) since r'>=0
-            integral = tc.remainder_ratio(n, L)
-            endpoint = abs(tc.remainder_ratio(n, L))
-        bound = n ** (-exponent)
-        rows.append(
-            RemainderDecayRow(
-                n=n,
-                drift_integral=integral,
-                endpoint_ratio=endpoint,
-                bound=bound,
-                ok=(integral <= bound and endpoint <= bound),
-            )
-        )
-    first_pass = None
-    for row in reversed(rows):
-        if row.ok:
-            first_pass = row.n
-        else:
-            break
-    return rows, first_pass
-
-
-@dataclasses.dataclass(frozen=True)
-class ElapsedBracketRow:
-    n: int
-    ratio: float
-    lo: float
-    hi: float
-    ok: bool
-
-
-def check_elapsed_bracket(tc, L, n_max):
-    """Checks 1/(6(p+1)) < s_n(L)/L^{p+1} < 3/(2(p+1)) for n in [0, n_max].
-
-    This window on the block's warped duration is the computable stand-in
-    for the abstract lower bound on admissible block scales.
-    """
-    TimeChange._validate_block_args(0, L)
-    lo = 1.0 / (6.0 * (tc.p + 1.0))
-    hi = 3.0 / (2.0 * (tc.p + 1.0))
-    denom = L ** (tc.p + 1.0)
-    rows = []
-    for n in range(0, n_max + 1):
-        ratio = float(tc.block_elapsed(n, L, L)) / denom
-        rows.append(
-            ElapsedBracketRow(n=n, ratio=ratio, lo=lo, hi=hi, ok=(lo < ratio < hi))
-        )
-    return rows

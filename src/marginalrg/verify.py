@@ -101,24 +101,6 @@ def _json_safe(value):
 
 
 # ---------------------------------------------------------------------------
-# theorem error
-
-
-def theorem_error(trace, n, L, prefactor):
-    """Weighted gap between the stretched level-n profile and its limit.
-
-    Returns weighted_norm((n ln L)^((p+1)/d) * f_n - prefactor * f_p*).
-    """
-    if n < 2:
-        raise DomainError(f"the stretched gap needs n >= 2, got {n}")
-    cfg = trace.config
-    profile = trace.profile(n)
-    stretch = (n * math.log(L)) ** ((cfg.tc.p + 1.0) / cfg.kernel.d)
-    target = fixed_point_profile(cfg.kernel, cfg.tc.p, profile.grid)
-    return fs.weighted_norm(profile * stretch - target * prefactor, cfg.kernel.q)
-
-
-# ---------------------------------------------------------------------------
 # direct integration oracle
 
 

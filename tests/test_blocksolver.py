@@ -45,8 +45,8 @@ def test_nonlinearity_validation():
 
 def test_coupling_decay():
     # L^{-n (j - alpha_c)(p+1)/d} halves per level for j=3, p=1, d=2, L=2
-    assert NL.scaled_coupling(0, 2.0, 1.0, 2.0) == pytest.approx(0.01, rel=1e-15)
-    assert NL.scaled_coupling(5, 2.0, 1.0, 2.0) == pytest.approx(0.01 / 32.0, rel=1e-13)
+    assert NL.combined_coefficients(0, 2.0, 1.0, 2.0)[3] == pytest.approx(0.01, rel=1e-15)
+    assert NL.combined_coefficients(5, 2.0, 1.0, 2.0)[3] == pytest.approx(0.01 / 32.0, rel=1e-13)
     c = NL.combined_coefficients(3, 2.0, 1.0, 2.0)
     assert c[2] == -0.05
     assert c[3] == pytest.approx(0.00125, rel=1e-13)
@@ -225,7 +225,7 @@ def test_stacked_integrand_and_norm_match_rows():
     lin = linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=76))
     rows = np.array([s.fhat for s in lin.slices])
     for width in (GRID.n_points, 2 * GRID.n_points):
-        chunk = blocksolver._CHUNK_BYTES // (16 * width)
+        chunk = fs._CHUNK_BYTES // (16 * width)
         assert chunk < rows.shape[0] and rows.shape[0] % chunk != 0
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     integrand = blocksolver._integrand_rows(rows, coeffs, GRID)

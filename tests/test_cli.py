@@ -101,6 +101,19 @@ def test_exit_2_names_the_violated_condition(tmp_path, capsys):
     assert run_cli("norm", str(path)) == 2
     assert "config error: frequency axis" in capsys.readouterr().err
 
+    # a CSV with a non-numeric field names the file, not a raw traceback
+    path = tmp_path / "text.csv"
+    path.write_text("omega,re_fhat,im_fhat\n0.0,1.0,abc\n")
+    assert run_cli("norm", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "text.csv is not a numeric CSV" in err
+
+    # dealiasing always uses the smallest exact padding; there is no knob
+    cfg = write_config(tmp_path, "time: {p: 1.0}\ngrid: {pad_factor: 2}\n", name="pad.yaml")
+    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: ") and "'pad_factor'" in err
+
 
 def test_beta_json_contract(tmp_path, capsys):
     import math

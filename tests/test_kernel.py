@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from marginalrg import funcspace as fs
-from marginalrg.errors import DomainError, UnderResolved
+from marginalrg.errors import DomainError
 from marginalrg.kernel import (
     ScalingKernel,
     fixed_point_profile,
     heat_kernel,
-    kernel_constants,
     selfsim_residual,
     semigroup_residual,
 )
@@ -57,32 +56,6 @@ def test_semigroup_residual():
 def test_evenness():
     m = heat_kernel().multiplier(GRID, 0.7)
     assert np.array_equal(m[1:], m[1:][::-1])
-
-
-def test_kernel_constants_heat():
-    kc = kernel_constants(heat_kernel(), GRID)
-    assert kc.sup_value == 1.0
-    # dense grid-search oracle: sup 2|w| e^{-w^2} = sqrt(2/e)
-    assert kc.sup_slope == pytest.approx(math.sqrt(2.0 / math.e), abs=1e-5)
-    assert kc.sup_slope == pytest.approx(0.8577637790667657, rel=1e-12)
-
-
-def test_kernel_constants_other_exponents():
-    # dense grid-search oracles for sup kappa d |w|^{d-1} e^{-|w|^d};
-    # the grid maximum can only undershoot the true supremum
-    kc4 = kernel_constants(ScalingKernel(d=4.0), GRID)
-    assert 1.522772683123901 - 5e-3 < kc4.sup_slope <= 1.522772683123901 + 1e-12
-    kc15 = kernel_constants(ScalingKernel(d=1.5), GRID)
-    assert 0.7452225939173595 - 5e-3 < kc15.sup_slope <= 0.7452225939173595 + 1e-12
-    # d = 1: the slope kappa e^{-|w|} peaks at the origin node
-    kc1 = kernel_constants(ScalingKernel(d=1.0), GRID)
-    assert kc1.sup_slope == pytest.approx(1.0, rel=1e-12)
-
-
-def test_kernel_constants_rejects_coarse_grid():
-    coarse = fs.GridSpec(n_points=256, x_max=400.0)
-    with pytest.raises(UnderResolved):
-        kernel_constants(heat_kernel(), coarse)
 
 
 def test_physical_mass():

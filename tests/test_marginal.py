@@ -157,22 +157,6 @@ def test_decay_convergence_power_remainder():
     assert slope <= -(1.0 + 1.0) / 2.0 + 0.3
 
 
-def test_predicted_amplitude():
-    beta = mg.decay_limit(HEAT, 1.0, 2.0)
-    # closed chain for the canonical point: [0.05 * beta * 10]^{-1}
-    # = 4 sqrt(pi)/ln 2
-    assert mg.predicted_amplitude(10, 0.05, 2, beta, 1.0, 2.0) == pytest.approx(
-        4.0 * math.sqrt(math.pi) / math.log(2.0), rel=1e-10
-    )
-    a1 = mg.predicted_amplitude(10, 0.02, 2, beta, 1.0, 2.0)
-    a2 = mg.predicted_amplitude(10, 0.01, 2, beta, 1.0, 2.0)
-    assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
-    with pytest.raises(DomainError):
-        mg.predicted_amplitude(0, 0.05, 2, beta, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        mg.predicted_amplitude(10, 0.0, 2, beta, 1.0, 2.0)
-
-
 def test_amplitude_prefactor():
     # heat chain collapses to A = 2 sqrt(pi)/mu
     assert mg.amplitude_prefactor(HEAT, 1.0, 1.0) == pytest.approx(
@@ -186,9 +170,10 @@ def test_amplitude_prefactor():
 
 
 def test_amplitude_consistency_identity():
-    # predicted amplitude at level n equals prefactor * (n ln L)^{-(p+1)/d}
+    # the amplitude law [mu (alpha_c - 1) beta n]^{-(p+1)/d} at level n
+    # equals prefactor * (n ln L)^{-(p+1)/d}
     beta = mg.decay_limit(HEAT, 1.0, 2.0)
-    lhs = mg.predicted_amplitude(10, 0.05, 2, beta, 1.0, 2.0)
+    lhs = (0.05 * (2 - 1.0) * beta * 10) ** (-(1.0 + 1.0) / 2.0)
     rhs = mg.amplitude_prefactor(HEAT, 1.0, 0.05) / (10.0 * math.log(2.0))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

