@@ -166,17 +166,13 @@ def _step_multipliers(kernel, grid, elapsed):
     steps = np.diff(elapsed)
     if np.any(steps <= 0.0):
         raise DomainError("elapsed time must be strictly increasing")
-    out = np.empty((steps.shape[0], grid.n_points))
-    for i, ds in enumerate(steps):
-        out[i] = kernel.multiplier(grid, ds)
-    return out
+    return kernel.multiplier(grid, steps)
 
 
 def _linear_rows(f, kernel, grid, elapsed):
     rows = np.empty((elapsed.shape[0], grid.n_points), dtype=np.complex128)
     rows[0] = f.fhat
-    for i in range(1, elapsed.shape[0]):
-        rows[i] = f.fhat * kernel.multiplier(grid, elapsed[i])
+    np.multiply(f.fhat, kernel.multiplier(grid, elapsed[1:]), out=rows[1:])
     return rows
 
 

@@ -5,6 +5,10 @@ through their transform fhat(omega) = integral f(x) exp(-i omega x) dx,
 sampled at omega_k = (k - N/2) * pi / x_max in ascending order. The inverse
 carries the 1/(2pi) factor. All grid operations in the package go through
 this module so the conventions live in exactly one place.
+
+A spectrum that is exactly Hermitian (the transform of a real function) is
+transformed with half-length real FFTs inside the power and the norm; any
+other spectrum takes the complex ones.
 """
 
 import dataclasses
@@ -167,6 +171,74 @@ def _signs(n):
     return s
 
 
+def _is_real_field(fhat):
+    """True when every row of fhat is exactly the transform of a real function.
+
+    That is fhat(-omega) == conj(fhat(omega)) node for node, with fhat real
+    at omega = 0 and at the unpaired node -omega_max. The test is exact, with
+    no tolerance: a spectrum that passes goes through the half-length real
+    transforms, any other through the complex ones.
+    """
+    h = fhat.shape[-1] // 2
+    pos = fhat[..., h + 1 :]
+    neg = fhat[..., h - 1 : 0 : -1]
+    return bool(
+        np.all(fhat[..., 0].imag == 0.0)
+        and np.all(fhat[..., h].imag == 0.0)
+        and np.array_equal(pos.real, neg.real)
+        and np.array_equal(pos.imag, -neg.imag)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _half_weights(n, scale):
+    # scale * (-1)^m on the non-negative half m = 0..n/2-1: the boundary
+    # phase of _forward_raw and the grid scale in one factor
+    w = scale * _signs(n)[: n // 2]
+    w.flags.writeable = False
+    return w
+
+
+def _mirror_half(out):
+    """Rebuild the negative half of sorted spectra from the positive half.
+
+    The negative half becomes the conjugate of the positive one and the
+    -omega_max value its real part, so out passes _is_real_field exactly.
+    """
+    h = out.shape[-1] // 2
+    out[..., 0] = out[..., 0].real
+    np.conjugate(out[..., :h:-1], out=out[..., 1:h])
+    return out
+
+
+def _inverse_half(fhat, m, dx):
+    """Real samples, on an m-point grid with spacing dx, of real-field spectra.
+
+    The irfft of the non-negative half of each row. On a padded grid
+    (m > n) the value at -omega_max is split half-and-half between
+    +-omega_max, so the padded field is real too.
+    """
+    n = fhat.shape[-1]
+    h = n // 2
+    half = np.zeros(fhat.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+    half[..., :h] = fhat[..., h:] * _half_weights(n, 1.0 / dx)
+    half[..., h] = fhat[..., 0] * ((1.0 if m == n else 0.5) / dx)
+    return np.fft.irfft(half, m)
+
+
+def _forward_half(phys, n, dx):
+    """The sorted n-node band of the transform of real samples with spacing dx.
+
+    One rfft; the output passes _is_real_field exactly.
+    """
+    h = n // 2
+    r = np.fft.rfft(phys)
+    out = np.empty(phys.shape[:-1] + (n,), dtype=np.complex128)
+    np.multiply(r[..., :h], _half_weights(n, dx), out=out[..., h:])
+    out[..., 0] = dx * r[..., h].real
+    return _mirror_half(out)
+
+
 class SpectralFunction:
     """A function represented by its transform samples on a GridSpec.
 
@@ -260,6 +332,9 @@ def weighted_norm(f, q=2):
 
 def _deriv_rows(fhat, grid):
     """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
+    if _is_real_field(fhat):
+        n = grid.n_points
+        return -1j * _forward_half(grid.x * _inverse_half(fhat, n, grid.dx), n, grid.dx)
     return _forward_raw(-1j * grid.x * _inverse_raw(fhat, grid.dx), grid.dx)
 
 
@@ -315,22 +390,37 @@ def _pad_factor(coeffs):
     return (max(coeffs) + 2) // 2
 
 
+def _poly(u, coeffs):
+    # sum_p c_p u^p by Horner's rule, products only: `**` on a real field
+    # with subnormal tails costs more than the whole transform
+    top = max(coeffs)
+    acc = coeffs[top] * u
+    for p in range(top - 1, 0, -1):
+        if p in coeffs:
+            acc += coeffs[p]
+        acc *= u
+    return acc
+
+
 def _padded_power(fhat, coeffs, grid):
     """Transform of sum_p c_p u^p along the last axis, for {p: c_p}.
 
     Each spectrum is embedded centered in a grid with _pad_factor * N
     points and the same x_max (finer physical sampling, same frequency
-    spacing); the powers are taken in physical space, transformed back,
-    restricted to the original band and combined there. Takes one row or
-    a stack of rows.
+    spacing), and restricted to the original band after the products.
+    Real fields take one irfft, the sum formed in physical space and one
+    rfft; any other spectrum takes one complex transform per power, with
+    the coefficients applied on the band. Takes one row or a stack of rows.
     """
-    powers = sorted(coeffs)
     n = grid.n_points
     m = _pad_factor(coeffs) * n
+    dx_big = 2.0 * grid.x_max / m
+    if _is_real_field(fhat):
+        return _forward_half(_poly(_inverse_half(fhat, m, dx_big), coeffs), n, dx_big)
+    powers = sorted(coeffs)
     band = slice(m // 2 - n // 2, m // 2 + n // 2)
     big = np.zeros(fhat.shape[:-1] + (m,), dtype=np.complex128)
     big[..., band] = fhat
-    dx_big = 2.0 * grid.x_max / m
     phys = _inverse_raw(big, dx_big)
     out = _forward_raw(phys ** powers[0], dx_big)[..., band]
     out *= coeffs[powers[0]]
@@ -415,6 +505,10 @@ def dilate(f, a):
     out[grid.n_points // 2] = f.fhat[grid.n_points // 2]
     if a < 1.0:
         out[np.abs(grid.omega) > a * grid.omega_max] = 0.0
+    if _is_real_field(f.fhat):
+        # the chirp rounding leaves the image of a real field Hermitian only
+        # to ~1e-16; restore the exact symmetry
+        _mirror_half(out)
     return SpectralFunction(grid, out)
 
 

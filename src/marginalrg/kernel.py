@@ -57,11 +57,18 @@ class ScalingKernel:
         return np.exp(-self.kappa * t * np.abs(omega) ** self.d)
 
     def multiplier(self, grid, t):
-        """ghat on a grid's frequency axis, using the cached |omega|^d."""
-        t = float(t)
-        if not (t > 0) or not math.isfinite(t):
-            raise DomainError(f"kernel time must be positive and finite, got {t}")
-        return np.exp((-self.kappa * t) * grid.abs_omega_pow(self.d))
+        """ghat on a grid's frequency axis, using the cached |omega|^d.
+
+        t is one time, or a 1-D array of times with one output row each.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim > 1 or not np.all((t > 0) & np.isfinite(t)):
+            raise DomainError(
+                f"kernel time must be positive and finite (one time or a 1-D "
+                f"array of times), got {t}"
+            )
+        out = np.multiply.outer(-self.kappa * t, grid.abs_omega_pow(self.d))
+        return np.exp(out, out=out)
 
 
 def heat_kernel(q=2):

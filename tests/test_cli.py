@@ -222,6 +222,21 @@ def test_norm_roundtrip(tmp_path, capsys):
     assert data4["bq_norm"] == pytest.approx(fs.weighted_norm(f, 4), rel=1e-12)
 
 
+def test_norm_of_a_non_real_field(tmp_path, capsys):
+    import numpy as np
+
+    # an odd real spectrum (an imaginary field) goes through the complex
+    # transforms; its norm is the complex-transform formula
+    grid = GridSpec(1024, 40.0)
+    f = fs.from_profile(grid, lambda w: w * np.exp(-(w**2)))
+    path = tmp_path / "odd.csv"
+    fs.to_csv(f, path)
+    assert run_cli("norm", str(path)) == 0
+    deriv = grid.forward(-1j * grid.x * grid.inverse(f.fhat))
+    want = np.max((1.0 + grid.omega**2) * (np.abs(f.fhat) + np.abs(deriv)))
+    assert json.loads(capsys.readouterr().out)["bq_norm"] == pytest.approx(want, rel=1e-12)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "marginalrg", "--version"],

@@ -97,15 +97,18 @@ def test_stacked_transforms_match_rows():
 
 def test_stacked_norm_matches_rows():
     rows = stack()
+    assert fs._is_real_field(rows)
     for q in (0, 2, 4):
         stacked = fs._norm_rows(rows, fs._deriv_rows(rows, GRID), GRID, q)
-        # per-row reference: the weighted_norm formula on one row at a time
+        # per-row reference: the weighted_norm formula on one row at a time,
+        # with complex transforms; the rows are real fields, which the norm
+        # transforms as such, so the two agree to rounding
         weight = 1.0 + np.abs(GRID.omega) ** q
         expected = [
             np.max(weight * (np.abs(r) + np.abs(GRID.forward(-1j * GRID.x * GRID.inverse(r)))))
             for r in rows
         ]
-        assert np.array_equal(stacked, expected)
+        assert np.allclose(stacked, expected, rtol=1e-13, atol=0.0)
         assert np.array_equal(
             stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
         )
@@ -165,6 +168,89 @@ def test_pointwise_power_dealias_exact_for_compact_support():
             conv = np.convolve(conv, fhat) * GRID.dw / (2.0 * np.pi)
             oracle = conv[(k - 1) * n // 2 : (k - 1) * n // 2 + n]
             assert np.max(np.abs(fs.pointwise_power(f, k).fhat - oracle)) < 1e-10
+
+
+def assert_hermitian(fhat):
+    # exactly the transform of a real function: fhat(-w) = conj(fhat(w)) node
+    # for node, real at w = 0 and at the unpaired node -omega_max
+    h = fhat.shape[-1] // 2
+    assert np.array_equal(fhat[1:], np.conj(fhat[1:][::-1]))
+    assert fhat[0].imag == 0.0 and fhat[h].imag == 0.0
+
+
+def test_real_field_predicate_is_exact():
+    f = gauss(0.5).fhat
+    assert fs._is_real_field(f)
+    assert fs._is_real_field(np.array([f, 2.0 * f]))
+    h = GRID.n_points // 2
+    # one ulp off the mirror, or a subnormal imaginary part at either real node
+    ulp = np.spacing(f[h + 7].real)
+    for node, delta in ((h + 7, ulp), (h - 7, 1e-300j), (h, 1e-300j), (0, 1e-300j)):
+        g = f.copy()
+        g[node] += delta
+        assert not fs._is_real_field(g)
+        assert not fs._is_real_field(np.array([f, g]))
+
+
+def test_power_of_real_field_is_exactly_hermitian():
+    # a real field with a nonzero real value at -omega_max: the padded
+    # inverse splits that value between +-omega_max, so the padded field,
+    # its powers and their band stay exactly real
+    f = gauss(1e-4)
+    assert f.fhat[0].real > 0.05
+    assert_hermitian(f.fhat)
+    # oracle: the convolution theorem on the spectrum with its -omega_max
+    # value split between the two ends
+    n = GRID.n_points
+    ext = np.concatenate([[0.5 * f.fhat[0]], f.fhat[1:], [0.5 * f.fhat[0]]])
+    conv = ext
+    for k in (2, 3):
+        conv = np.convolve(conv, ext) * GRID.dw / (2.0 * np.pi)
+        oracle = conv[(k - 1) * n // 2 : (k - 1) * n // 2 + n]
+        got = fs.pointwise_power(f, k).fhat
+        assert_hermitian(got)
+        assert np.max(np.abs(got[1:] - oracle[1:])) < 1e-12 * np.max(np.abs(oracle))
+    assert_hermitian(fs._deriv_rows(f.fhat, GRID) * 1j)
+    assert_hermitian(fs.dilate(gauss(), 1.7).fhat)
+    assert_hermitian(fs.dilate(gauss(), 0.6).fhat)
+
+
+def complex_power(fhat, k, grid=GRID):
+    # the complex-transform dealiased power, written out
+    n = grid.n_points
+    m = ((k + 2) // 2) * n
+    band = slice(m // 2 - n // 2, m // 2 + n // 2)
+    signs = 1.0 - 2.0 * (np.arange(m) % 2)
+    big = np.zeros(m, dtype=np.complex128)
+    big[band] = fhat
+    dx = 2.0 * grid.x_max / m
+    phys = np.fft.ifft(np.fft.ifftshift(signs * big)) / dx
+    out = (dx * signs * np.fft.fftshift(np.fft.fft(phys**k)))[band]
+    out *= 1.0
+    return out
+
+
+def complex_norm(fhat, q, grid=GRID):
+    deriv = grid.forward(-1j * grid.x * grid.inverse(fhat))
+    return np.max((1.0 + np.abs(grid.omega) ** q) * (np.abs(fhat) + np.abs(deriv)))
+
+
+def test_non_real_fields_take_the_complex_transforms():
+    # an odd real spectrum is the transform of an imaginary field: no half
+    # transform applies, and every operation matches the complex formulas
+    # bit for bit
+    f = fs.from_profile(GRID, lambda w: w * np.exp(-(w**2)))
+    assert not fs._is_real_field(f.fhat)
+    for k in (2, 3):
+        assert np.array_equal(fs.pointwise_power(f, k).fhat, complex_power(f.fhat, k))
+    for q in (2, 4):
+        assert fs.weighted_norm(f, q) == complex_norm(f.fhat, q)
+    for a in (1.7, 0.6):
+        want = fs._resample_trig(GRID.inverse(f.fhat), GRID.x_max, a)
+        want[GRID.n_points // 2] = f.fhat[GRID.n_points // 2]
+        if a < 1.0:
+            want[np.abs(GRID.omega) > a * GRID.omega_max] = 0.0
+        assert np.array_equal(fs.dilate(f, a).fhat, want)
 
 
 def test_apply_multiplier_identity_and_semigroup():

@@ -53,6 +53,20 @@ def test_semigroup_residual():
         semigroup_residual(heat_kernel(), GRID, 1.0, 1.0)
 
 
+def test_stacked_multiplier_matches_rows():
+    for k in (heat_kernel(), ScalingKernel(d=1.5, kappa=0.7)):
+        times = np.array([0.05, 0.7, 2.5, 9.0])
+        rows = k.multiplier(GRID, times)
+        assert rows.shape == (times.shape[0], GRID.n_points)
+        for row, t in zip(rows, times):
+            assert np.array_equal(row, k.multiplier(GRID, t))
+    for bad in ([0.5, 0.0], [0.5, -1.0], [np.inf], [0.3, np.nan], [[1.0]]):
+        with pytest.raises(DomainError):
+            heat_kernel().multiplier(GRID, np.array(bad))
+    with pytest.raises(DomainError):
+        heat_kernel().multiplier(GRID, 0.0)
+
+
 def test_evenness():
     m = heat_kernel().multiplier(GRID, 0.7)
     assert np.array_equal(m[1:], m[1:][::-1])

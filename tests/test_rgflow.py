@@ -9,7 +9,7 @@ import pytest
 
 from marginalrg import funcspace as fs
 from marginalrg import rgflow as rg
-from marginalrg.blocksolver import Nonlinearity, SolverParams
+from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
 from marginalrg.errors import ConfigError, DecompositionDrift
 from marginalrg.funcspace import GridSpec, SpectralFunction
 from marginalrg.kernel import heat_kernel, fixed_point_profile
@@ -189,6 +189,35 @@ def test_partial_trace_on_divergence():
     assert not tr.completed
     assert tr.failure is not None and tr.failure.startswith("level 0")
     assert len(tr.level) == 1 and len(tr.mass_shift) == 0
+
+
+@pytest.mark.parametrize("g0_kind", ["even-bump", "odd-bump"])
+def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
+    # every block input and every dilation output is exactly the transform
+    # of a real function, so no transform in the flow takes the complex path
+    inputs, images = [], []
+
+    def solve(f, *args):
+        inputs.append(f.fhat.copy())
+        return solve_block(f, *args)
+
+    def dilate(f, a, _dilate=fs.dilate):
+        out = _dilate(f, a)
+        images.append(out.fhat.copy())
+        return out
+
+    def complex_forward(*args):
+        raise AssertionError("a complex transform ran inside the flow")
+
+    monkeypatch.setattr(rg, "solve_block", solve)
+    monkeypatch.setattr(fs, "dilate", dilate)
+    monkeypatch.setattr(fs, "_forward_raw", complex_forward)
+    trace = rg.run_flow(
+        make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=3, g0_kind=g0_kind)
+    )
+    assert trace.completed and len(trace.amplitude) == 4
+    assert len(inputs) == 3 and len(images) == 9
+    assert all(fs._is_real_field(x) for x in inputs + images)
 
 
 def test_trace_csv_round_trip(tmp_path, canonical_trace):
