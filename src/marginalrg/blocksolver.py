@@ -24,14 +24,12 @@ import math
 import numpy as np
 
 from .errors import Divergence, DomainError, NoConvergence
-from .funcspace import (
+from .funcspace import (  # noqa: F401
     SpectralFunction,
-    weighted_norm,
+    weighted_norm,  # unused, kept bound: benchmarks/test_benchmark.py traces it here
     _chunks,
-    _deriv_rows,
-    _norm_rows,
+    _layout_of,
     _pad_factor,
-    _padded_power,
 )
 
 __all__ = [
@@ -124,34 +122,45 @@ class SolverParams:
 
 
 class BlockSolution:
-    """Solution slices u(., t_j) on the block's time nodes."""
+    """Solution slices u(., t_j) on the block's time nodes.
 
-    def __init__(self, grid, times, rows, iterations, final_delta):
-        self.grid = grid
+    The rows stay in the solver's layout (the half spectra of a real
+    field); a slice on the sorted axis is built only when asked for, and
+    the first slice is the input spectrum as given.
+    """
+
+    def __init__(self, layout, times, first, rows, iterations, final_delta):
+        self.grid = layout.grid
         self.times = np.asarray(times, dtype=np.float64)
+        self._layout = layout
+        self._first = first
         self._rows = rows
         self.iterations = iterations
         self.final_delta = final_delta
         self._norm_cache = {}
 
+    def _slice(self, i):
+        row = self._first if i == 0 else self._layout.expand(self._rows[i])
+        return SpectralFunction(self.grid, row)
+
     @property
     def slices(self):
-        return [SpectralFunction(self.grid, row) for row in self._rows]
+        return [self._slice(i) for i in range(self.times.shape[0])]
 
     @property
     def final(self):
-        return SpectralFunction(self.grid, self._rows[-1])
+        return self._slice(self.times.shape[0] - 1)
 
     def slice_at(self, t):
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise DomainError(f"no time node at t = {t}; nearest is {self.times[i]}")
-        return SpectralFunction(self.grid, self._rows[i])
+        return self._slice(i)
 
     def block_norm(self, q=2):
         """sup over time nodes of the weighted norm of the slice."""
         if q not in self._norm_cache:
-            self._norm_cache[q] = _block_norm(self._rows, self.grid, q)
+            self._norm_cache[q] = _block_norm(self._rows, self._layout, q)
         return self._norm_cache[q]
 
 
@@ -162,27 +171,29 @@ def _block_nodes(tc, n, L, m):
     return times, elapsed
 
 
-def _step_multipliers(kernel, grid, elapsed):
+def _step_multipliers(kernel, layout, elapsed):
     steps = np.diff(elapsed)
     if np.any(steps <= 0.0):
         raise DomainError("elapsed time must be strictly increasing")
-    return kernel.multiplier(grid, steps)
+    return kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), steps)
 
 
-def _linear_rows(f, kernel, grid, elapsed):
-    rows = np.empty((elapsed.shape[0], grid.n_points), dtype=np.complex128)
-    rows[0] = f.fhat
-    np.multiply(f.fhat, kernel.multiplier(grid, elapsed[1:]), out=rows[1:])
+def _linear_rows(f, kernel, layout, elapsed):
+    row = layout.rows(f.fhat)
+    rows = np.empty((elapsed.shape[0], row.shape[-1]), dtype=np.complex128)
+    rows[0] = row
+    mult = kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), elapsed[1:])
+    np.multiply(row, mult, out=rows[1:])
     return rows
 
 
-def _integrand_rows(rows, coeffs, grid):
+def _integrand_rows(rows, coeffs, layout):
     """Transform of sum_p c_p u^p for each time row, on one dealiasing grid."""
     if not coeffs:
         return None
     out = np.empty_like(rows)
-    for c in _chunks(rows.shape[0], _pad_factor(coeffs) * grid.n_points):
-        out[c] = _padded_power(rows[c], coeffs, grid)
+    for c in _chunks(rows.shape[0], _pad_factor(coeffs) * rows.shape[-1]):
+        out[c] = layout.power(rows[c], coeffs)
     return out
 
 
@@ -201,20 +212,22 @@ def _duhamel_rows(integrand, emult, h):
     return d
 
 
-def _block_norm(rows, grid, q, deriv=None):
+def _block_norm(rows, layout, q, deriv=None):
     """sup over rows of the weighted norm; deriv, if given, gets fhat'."""
     norms = np.empty(rows.shape[0])
     for c in _chunks(*rows.shape):
-        d = _deriv_rows(rows[c], grid)
+        d = layout.deriv(rows[c])
         if deriv is not None:
             deriv[c] = d
-        norms[c] = _norm_rows(rows[c], d, grid, q)
+        norms[c] = layout.norm(rows[c], d, q)
     return float(np.max(norms))
 
 
-def _picard_rows(f, kernel, grid, times, elapsed, coeffs, params, q):
-    """Shared Picard core; returns (rows, iterations, final_delta).
+def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
+    """Shared Picard core; returns the BlockSolution on the nodes.
 
+    The rows are held in one layout for the whole solve, chosen once from
+    f: the half spectra of a real field, else the full sorted axis.
     du carries the frequency derivative of the current iterate u. Each
     iteration transforms only the update u_new - u, whose norm is the
     convergence measure, and adds it to du for the guard norm of u_new:
@@ -222,48 +235,50 @@ def _picard_rows(f, kernel, grid, times, elapsed, coeffs, params, q):
     iteration instead of two. The guard norm differs from a fresh one by
     rounding only, and is only compared with 10x the linear norm.
     """
+    layout = _layout_of(f.fhat, f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
-    u0 = _linear_rows(f, kernel, grid, elapsed)
+    u0 = _linear_rows(f, kernel, layout, elapsed)
     guard = params.norm_guard
     if guard is not None:
-        f_norm = weighted_norm(f, q)
+        f_norm = _block_norm(u0[:1], layout, q)
         if f_norm > guard:
             raise Divergence(0, f_norm, guard)
     du = np.empty_like(u0)
-    linear_norm = _block_norm(u0, grid, q, du)
+    linear_norm = _block_norm(u0, layout, q, du)
     if guard is None:
         guard = 10.0 * linear_norm
     if not coeffs:
-        return u0, 1, 0.0
-    emult = _step_multipliers(kernel, grid, elapsed)
+        return BlockSolution(layout, times, f.fhat, u0, 1, 0.0)
+    emult = _step_multipliers(kernel, layout, elapsed)
     u = u0
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
     new_norms = np.empty(u0.shape[0])
     for it in range(1, params.picard_max + 1):
-        u_new = _duhamel_rows(_integrand_rows(u, coeffs, grid), emult, h)
+        u_new = _duhamel_rows(_integrand_rows(u, coeffs, layout), emult, h)
         u_new += u0
         for c in _chunks(*u0.shape):
             step = u_new[c] - u[c]
-            dstep = _deriv_rows(step, grid)
-            step_norms[c] = _norm_rows(step, dstep, grid, q)
+            dstep = layout.deriv(step)
+            step_norms[c] = layout.norm(step, dstep, q)
             du[c] += dstep
-            new_norms[c] = _norm_rows(u_new[c], du[c], grid, q)
+            new_norms[c] = layout.norm(u_new[c], du[c], q)
         delta = float(np.max(step_norms))
         bnorm = float(np.max(new_norms))
         if bnorm > guard:
             raise Divergence(it, bnorm, guard)
         u = u_new
         if delta < params.picard_tol:
-            return u, it, delta
+            return BlockSolution(layout, times, f.fhat, u, it, delta)
     raise NoConvergence(params.picard_max, delta, params.picard_tol)
 
 
 def linear_block(f, kernel, tc, n, L, params):
     """Evolve f through the block by the kernel alone, no nonlinearity."""
     times, elapsed = _block_nodes(tc, n, L, params.m)
-    rows = _linear_rows(f, kernel, f.grid, elapsed)
-    return BlockSolution(f.grid, times, rows, iterations=0, final_delta=0.0)
+    layout = _layout_of(f.fhat, f.grid)
+    rows = _linear_rows(f, kernel, layout, elapsed)
+    return BlockSolution(layout, times, f.fhat, rows, iterations=0, final_delta=0.0)
 
 
 def solve_block(f, kernel, tc, nl, n, L, params):
@@ -276,10 +291,7 @@ def solve_block(f, kernel, tc, nl, n, L, params):
     """
     times, elapsed = _block_nodes(tc, n, L, params.m)
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    rows, iters, delta = _picard_rows(
-        f, kernel, f.grid, times, elapsed, coeffs, params, kernel.q
-    )
-    return BlockSolution(f.grid, times, rows, iterations=iters, final_delta=delta)
+    return _picard_rows(f, kernel, times, elapsed, coeffs, params, kernel.q)
 
 
 def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
@@ -291,13 +303,13 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
         return SpectralFunction(
             grid, np.zeros(grid.n_points, dtype=np.complex128)
         )
+    layout = sol._layout
     _, elapsed = _block_nodes(tc, n, L, m)
-    rows = np.asarray(sol._rows[: t_index + 1])
-    integrand = _integrand_rows(rows, coeffs, grid)
-    emult = _step_multipliers(kernel, grid, elapsed[: t_index + 1])
+    integrand = _integrand_rows(sol._rows[: t_index + 1], coeffs, layout)
+    emult = _step_multipliers(kernel, layout, elapsed[: t_index + 1])
     h = np.diff(sol.times[: t_index + 1])
     d = _duhamel_rows(integrand, emult, h)
-    return SpectralFunction(grid, d[t_index])
+    return SpectralFunction(grid, layout.expand(d[t_index]))
 
 
 def damping_term(sol, nl, kernel, tc, n, L, t_index):

@@ -8,7 +8,9 @@ this module so the conventions live in exactly one place.
 
 A spectrum that is exactly Hermitian (the transform of a real function) is
 transformed with half-length real FFTs inside the power and the norm; any
-other spectrum takes the complex ones.
+other spectrum takes the complex ones. Stacks of such spectra can be held
+in the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
+-omega_max, with the full sorted axis built when a caller needs it.
 """
 
 import dataclasses
@@ -135,8 +137,10 @@ def _omega_nodes(grid):
 
 
 @functools.lru_cache(maxsize=128)
-def _abs_omega_pow(grid, d):
+def _abs_omega_pow(grid, d, half=False):
     w = np.abs(_omega_nodes(grid)) ** d
+    if half:
+        w = _to_half(w)
     w.flags.writeable = False
     return w
 
@@ -190,53 +194,164 @@ def _is_real_field(fhat):
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _half_weights(n, scale):
-    # scale * (-1)^m on the non-negative half m = 0..n/2-1: the boundary
-    # phase of _forward_raw and the grid scale in one factor
-    w = scale * _signs(n)[: n // 2]
-    w.flags.writeable = False
-    return w
+def _to_half(fhat):
+    """The half layout of sorted spectra: the N/2+1 nodes omega = 0 ..
+    omega_max - dw, with the -omega_max value last (the rfft layout)."""
+    h = fhat.shape[-1] // 2
+    return np.concatenate([fhat[..., h:], fhat[..., :1]], axis=-1)
 
 
-def _mirror_half(out):
-    """Rebuild the negative half of sorted spectra from the positive half.
+def _from_half(half):
+    """Sorted spectra rebuilt from the half layout of real fields.
 
     The negative half becomes the conjugate of the positive one and the
-    -omega_max value its real part, so out passes _is_real_field exactly.
+    -omega_max value its real part, so the result passes _is_real_field
+    exactly.
     """
-    h = out.shape[-1] // 2
-    out[..., 0] = out[..., 0].real
+    h = half.shape[-1] - 1
+    out = np.empty(half.shape[:-1] + (2 * h,), dtype=np.complex128)
+    out[..., h:] = half[..., :h]
+    out[..., 0] = half[..., h].real
     np.conjugate(out[..., :h:-1], out=out[..., 1:h])
     return out
 
 
-def _inverse_half(fhat, m, dx):
-    """Real samples, on an m-point grid with spacing dx, of real-field spectra.
+@functools.lru_cache(maxsize=64)
+def _half_weights(n, scale, last):
+    # scale * (-1)^m on the nodes m = 0..n/2-1 of the half layout (the
+    # boundary phase of _forward_raw and the grid scale in one factor),
+    # and last on its -omega_max node
+    w = np.append(scale * _signs(n)[: n // 2], last)
+    w.flags.writeable = False
+    return w
 
-    The irfft of the non-negative half of each row. On a padded grid
+
+def _inverse_half(half, m, dx):
+    """Real samples, on an m-point grid with spacing dx, of half spectra.
+
+    The irfft of each row, zero-padded to m points. On a padded grid
     (m > n) the value at -omega_max is split half-and-half between
     +-omega_max, so the padded field is real too.
     """
-    n = fhat.shape[-1]
-    h = n // 2
-    half = np.zeros(fhat.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
-    half[..., :h] = fhat[..., h:] * _half_weights(n, 1.0 / dx)
-    half[..., h] = fhat[..., 0] * ((1.0 if m == n else 0.5) / dx)
-    return np.fft.irfft(half, m)
+    n = 2 * (half.shape[-1] - 1)
+    return np.fft.irfft(half * _half_weights(n, 1.0 / dx, (1.0 if m == n else 0.5) / dx), m)
 
 
 def _forward_half(phys, n, dx):
-    """The sorted n-node band of the transform of real samples with spacing dx.
+    """Half spectra, on an n-node band, of real samples with spacing dx.
 
-    One rfft; the output passes _is_real_field exactly.
+    One rfft; the -omega_max value is the real part of the +omega_max bin.
     """
     h = n // 2
     r = np.fft.rfft(phys)
-    out = np.empty(phys.shape[:-1] + (n,), dtype=np.complex128)
-    np.multiply(r[..., :h], _half_weights(n, dx), out=out[..., h:])
-    out[..., 0] = dx * r[..., h].real
-    return _mirror_half(out)
+    out = r[..., : h + 1] * _half_weights(n, dx, dx)
+    out[..., h] = dx * r[..., h].real
+    return out
+
+
+class _Layout:
+    """How a stack of spectral rows on one grid is held and transformed.
+
+    real: every row is the transform of a real field (_is_real_field), so
+    powers and derivatives take half-length real FFTs; otherwise complex
+    FFTs. half (real fields only): rows hold the half layout of _to_half,
+    the negative half being the conjugate of the positive one; otherwise
+    rows hold the N sorted nodes, and a real-field transform converts at
+    its boundary. Every element-wise step maps the half of a Hermitian
+    input to the half of its Hermitian output, so the two layouts of a
+    real field hold the same numbers.
+    """
+
+    __slots__ = ("grid", "real", "half")
+
+    def __init__(self, grid, real, half=False):
+        self.grid = grid
+        self.real = real
+        self.half = half
+
+    def rows(self, fhat):
+        """Sorted spectra held in this layout."""
+        return _to_half(fhat) if self.half else fhat
+
+    def expand(self, rows):
+        """Sorted spectra of rows held in this layout."""
+        return _from_half(rows) if self.half else rows
+
+    def abs_omega_pow(self, d):
+        """|omega|**d on this layout's nodes, cached per (grid, d)."""
+        return _abs_omega_pow(self.grid, float(d), self.half)
+
+    def _on_half(self, op, rows):
+        return op(rows) if self.half else _from_half(op(_to_half(rows)))
+
+    def power(self, rows, coeffs):
+        """Transform of sum_p c_p u^p for each row, for {p: c_p}.
+
+        Each spectrum is embedded centered in a grid with _pad_factor * N
+        points and the same x_max (finer physical sampling, same frequency
+        spacing), and restricted to the original band after the products.
+        Real fields take one irfft, the sum formed in physical space and
+        one rfft; any other spectrum takes one complex transform per
+        power, with the coefficients applied on the band.
+        """
+        n = self.grid.n_points
+        m = _pad_factor(coeffs) * n
+        dx_big = 2.0 * self.grid.x_max / m
+        if self.real:
+            return self._on_half(
+                lambda r: _forward_half(_poly(_inverse_half(r, m, dx_big), coeffs), n, dx_big),
+                rows,
+            )
+        powers = sorted(coeffs)
+        band = slice(m // 2 - n // 2, m // 2 + n // 2)
+        big = np.zeros(rows.shape[:-1] + (m,), dtype=np.complex128)
+        big[..., band] = rows
+        phys = _inverse_raw(big, dx_big)
+        out = _forward_raw(phys ** powers[0], dx_big)[..., band]
+        out *= coeffs[powers[0]]
+        for p in powers[1:]:
+            out += coeffs[p] * _forward_raw(phys**p, dx_big)[..., band]
+        return out
+
+    def deriv(self, rows):
+        """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
+        grid = self.grid
+        n, dx = grid.n_points, grid.dx
+        if self.real:
+            # x f is real, so its half spectrum expands; fhat' = -i times it
+            return -1j * self._on_half(
+                lambda r: _forward_half(grid.x * _inverse_half(r, n, dx), n, dx), rows
+            )
+        return _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
+
+    def norm(self, rows, deriv, q):
+        """Weighted sup norm of each row of a stack, given its derivative rows.
+
+        The row-stack form of weighted_norm: one warning covers every row
+        whose outer-octave tail exceeds the grid's tail_tol. In the half
+        layout the outer octaves are the contiguous nodes [N/8:], and
+        |fhat|, |fhat'| are even, so the sup over the half is the sup.
+        """
+        if q < 0:
+            raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
+        grid = self.grid
+        size = np.abs(rows)
+        band = slice(grid.n_points // 8, None) if self.half else _outer_band(grid)
+        if not np.max(size[..., band]) <= grid.tail_tol:
+            warnings.warn(
+                "input spectrum is not negligible on the outer frequency "
+                "octaves; the reported norm may be under-resolved",
+                UnderResolvedWarning,
+                stacklevel=3,
+            )
+        weight = 1.0 + self.abs_omega_pow(q)
+        return np.max(weight * (size + np.abs(deriv)), axis=-1)
+
+
+def _layout_of(fhat, grid):
+    """The layout a solve from fhat holds its rows in: half for a real field."""
+    real = _is_real_field(fhat)
+    return _Layout(grid, real, half=real)
 
 
 class SpectralFunction:
@@ -326,36 +441,14 @@ def weighted_norm(f, q=2):
     still gets its norm, with an UnderResolvedWarning attached because the
     true supremum may then live off the grid.
     """
-    rows = f.fhat[np.newaxis]
-    return float(_norm_rows(rows, _deriv_rows(rows, f.grid), f.grid, q)[0])
+    layout = _layout_of(f.fhat, f.grid)
+    rows = layout.rows(f.fhat)[np.newaxis]
+    return float(layout.norm(rows, layout.deriv(rows), q)[0])
 
 
 def _deriv_rows(fhat, grid):
-    """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
-    if _is_real_field(fhat):
-        n = grid.n_points
-        return -1j * _forward_half(grid.x * _inverse_half(fhat, n, grid.dx), n, grid.dx)
-    return _forward_raw(-1j * grid.x * _inverse_raw(fhat, grid.dx), grid.dx)
-
-
-def _norm_rows(fhat, deriv, grid, q):
-    """Weighted sup norm of each row of a stack, given its derivative rows.
-
-    The row-stack form of weighted_norm: one warning covers every row
-    whose outer-octave tail exceeds the grid's tail_tol.
-    """
-    if q < 0:
-        raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
-    size = np.abs(fhat)
-    if not np.max(size[..., _outer_band(grid)]) <= grid.tail_tol:
-        warnings.warn(
-            "input spectrum is not negligible on the outer frequency "
-            "octaves; the reported norm may be under-resolved",
-            UnderResolvedWarning,
-            stacklevel=3,
-        )
-    weight = 1.0 + grid.abs_omega_pow(q)
-    return np.max(weight * (size + np.abs(deriv)), axis=-1)
+    """Frequency derivative fhat' of each row on the sorted axis."""
+    return _Layout(grid, _is_real_field(fhat)).deriv(fhat)
 
 
 def pointwise_power(f, k):
@@ -366,7 +459,8 @@ def pointwise_power(f, k):
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"power must be an integer >= 2, got {k}")
-    return SpectralFunction(f.grid, _padded_power(f.fhat, {k: 1.0}, f.grid))
+    layout = _Layout(f.grid, _is_real_field(f.fhat))
+    return SpectralFunction(f.grid, layout.power(f.fhat, {k: 1.0}))
 
 
 # Byte budget of one chunk of rows in the whole-stack transforms.
@@ -402,33 +496,6 @@ def _poly(u, coeffs):
     return acc
 
 
-def _padded_power(fhat, coeffs, grid):
-    """Transform of sum_p c_p u^p along the last axis, for {p: c_p}.
-
-    Each spectrum is embedded centered in a grid with _pad_factor * N
-    points and the same x_max (finer physical sampling, same frequency
-    spacing), and restricted to the original band after the products.
-    Real fields take one irfft, the sum formed in physical space and one
-    rfft; any other spectrum takes one complex transform per power, with
-    the coefficients applied on the band. Takes one row or a stack of rows.
-    """
-    n = grid.n_points
-    m = _pad_factor(coeffs) * n
-    dx_big = 2.0 * grid.x_max / m
-    if _is_real_field(fhat):
-        return _forward_half(_poly(_inverse_half(fhat, m, dx_big), coeffs), n, dx_big)
-    powers = sorted(coeffs)
-    band = slice(m // 2 - n // 2, m // 2 + n // 2)
-    big = np.zeros(fhat.shape[:-1] + (m,), dtype=np.complex128)
-    big[..., band] = fhat
-    phys = _inverse_raw(big, dx_big)
-    out = _forward_raw(phys ** powers[0], dx_big)[..., band]
-    out *= coeffs[powers[0]]
-    for p in powers[1:]:
-        out += coeffs[p] * _forward_raw(phys**p, dx_big)[..., band]
-    return out
-
-
 def apply_multiplier(f, kernel, t):
     """Multiply fhat by the kernel's frequency multiplier at time t >= 0.
 
@@ -449,6 +516,31 @@ def _chirp_phase(c_ld, idx):
     return np.exp(-1j * theta.astype(np.float64))
 
 
+@functools.lru_cache(maxsize=16)
+def _chirp_factors(n_pts, a):
+    """Read-only Bluestein factors of _resample_trig for one (N, a).
+
+    The pre-chirp, the FFT of the chirp filter, and the linear and
+    quadratic post-chirps; a flow dilates by one factor throughout.
+    """
+    c_ld = np.pi * _LD_ONE / (n_pts * np.longdouble(a))
+    n_idx = np.arange(n_pts)
+    k_idx = n_idx - n_pts // 2
+    pre = _chirp_phase(c_ld, n_idx)
+    m_idx = np.arange(-(3 * n_pts // 2 - 1), n_pts // 2)
+    v = np.conj(_chirp_phase(c_ld, m_idx))
+    size = 1
+    while size < n_pts + len(v) - 1:
+        size *= 2
+    filt = np.fft.fft(v, size)
+    lin = np.mod(c_ld * n_pts * k_idx.astype(np.longdouble), _LD_TWO_PI)
+    e_lin = np.exp(1j * lin.astype(np.float64))
+    e_k = _chirp_phase(c_ld, k_idx)
+    for arr in (pre, filt, e_lin, e_k):
+        arr.flags.writeable = False
+    return pre, filt, e_lin, e_k
+
+
 def _resample_trig(phys, x_max, a):
     """Evaluate fhat(omega_k / a) exactly from physical samples.
 
@@ -460,19 +552,12 @@ def _resample_trig(phys, x_max, a):
     """
     n_pts = phys.shape[0]
     dx = 2.0 * x_max / n_pts
-    c_ld = np.pi * _LD_ONE / (n_pts * np.longdouble(a))
-    n_idx = np.arange(n_pts)
-    k_idx = np.arange(n_pts) - n_pts // 2
-    u = phys * _chirp_phase(c_ld, n_idx)
-    m_idx = np.arange(-(3 * n_pts // 2 - 1), n_pts // 2)
-    v = np.conj(_chirp_phase(c_ld, m_idx))
-    size = 1
-    while size < len(u) + len(v) - 1:
-        size *= 2
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(v, size))
-    s = conv[n_idx + n_pts - 1]
-    lin = np.mod(c_ld * n_pts * k_idx.astype(np.longdouble), _LD_TWO_PI)
-    s = s * np.exp(1j * lin.astype(np.float64)) * _chirp_phase(c_ld, k_idx)
+    pre, filt, e_lin, e_k = _chirp_factors(n_pts, float(a))
+    conv = np.fft.ifft(np.fft.fft(phys * pre, filt.shape[0]) * filt)
+    s = conv[n_pts - 1 : 2 * n_pts - 1]
+    # two post-factors, in this order: their product as one factor rounds
+    # differently
+    s = (s * e_lin) * e_k
     return dx * s
 
 
@@ -507,8 +592,8 @@ def dilate(f, a):
         out[np.abs(grid.omega) > a * grid.omega_max] = 0.0
     if _is_real_field(f.fhat):
         # the chirp rounding leaves the image of a real field Hermitian only
-        # to ~1e-16; restore the exact symmetry
-        _mirror_half(out)
+        # to ~1e-16; rebuild it from its non-negative half
+        out = _from_half(_to_half(out))
     return SpectralFunction(grid, out)
 
 

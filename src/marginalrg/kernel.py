@@ -61,13 +61,22 @@ class ScalingKernel:
 
         t is one time, or a 1-D array of times with one output row each.
         """
+        return self._multiplier_rows(grid.abs_omega_pow(self.d), t)
+
+    def _multiplier_rows(self, abs_omega_pow, t):
+        """exp(-kappa t |omega|^d) on the nodes of a given |omega|^d row."""
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim > 1 or not np.all((t > 0) & np.isfinite(t)):
+        if t.ndim > 1:
             raise DomainError(
-                f"kernel time must be positive and finite (one time or a 1-D "
-                f"array of times), got {t}"
+                f"kernel time must be one time or a 1-D array of times, got shape {t.shape}"
             )
-        out = np.multiply.outer(-self.kappa * t, grid.abs_omega_pow(self.d))
+        bad = np.flatnonzero(~((t > 0) & np.isfinite(t)))
+        if bad.size:
+            where = "" if t.ndim == 0 else f"t[{bad[0]}] = "
+            raise DomainError(
+                f"kernel time must be positive and finite, got {where}{float(t.flat[bad[0]])!r}"
+            )
+        out = np.multiply.outer(-self.kappa * t, abs_omega_pow)
         return np.exp(out, out=out)
 
 

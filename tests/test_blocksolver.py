@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from marginalrg import blocksolver
+from marginalrg import blocksolver, verify
 from marginalrg import funcspace as fs
 from marginalrg.blocksolver import (
     BlockSolution,
@@ -119,11 +119,10 @@ def test_mass_identity_is_preserved():
     assert drift == pytest.approx(quad, abs=2.0 * params.picard_tol)
 
 
-def test_against_spectral_ode_oracle():
+def ode_oracle_final(f):
     # independent oracle: integrate the equivalent spectral ODE
     # d uhat/dt = -t^p |w|^2 uhat + Fhat(u) with solve_ivp at tight
-    # tolerances, then compare the final slice
-    f = profile()
+    # tolerances, and return the final slice
     w2 = GRID.omega**2
 
     def rhs(t, y):
@@ -132,8 +131,25 @@ def test_against_spectral_ode_oracle():
         return -t * w2 * y + fnl
 
     res = solve_ivp(rhs, (1.0, 2.0), f.fhat.astype(np.complex128), rtol=1e-11, atol=1e-13)
+    return res.y[:, -1]
+
+
+def test_against_spectral_ode_oracle():
+    f = profile()
     sol = solve_block(f, KERNEL, TC, NL, 0, 2.0, SolverParams(m=256))
-    assert np.max(np.abs(sol.final.fhat - res.y[:, -1])) < 1e-6
+    assert np.max(np.abs(sol.final.fhat - ode_oracle_final(f))) < 1e-6
+
+
+def test_non_real_field_keeps_the_full_layout():
+    # a real odd part in the spectrum makes the field complex: the solve
+    # holds full rows with complex transforms, matches the same oracle, and
+    # its final slice is not forced into Hermitian symmetry
+    f = profile() + fs.from_profile(GRID, lambda w: 1e-3 * w * np.exp(-(w**2)))
+    assert not fs._is_real_field(f.fhat)
+    sol = solve_block(f, KERNEL, TC, NL, 0, 2.0, SolverParams(m=256))
+    assert sol._rows.shape[-1] == GRID.n_points
+    assert not fs._is_real_field(sol.final.fhat)
+    assert np.max(np.abs(sol.final.fhat - ode_oracle_final(f))) < 1e-6
 
 
 def test_trapezoid_order_of_accuracy():
@@ -220,28 +236,87 @@ def test_divergence_guard():
 
 
 def test_stacked_integrand_and_norm_match_rows():
-    # 77 rows: not a multiple of the chunk of either the padded (2N) or the
-    # plain (N) transforms on this grid, and more than one chunk of each
+    # 77 rows: not a multiple of the chunk of the padded (2N) or the plain
+    # (N) full-layout transforms, nor of the padded half-layout ones, and
+    # more than one chunk of each
     lin = linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=76))
     rows = np.array([s.fhat for s in lin.slices])
-    for width in (GRID.n_points, 2 * GRID.n_points):
+    half_width = GRID.n_points // 2 + 1
+    for width in (GRID.n_points, 2 * GRID.n_points, 2 * half_width):
         chunk = fs._CHUNK_BYTES // (16 * width)
         assert chunk < rows.shape[0] and rows.shape[0] % chunk != 0
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
-    integrand = blocksolver._integrand_rows(rows, coeffs, GRID)
+    full = fs._Layout(GRID, True)
+    half = fs._Layout(GRID, True, half=True)
+    integrand = blocksolver._integrand_rows(rows, coeffs, full)
     for row, got in zip(rows, integrand):
         # bitwise: a stacked chunk gives what the same transform gives one row
-        assert np.array_equal(got, fs._padded_power(row, coeffs, GRID))
+        assert np.array_equal(got, full.power(row, coeffs))
         # the fused sum against separate powers: the coefficients are applied
         # before or after the forward transform, so they agree to rounding
         want = np.zeros_like(row)
         for k in sorted(coeffs):
             want = want + coeffs[k] * fs.pointwise_power(fs.SpectralFunction(GRID, row), k).fhat
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    held = half.rows(rows)
+    half_integrand = blocksolver._integrand_rows(held, coeffs, half)
+    for row, got in zip(held, half_integrand):
+        assert np.array_equal(got, half.power(row, coeffs))
+    assert np.array_equal(half.expand(half_integrand), integrand)
     deriv = np.empty_like(rows)
-    norm = blocksolver._block_norm(rows, GRID, 2, deriv)
+    norm = blocksolver._block_norm(rows, full, 2, deriv)
     assert np.array_equal(deriv, np.array([fs._deriv_rows(r, GRID) for r in rows]))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
+    half_deriv = np.empty_like(held)
+    assert blocksolver._block_norm(held, half, 2, half_deriv) == norm
+    assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
+
+
+def real_input():
+    # a real field with both an even and an odd part: imaginary odd spectrum
+    w = GRID.omega
+    return profile() * 0.5 + fs.SpectralFunction(GRID, 2e-3j * w * np.exp(-(w**2)))
+
+
+def solve_in_layouts(monkeypatch, solve):
+    """solve() once in the half layout and once in the full one."""
+    f = real_input()
+    assert fs._is_real_field(f.fhat)
+    half = solve(f)
+    with monkeypatch.context() as patch:
+        patch.setattr(blocksolver, "_layout_of", lambda fhat, grid: fs._Layout(grid, True))
+        full = solve(f)
+    assert half._rows.shape[-1] == GRID.n_points // 2 + 1
+    assert full._rows.shape[-1] == GRID.n_points
+    for sol in (half, full):
+        # row 0 is the input spectrum itself, signed zeros included
+        assert sol.slices[0].fhat is f.fhat
+    for a, b in zip(half.slices, full.slices):
+        assert np.array_equal(a.fhat, b.fhat)
+    assert half.block_norm(2) == full.block_norm(2)
+    assert (half.iterations, half.final_delta) == (full.iterations, full.final_delta)
+    return half, full
+
+
+def test_layouts_agree_bitwise(monkeypatch):
+    # every element-wise step of the Picard loop maps the half of a
+    # Hermitian input to the half of its Hermitian output, so the half
+    # layout holds exactly the numbers of the full one
+    params = SolverParams(m=76)
+    half, full = solve_in_layouts(
+        monkeypatch, lambda f: solve_block(f, KERNEL, TC, NL, 0, 2.0, params)
+    )
+    for term in (damping_term, forcing_term):
+        a = term(half, NL, KERNEL, TC, 0, 2.0, params.m)
+        b = term(full, NL, KERNEL, TC, 0, 2.0, params.m)
+        assert np.array_equal(a.fhat, b.fhat)
+    # the stacked octaves of the direct oracle: non-uniform steps
+    times, elapsed = verify._composite_nodes(TC, 2.0, 8.0, 16)
+    coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
+    solve_in_layouts(
+        monkeypatch,
+        lambda f: blocksolver._picard_rows(f, KERNEL, times, elapsed, coeffs, params, 2),
+    )
 
 
 def test_solve_block_warns_when_under_resolved():

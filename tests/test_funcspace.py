@@ -98,8 +98,13 @@ def test_stacked_transforms_match_rows():
 def test_stacked_norm_matches_rows():
     rows = stack()
     assert fs._is_real_field(rows)
+    full = fs._Layout(GRID, True)
+    half = fs._Layout(GRID, True, half=True)
+    held = half.rows(rows)
+    assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
+    assert np.array_equal(half.expand(held), rows)
     for q in (0, 2, 4):
-        stacked = fs._norm_rows(rows, fs._deriv_rows(rows, GRID), GRID, q)
+        stacked = full.norm(rows, fs._deriv_rows(rows, GRID), q)
         # per-row reference: the weighted_norm formula on one row at a time,
         # with complex transforms; the rows are real fields, which the norm
         # transforms as such, so the two agree to rounding
@@ -112,12 +117,30 @@ def test_stacked_norm_matches_rows():
         assert np.array_equal(
             stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
         )
-    # one under-resolved row is enough for the stack's warning
+        # the sup over the half layout is the sup over the whole axis
+        assert np.array_equal(half.norm(held, half.deriv(held), q), stacked)
+    # the half layout's outer octaves are its nodes [N/8:]
+    band = np.flatnonzero(fs._to_half(fs._outer_band(GRID)))
+    assert np.array_equal(band, np.arange(GRID.n_points // 8, GRID.n_points // 2 + 1))
+    # a tail on the first node of the band warns in both layouts, one node
+    # further in does not
+    for k, warns in ((GRID.n_points // 8, True), (GRID.n_points // 8 - 1, False)):
+        edge = np.where(np.abs(GRID.omega) == k * GRID.dw, 1e-6, 0.0).astype(complex)
+        for layout in (full, half):
+            held = layout.rows(edge[np.newaxis])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                layout.norm(held, layout.deriv(held), 2)
+            assert (len(caught) == 1) == warns
+    # one under-resolved row is enough for the stack's warning, in either layout
     rows[5] = 1.0 / (1.0 + GRID.omega**2)
     with pytest.warns(UnderResolvedWarning):
-        fs._norm_rows(rows, fs._deriv_rows(rows, GRID), GRID, 2)
+        full.norm(rows, fs._deriv_rows(rows, GRID), 2)
+    held = half.rows(rows)
+    with pytest.warns(UnderResolvedWarning):
+        half.norm(held, half.deriv(held), 2)
     with pytest.raises(DomainError):
-        fs._norm_rows(rows, rows, GRID, -1)
+        full.norm(rows, rows, -1)
 
 
 def test_pointwise_power_rejects_low_powers():
@@ -274,6 +297,28 @@ def test_dilate_identity_and_gaussian():
     assert out.at_zero == f.at_zero
     with pytest.raises(DomainError):
         fs.dilate(f, 0.0)
+
+
+def test_dilate_reuses_its_chirp_factors():
+    # the cached factors give the chirp of the uncached formula bit for bit
+    def uncached(phys, x_max, a):
+        n_pts = phys.shape[0]
+        c_ld = np.pi * fs._LD_ONE / (n_pts * np.longdouble(a))
+        n_idx = np.arange(n_pts)
+        k_idx = n_idx - n_pts // 2
+        u = phys * fs._chirp_phase(c_ld, n_idx)
+        v = np.conj(fs._chirp_phase(c_ld, np.arange(-(3 * n_pts // 2 - 1), n_pts // 2)))
+        conv = np.fft.ifft(np.fft.fft(u, 4 * n_pts) * np.fft.fft(v, 4 * n_pts))
+        s = conv[n_idx + n_pts - 1]
+        lin = np.mod(c_ld * n_pts * k_idx.astype(np.longdouble), fs._LD_TWO_PI)
+        s = s * np.exp(1j * lin.astype(np.float64)) * fs._chirp_phase(c_ld, k_idx)
+        return 2.0 * x_max / n_pts * s
+
+    phys = GRID.inverse(gauss().fhat + 0.1j * GRID.omega * gauss(2.0).fhat)
+    for a in (1.7, 0.6, 1.7):
+        assert np.array_equal(fs._resample_trig(phys, GRID.x_max, a), uncached(phys, GRID.x_max, a))
+    assert fs._chirp_factors(GRID.n_points, 1.7) is fs._chirp_factors(GRID.n_points, 1.7)
+    assert not any(arr.flags.writeable for arr in fs._chirp_factors(GRID.n_points, 1.7))
 
 
 def test_dilate_round_trip():

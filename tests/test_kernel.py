@@ -67,6 +67,21 @@ def test_stacked_multiplier_matches_rows():
         heat_kernel().multiplier(GRID, 0.0)
 
 
+def test_multiplier_error_names_the_first_bad_time():
+    # the message names one time, not the whole array
+    times = np.linspace(0.1, 2.0, 192)
+    times[[57, 90]] = [-0.25, np.nan]
+    with pytest.raises(DomainError, match=r"got t\[57\] = -0\.25$"):
+        heat_kernel().multiplier(GRID, times)
+    times[57] = 0.3
+    with pytest.raises(DomainError, match=r"got t\[90\] = nan$"):
+        heat_kernel().multiplier(GRID, times)
+    with pytest.raises(DomainError, match=r"got 0\.0$"):
+        heat_kernel().multiplier(GRID, 0.0)
+    with pytest.raises(DomainError, match=r"shape \(1, 1\)"):
+        heat_kernel().multiplier(GRID, np.array([[1.0]]))
+
+
 def test_evenness():
     m = heat_kernel().multiplier(GRID, 0.7)
     assert np.array_equal(m[1:], m[1:][::-1])

@@ -194,12 +194,21 @@ def test_partial_trace_on_divergence():
 @pytest.mark.parametrize("g0_kind", ["even-bump", "odd-bump"])
 def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
     # every block input and every dilation output is exactly the transform
-    # of a real function, so no transform in the flow takes the complex path
-    inputs, images = [], []
+    # of a real function, so no transform in the flow takes the complex path;
+    # each solve evaluates the predicate once, on its input
+    inputs, images, checks = [], [], []
+    calls = [0]
+
+    def is_real_field(fhat, _is_real_field=fs._is_real_field):
+        calls[0] += 1
+        return _is_real_field(fhat)
 
     def solve(f, *args):
         inputs.append(f.fhat.copy())
-        return solve_block(f, *args)
+        before = calls[0]
+        sol = solve_block(f, *args)
+        checks.append(calls[0] - before)
+        return sol
 
     def dilate(f, a, _dilate=fs.dilate):
         out = _dilate(f, a)
@@ -212,11 +221,13 @@ def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
     monkeypatch.setattr(rg, "solve_block", solve)
     monkeypatch.setattr(fs, "dilate", dilate)
     monkeypatch.setattr(fs, "_forward_raw", complex_forward)
+    monkeypatch.setattr(fs, "_is_real_field", is_real_field)
     trace = rg.run_flow(
         make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=3, g0_kind=g0_kind)
     )
     assert trace.completed and len(trace.amplitude) == 4
     assert len(inputs) == 3 and len(images) == 9
+    assert checks == [1, 1, 1]
     assert all(fs._is_real_field(x) for x in inputs + images)
 
 

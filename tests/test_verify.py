@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -253,3 +254,32 @@ def test_run_verification_power_model_branches():
     assert report.passed
     assert all(c.runtime_s >= 0.0 for c in report.checks)
     json.dumps(report.as_dict())
+
+
+def test_verify_times_the_shared_flow(monkeypatch):
+    # the 20-step flow that four checks share runs inside the timed
+    # flow_monotonicity check, so the report accounts for its seconds
+    def slow_flow(cfg, _run_flow=verify.run_flow):
+        time.sleep(0.2)
+        return _run_flow(cfg)
+
+    monkeypatch.setattr(verify, "run_flow", slow_flow)
+    for body in ("_fixed_point_body", "_contraction_body", "_overlap_body", "_beta_constant_body", "_direct_body"):
+        monkeypatch.setattr(verify, body, lambda *args: (True, {}))
+    cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16))
+    report = verify.run_verification(cfg, seed=0)
+    assert [c.name for c in report.checks] == [
+        "kernel_identities",
+        "fixed_point",
+        "contraction",
+        "overlap_routes",
+        "beta_constant",
+        "flow_monotonicity",
+        "renorm_residual",
+        "increment_law",
+        "theorem_trend",
+        "direct_consistency",
+    ]
+    flow = report.checks[5]
+    assert flow.measured["completed"]
+    assert 0.2 <= flow.measured["flow_s"] <= flow.runtime_s
