@@ -28,6 +28,7 @@ from .funcspace import (  # noqa: F401
     SpectralFunction,
     weighted_norm,  # unused, kept bound: benchmarks/test_benchmark.py traces it here
     _chunks,
+    _empty_stack,
     _layout_of,
     _pad_factor,
 )
@@ -171,45 +172,58 @@ def _block_nodes(tc, n, L, m):
     return times, elapsed
 
 
+def _multiplier_stack(kernel, layout, t):
+    abs_pow = layout.abs_omega_pow(kernel.d)
+    out = _empty_stack((t.shape[0], abs_pow.shape[-1]), np.float64)
+    return kernel._multiplier_rows(abs_pow, t, out=out)
+
+
 def _step_multipliers(kernel, layout, elapsed):
     steps = np.diff(elapsed)
     if np.any(steps <= 0.0):
         raise DomainError("elapsed time must be strictly increasing")
-    return kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), steps)
+    return _multiplier_stack(kernel, layout, steps)
 
 
 def _linear_rows(f, kernel, layout, elapsed):
     row = layout.rows(f.fhat)
-    rows = np.empty((elapsed.shape[0], row.shape[-1]), dtype=np.complex128)
+    rows = _empty_stack((elapsed.shape[0], row.shape[-1]))
     rows[0] = row
-    mult = kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), elapsed[1:])
-    np.multiply(row, mult, out=rows[1:])
+    np.multiply(row, _multiplier_stack(kernel, layout, elapsed[1:]), out=rows[1:])
     return rows
 
 
-def _integrand_rows(rows, coeffs, layout):
-    """Transform of sum_p c_p u^p for each time row, on one dealiasing grid."""
+def _integrand_rows(rows, coeffs, layout, out=None):
+    """Transform of sum_p c_p u^p for each time row, on one dealiasing grid.
+
+    out, if given, receives the rows; it must not overlap rows.
+    """
     if not coeffs:
         return None
-    out = np.empty_like(rows)
+    if out is None:
+        out = _empty_stack(rows.shape)
     for c in _chunks(rows.shape[0], _pad_factor(coeffs) * rows.shape[-1]):
         out[c] = layout.power(rows[c], coeffs)
     return out
 
 
 def _duhamel_rows(integrand, emult, h):
-    """Trapezoid Duhamel sums D_i via the semigroup recurrence.
+    """Trapezoid Duhamel sums D_i via the semigroup recurrence, in place.
 
-    h holds the per-interval time steps, so non-uniform node sets
-    (stacked sub-blocks) accumulate with the same exact algebra.
+    The integrand rows are overwritten by D; one row of integrand is kept
+    aside, the one the next step still needs. h holds the per-interval
+    time steps, so non-uniform node sets (stacked sub-blocks) accumulate
+    with the same exact algebra.
     """
-    d = np.zeros_like(integrand)
     half = 0.5 * np.asarray(h, dtype=np.float64)
+    prev = integrand[0].copy()
+    integrand[0] = 0.0
     for i in range(1, integrand.shape[0]):
-        d[i] = emult[i - 1] * (d[i - 1] + half[i - 1] * integrand[i - 1]) + half[
-            i - 1
-        ] * integrand[i]
-    return d
+        d = emult[i - 1] * (integrand[i - 1] + half[i - 1] * prev)
+        d += half[i - 1] * integrand[i]
+        prev[:] = integrand[i]
+        integrand[i] = d
+    return integrand
 
 
 def _block_norm(rows, layout, q, deriv=None):
@@ -234,6 +248,11 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
     the derivative is linear, so this is one derivative transform per
     iteration instead of two. The guard norm differs from a fresh one by
     rounding only, and is only compared with 10x the linear norm.
+
+    The stacks are allocated once per solve: u0, du and two iterate
+    stacks that trade places, each iteration's integrand becoming its
+    Duhamel sum and then its new iterate in the stack the iterate before
+    last held.
     """
     layout = _layout_of(f.fhat, f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
@@ -243,19 +262,20 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
         f_norm = _block_norm(u0[:1], layout, q)
         if f_norm > guard:
             raise Divergence(0, f_norm, guard)
-    du = np.empty_like(u0)
+    du = _empty_stack(u0.shape)
     linear_norm = _block_norm(u0, layout, q, du)
     if guard is None:
         guard = 10.0 * linear_norm
     if not coeffs:
         return BlockSolution(layout, times, f.fhat, u0, 1, 0.0)
     emult = _step_multipliers(kernel, layout, elapsed)
-    u = u0
+    u, spare = u0, None
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
     new_norms = np.empty(u0.shape[0])
     for it in range(1, params.picard_max + 1):
-        u_new = _duhamel_rows(_integrand_rows(u, coeffs, layout), emult, h)
+        u_new = _integrand_rows(u, coeffs, layout, spare)
+        _duhamel_rows(u_new, emult, h)
         u_new += u0
         for c in _chunks(*u0.shape):
             step = u_new[c] - u[c]
@@ -267,6 +287,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
         bnorm = float(np.max(new_norms))
         if bnorm > guard:
             raise Divergence(it, bnorm, guard)
+        spare = None if u is u0 else u
         u = u_new
         if delta < params.picard_tol:
             return BlockSolution(layout, times, f.fhat, u, it, delta)

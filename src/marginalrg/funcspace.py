@@ -16,6 +16,7 @@ in the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
 import dataclasses
 import functools
 import math
+import mmap
 import warnings
 
 import numpy as np
@@ -476,6 +477,30 @@ def _chunks(n_rows, width):
     """
     step = max(1, _CHUNK_BYTES // (16 * width))
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+# Row stacks of at least this many bytes get an anonymous mapping of their
+# own (_empty_stack); smaller ones come from the malloc heap.
+_MAPPED_STACK_BYTES = 8 << 20
+
+
+def _empty_stack(shape, dtype=np.complex128):
+    """An uninitialised row stack; a large one in a memory mapping of its own.
+
+    Dropping the last reference to a mapped stack unmaps it, so the
+    resident memory of a solve is the stacks it holds. From the malloc heap
+    a freed stack of up to 32 MiB (glibc's dynamic mmap threshold) stays
+    resident, and whether the next one reuses it depends on where unrelated
+    small blocks landed in between: the peak of a process would then differ
+    from run to run by whole stacks. Stacks of a few MiB (a block on the
+    canonical grid) stay on the heap, which reuses them without page faults.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    if size < _MAPPED_STACK_BYTES:
+        return np.empty(shape, dtype=dtype)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
 def _pad_factor(coeffs):

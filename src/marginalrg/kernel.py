@@ -63,8 +63,11 @@ class ScalingKernel:
         """
         return self._multiplier_rows(grid.abs_omega_pow(self.d), t)
 
-    def _multiplier_rows(self, abs_omega_pow, t):
-        """exp(-kappa t |omega|^d) on the nodes of a given |omega|^d row."""
+    def _multiplier_rows(self, abs_omega_pow, t, out=None):
+        """exp(-kappa t |omega|^d) on the nodes of a given |omega|^d row.
+
+        out, if given, receives the rows (one per time).
+        """
         t = np.asarray(t, dtype=np.float64)
         if t.ndim > 1:
             raise DomainError(
@@ -76,7 +79,7 @@ class ScalingKernel:
             raise DomainError(
                 f"kernel time must be positive and finite, got {where}{float(t.flat[bad[0]])!r}"
             )
-        out = np.multiply.outer(-self.kappa * t, abs_omega_pow)
+        out = np.multiply.outer(-self.kappa * t, abs_omega_pow, out=out)
         return np.exp(out, out=out)
 
 

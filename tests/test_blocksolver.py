@@ -319,6 +319,45 @@ def test_layouts_agree_bitwise(monkeypatch):
     )
 
 
+def test_duhamel_sums_in_place():
+    # the integrand stack becomes the Duhamel sums of the two-row recurrence
+    rng = np.random.default_rng(3)
+    integrand = rng.normal(size=(9, 17)) + 1j * rng.normal(size=(9, 17))
+    emult = rng.uniform(0.5, 1.0, size=(8, 17))
+    h = rng.uniform(0.1, 0.3, size=8)
+    want = np.zeros_like(integrand)
+    for i in range(1, 9):
+        want[i] = emult[i - 1] * (want[i - 1] + 0.5 * h[i - 1] * integrand[i - 1]) + (
+            0.5 * h[i - 1]
+        ) * integrand[i]
+    work = integrand.copy()
+    assert blocksolver._duhamel_rows(work, emult, h) is work
+    assert np.array_equal(work, want)
+
+
+def test_solve_allocates_its_stacks_once(monkeypatch):
+    # six stacks whatever the iteration count: u0 and its multipliers, du,
+    # the step multipliers and two iterate stacks that trade places; mapped
+    # stacks hold the same numbers as heap ones
+    params = SolverParams(m=16)
+    heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    assert heap.iterations >= 3
+    shapes = []
+    make = blocksolver._empty_stack
+
+    def counted(shape, dtype=np.complex128):
+        shapes.append(shape)
+        return make(shape, dtype)
+
+    monkeypatch.setattr(blocksolver, "_empty_stack", counted)
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    assert len(shapes) == 6
+    assert mapped.iterations == heap.iterations
+    for a, b in zip(mapped.slices, heap.slices):
+        assert np.array_equal(a.fhat, b.fhat)
+
+
 def test_solve_block_warns_when_under_resolved():
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
     assert not slow.is_resolved()

@@ -1,6 +1,7 @@
 """Grid representation, norm, powers, multipliers, dilation."""
 
 import math
+import mmap
 import warnings
 
 import numpy as np
@@ -93,6 +94,21 @@ def test_stacked_transforms_match_rows():
     inv = fs._inverse_raw(rows, GRID.dx)
     assert np.array_equal(fwd, np.array([GRID.forward(r) for r in rows]))
     assert np.array_equal(inv, np.array([GRID.inverse(r) for r in rows]))
+
+
+def test_large_stacks_are_mapped():
+    small = fs._empty_stack((4, 8))
+    assert small.base is None
+    width = fs._MAPPED_STACK_BYTES // (3 * 8) + 1
+    for dtype in (np.complex128, np.float64):
+        big = fs._empty_stack((3, width), dtype)
+        assert big.shape == (3, width) and big.dtype == dtype
+        owner = big.base
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner.obj, mmap.mmap)
+        big[...] = 2.0
+        assert np.all(big == 2.0)
 
 
 def test_stacked_norm_matches_rows():
