@@ -27,8 +27,8 @@ from .errors import Divergence, DomainError, NoConvergence
 from .funcspace import (  # noqa: F401
     SpectralFunction,
     weighted_norm,  # unused, kept bound: benchmarks/test_benchmark.py traces it here
+    _Workspace,
     _chunks,
-    _empty_stack,
     _layout_of,
     _pad_factor,
 )
@@ -37,9 +37,6 @@ __all__ = [
     "Nonlinearity",
     "SolverParams",
     "BlockSolution",
-    "linear_block",
-    "damping_term",
-    "forcing_term",
     "solve_block",
     "block_to_csv",
 ]
@@ -161,7 +158,7 @@ class BlockSolution:
     def block_norm(self, q=2):
         """sup over time nodes of the weighted norm of the slice."""
         if q not in self._norm_cache:
-            self._norm_cache[q] = _block_norm(self._rows, self._layout, q)
+            self._norm_cache[q] = _block_norm(self._rows, self._layout, q, _Workspace())
         return self._norm_cache[q]
 
 
@@ -172,72 +169,73 @@ def _block_nodes(tc, n, L, m):
     return times, elapsed
 
 
-def _multiplier_stack(kernel, layout, t):
+def _multiplier_stack(kernel, layout, t, work, role):
     abs_pow = layout.abs_omega_pow(kernel.d)
-    out = _empty_stack((t.shape[0], abs_pow.shape[-1]), np.float64)
+    out = work.stack(role, (t.shape[0], abs_pow.shape[-1]), np.float64)
     return kernel._multiplier_rows(abs_pow, t, out=out)
 
 
-def _step_multipliers(kernel, layout, elapsed):
+def _step_multipliers(kernel, layout, elapsed, work):
     steps = np.diff(elapsed)
     if np.any(steps <= 0.0):
         raise DomainError("elapsed time must be strictly increasing")
-    return _multiplier_stack(kernel, layout, steps)
+    return _multiplier_stack(kernel, layout, steps, work, "steps")
 
 
-def _linear_rows(f, kernel, layout, elapsed):
+def _linear_rows(f, kernel, layout, elapsed, work):
     row = layout.rows(f.fhat)
-    rows = _empty_stack((elapsed.shape[0], row.shape[-1]))
+    rows = work.stack("linear", (elapsed.shape[0], row.shape[-1]))
     rows[0] = row
-    np.multiply(row, _multiplier_stack(kernel, layout, elapsed[1:]), out=rows[1:])
+    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
+    np.multiply(row, mult, out=rows[1:])
     return rows
 
 
-def _integrand_rows(rows, coeffs, layout, out=None):
+def _integrand_rows(rows, coeffs, layout, out, work):
     """Transform of sum_p c_p u^p for each time row, on one dealiasing grid.
 
-    out, if given, receives the rows; it must not overlap rows.
+    out receives the rows; it must not overlap rows.
     """
-    if not coeffs:
-        return None
-    if out is None:
-        out = _empty_stack(rows.shape)
     for c in _chunks(rows.shape[0], _pad_factor(coeffs) * rows.shape[-1]):
-        out[c] = layout.power(rows[c], coeffs)
+        layout.power(rows[c], coeffs, out[c], work)
     return out
 
 
-def _duhamel_rows(integrand, emult, h):
+def _duhamel_rows(integrand, emult, h, work):
     """Trapezoid Duhamel sums D_i via the semigroup recurrence, in place.
 
-    The integrand rows are overwritten by D; one row of integrand is kept
-    aside, the one the next step still needs. h holds the per-interval
-    time steps, so non-uniform node sets (stacked sub-blocks) accumulate
-    with the same exact algebra.
+    The integrand rows are overwritten by D; two scratch rows hold the
+    integrand row the next step still needs and the sum being formed. h
+    holds the per-interval time steps, so non-uniform node sets (stacked
+    sub-blocks) accumulate with the same exact algebra.
     """
     half = 0.5 * np.asarray(h, dtype=np.float64)
-    prev = integrand[0].copy()
+    prev = work.scratch(0, integrand.shape[1:])
+    d = work.scratch(1, integrand.shape[1:])
+    prev[:] = integrand[0]
     integrand[0] = 0.0
     for i in range(1, integrand.shape[0]):
-        d = emult[i - 1] * (integrand[i - 1] + half[i - 1] * prev)
-        d += half[i - 1] * integrand[i]
+        # D_i = E_i (D_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
+        np.multiply(half[i - 1], prev, out=d)
+        np.add(integrand[i - 1], d, out=d)
+        np.multiply(emult[i - 1], d, out=d)
+        d += np.multiply(half[i - 1], integrand[i], out=prev)
         prev[:] = integrand[i]
         integrand[i] = d
     return integrand
 
 
-def _block_norm(rows, layout, q, deriv=None):
+def _block_norm(rows, layout, q, work, deriv=None):
     """sup over rows of the weighted norm; deriv, if given, gets fhat'."""
     norms = np.empty(rows.shape[0])
     for c in _chunks(*rows.shape):
-        d = layout.deriv(rows[c])
-        if deriv is not None:
-            deriv[c] = d
-        norms[c] = layout.norm(rows[c], d, q)
+        d = work.scratch(1, rows[c].shape) if deriv is None else deriv[c]
+        layout.deriv(rows[c], d, work)
+        layout.norm(rows[c], d, q, norms[c], work)
     return float(np.max(norms))
 
 
-def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
+def _picard_rows(f, kernel, times, elapsed, coeffs, params, q, work=None):
     """Shared Picard core; returns the BlockSolution on the nodes.
 
     The rows are held in one layout for the whole solve, chosen once from
@@ -249,40 +247,45 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
     iteration instead of two. The guard norm differs from a fresh one by
     rounding only, and is only compared with 10x the linear norm.
 
-    The stacks are allocated once per solve: u0, du and two iterate
-    stacks that trade places, each iteration's integrand becoming its
-    Duhamel sum and then its new iterate in the stack the iterate before
-    last held.
+    The stacks and the chunk scratch come from work (a funcspace
+    _Workspace; a new one when None): u0 and its multipliers, du, the
+    step multipliers and two iterate stacks that trade places, each
+    iteration's integrand becoming its Duhamel sum and then its new
+    iterate in the stack the iterate before last held. The stack that
+    ends as the solution's rows is handed over to it.
     """
+    work = _Workspace() if work is None else work
     layout = _layout_of(f.fhat, f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
-    u0 = _linear_rows(f, kernel, layout, elapsed)
+    u0 = _linear_rows(f, kernel, layout, elapsed, work)
     guard = params.norm_guard
     if guard is not None:
-        f_norm = _block_norm(u0[:1], layout, q)
+        f_norm = _block_norm(u0[:1], layout, q, work)
         if f_norm > guard:
             raise Divergence(0, f_norm, guard)
-    du = _empty_stack(u0.shape)
-    linear_norm = _block_norm(u0, layout, q, du)
+    du = work.stack("deriv", u0.shape)
+    linear_norm = _block_norm(u0, layout, q, work, du)
     if guard is None:
         guard = 10.0 * linear_norm
     if not coeffs:
-        return BlockSolution(layout, times, f.fhat, u0, 1, 0.0)
-    emult = _step_multipliers(kernel, layout, elapsed)
+        return _solution(work, layout, times, f.fhat, u0, 1, 0.0)
+    emult = _step_multipliers(kernel, layout, elapsed, work)
     u, spare = u0, None
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
     new_norms = np.empty(u0.shape[0])
     for it in range(1, params.picard_max + 1):
-        u_new = _integrand_rows(u, coeffs, layout, spare)
-        _duhamel_rows(u_new, emult, h)
+        if spare is None:
+            spare = work.stack(f"iterate{it}", u0.shape)
+        u_new = _integrand_rows(u, coeffs, layout, spare, work)
+        _duhamel_rows(u_new, emult, h, work)
         u_new += u0
         for c in _chunks(*u0.shape):
-            step = u_new[c] - u[c]
-            dstep = layout.deriv(step)
-            step_norms[c] = layout.norm(step, dstep, q)
+            step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
+            dstep = layout.deriv(step, work.scratch(1, step.shape), work)
+            layout.norm(step, dstep, q, step_norms[c], work)
             du[c] += dstep
-            new_norms[c] = layout.norm(u_new[c], du[c], q)
+            layout.norm(u_new[c], du[c], q, new_norms[c], work)
         delta = float(np.max(step_norms))
         bnorm = float(np.max(new_norms))
         if bnorm > guard:
@@ -290,63 +293,29 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q):
         spare = None if u is u0 else u
         u = u_new
         if delta < params.picard_tol:
-            return BlockSolution(layout, times, f.fhat, u, it, delta)
+            return _solution(work, layout, times, f.fhat, u, it, delta)
     raise NoConvergence(params.picard_max, delta, params.picard_tol)
 
 
-def linear_block(f, kernel, tc, n, L, params):
-    """Evolve f through the block by the kernel alone, no nonlinearity."""
-    times, elapsed = _block_nodes(tc, n, L, params.m)
-    layout = _layout_of(f.fhat, f.grid)
-    rows = _linear_rows(f, kernel, layout, elapsed)
-    return BlockSolution(layout, times, f.fhat, rows, iterations=0, final_delta=0.0)
+def _solution(work, layout, times, first, rows, iterations, final_delta):
+    sol = BlockSolution(layout, times, first, rows, iterations, final_delta)
+    work.hand_over(rows, sol)
+    return sol
 
 
-def solve_block(f, kernel, tc, nl, n, L, params):
+def solve_block(f, kernel, tc, nl, n, L, params, workspace=None):
     """Picard-solve the block-n equation starting from the linear evolution.
 
     Iterates u <- u0 + Duhamel(F-terms of u) until the block norm of the
     update falls below picard_tol. Raises NoConvergence when picard_max is
     exhausted and Divergence when the block norm passes the guard
-    (default: 10x the linear block norm).
+    (default: 10x the linear block norm). workspace is the working memory
+    a caller solving many blocks passes to each (funcspace._Workspace);
+    without one the solve allocates its own.
     """
     times, elapsed = _block_nodes(tc, n, L, params.m)
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    return _picard_rows(f, kernel, times, elapsed, coeffs, params, kernel.q)
-
-
-def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
-    m = sol.times.shape[0] - 1
-    if not (0 <= t_index <= m):
-        raise DomainError(f"t_index must lie in [0, {m}], got {t_index}")
-    grid = sol.grid
-    if t_index == 0 or not coeffs:
-        return SpectralFunction(
-            grid, np.zeros(grid.n_points, dtype=np.complex128)
-        )
-    layout = sol._layout
-    _, elapsed = _block_nodes(tc, n, L, m)
-    integrand = _integrand_rows(sol._rows[: t_index + 1], coeffs, layout)
-    emult = _step_multipliers(kernel, layout, elapsed[: t_index + 1])
-    h = np.diff(sol.times[: t_index + 1])
-    d = _duhamel_rows(integrand, emult, h)
-    return SpectralFunction(grid, layout.expand(d[t_index]))
-
-
-def damping_term(sol, nl, kernel, tc, n, L, t_index):
-    """The damping Duhamel term mu * integral of evolved u^{alpha_c}.
-
-    Evaluated at the block node t_index; returns zero at the first node.
-    """
-    coeffs = {nl.critical_power: nl.mu} if nl.mu != 0.0 else {}
-    return _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index)
-
-
-def forcing_term(sol, nl, kernel, tc, n, L, t_index):
-    """The scaled perturbation Duhamel term at the block node t_index."""
-    coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    coeffs.pop(nl.critical_power, None)
-    return _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index)
+    return _picard_rows(f, kernel, times, elapsed, coeffs, params, kernel.q, workspace)
 
 
 def block_to_csv(sol, path, times=None):

@@ -18,6 +18,7 @@ import functools
 import math
 import mmap
 import warnings
+import weakref
 
 import numpy as np
 
@@ -202,15 +203,16 @@ def _to_half(fhat):
     return np.concatenate([fhat[..., h:], fhat[..., :1]], axis=-1)
 
 
-def _from_half(half):
+def _from_half(half, out=None):
     """Sorted spectra rebuilt from the half layout of real fields.
 
     The negative half becomes the conjugate of the positive one and the
     -omega_max value its real part, so the result passes _is_real_field
-    exactly.
+    exactly. out, if given, receives them.
     """
     h = half.shape[-1] - 1
-    out = np.empty(half.shape[:-1] + (2 * h,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(half.shape[:-1] + (2 * h,), dtype=np.complex128)
     out[..., h:] = half[..., :h]
     out[..., 0] = half[..., h].real
     np.conjugate(out[..., :h:-1], out=out[..., 1:h])
@@ -227,26 +229,31 @@ def _half_weights(n, scale, last):
     return w
 
 
-def _inverse_half(half, m, dx):
+def _inverse_half(half, m, dx, out, weighted):
     """Real samples, on an m-point grid with spacing dx, of half spectra.
 
-    The irfft of each row, zero-padded to m points. On a padded grid
+    The irfft of each row, zero-padded to m points, into out; weighted,
+    shaped like half, receives the weighted input. On a padded grid
     (m > n) the value at -omega_max is split half-and-half between
     +-omega_max, so the padded field is real too.
     """
     n = 2 * (half.shape[-1] - 1)
-    return np.fft.irfft(half * _half_weights(n, 1.0 / dx, (1.0 if m == n else 0.5) / dx), m)
+    w = _half_weights(n, 1.0 / dx, (1.0 if m == n else 0.5) / dx)
+    return np.fft.irfft(np.multiply(half, w, out=weighted), m, out=out)
 
 
-def _forward_half(phys, n, dx):
+def _forward_half(phys, n, dx, out, spec):
     """Half spectra, on an n-node band, of real samples with spacing dx.
 
-    One rfft; the -omega_max value is the real part of the +omega_max bin.
+    One rfft into spec (phys.shape[-1]//2 + 1 columns; it may be out
+    itself when that is the whole rfft), then the band into out; the
+    -omega_max value is the real part of the +omega_max bin.
     """
     h = n // 2
-    r = np.fft.rfft(phys)
-    out = r[..., : h + 1] * _half_weights(n, dx, dx)
-    out[..., h] = dx * r[..., h].real
+    r = np.fft.rfft(phys, out=spec)
+    nyquist = dx * r[..., h].real
+    np.multiply(r[..., : h + 1], _half_weights(n, dx, dx), out=out)
+    out[..., h] = nyquist
     return out
 
 
@@ -261,6 +268,10 @@ class _Layout:
     its boundary. Every element-wise step maps the half of a Hermitian
     input to the half of its Hermitian output, so the two layouts of a
     real field hold the same numbers.
+
+    power, deriv and norm write into out when given, else into a new
+    array, and take their real-field temporaries from the scratch of work
+    (a _Workspace), else as new arrays.
     """
 
     __slots__ = ("grid", "real", "half")
@@ -275,17 +286,21 @@ class _Layout:
         return _to_half(fhat) if self.half else fhat
 
     def expand(self, rows):
-        """Sorted spectra of rows held in this layout."""
-        return _from_half(rows) if self.half else rows
+        """Sorted spectra of rows held in this layout, in a new array."""
+        return _from_half(rows) if self.half else rows.copy()
 
     def abs_omega_pow(self, d):
         """|omega|**d on this layout's nodes, cached per (grid, d)."""
         return _abs_omega_pow(self.grid, float(d), self.half)
 
-    def _on_half(self, op, rows):
-        return op(rows) if self.half else _from_half(op(_to_half(rows)))
+    def _on_half(self, op, rows, out):
+        # op(half rows, destination) of a real-field step, run on this layout
+        if self.half:
+            return op(rows, out)
+        half = _to_half(rows)
+        return _from_half(op(half, np.empty_like(half)), out)
 
-    def power(self, rows, coeffs):
+    def power(self, rows, coeffs, out=None, work=None):
         """Transform of sum_p c_p u^p for each row, for {p: c_p}.
 
         Each spectrum is embedded centered in a grid with _pad_factor * N
@@ -295,37 +310,54 @@ class _Layout:
         one rfft; any other spectrum takes one complex transform per
         power, with the coefficients applied on the band.
         """
+        out = np.empty(rows.shape, np.complex128) if out is None else out
         n = self.grid.n_points
         m = _pad_factor(coeffs) * n
         dx_big = 2.0 * self.grid.x_max / m
         if self.real:
-            return self._on_half(
-                lambda r: _forward_half(_poly(_inverse_half(r, m, dx_big), coeffs), n, dx_big),
-                rows,
-            )
+            work = _ONE_SHOT if work is None else work
+
+            def op(half, dest):
+                # slot 1 holds the padded field, then its rfft
+                lead = half.shape[:-1]
+                spec = work.scratch(1, lead + (m // 2 + 1,))
+                phys = _inverse_half(
+                    half, m, dx_big, work.scratch(1, lead + (m,), np.float64), work.scratch(0, half.shape)
+                )
+                acc = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
+                return _forward_half(acc, n, dx_big, dest, spec)
+
+            return self._on_half(op, rows, out)
         powers = sorted(coeffs)
         band = slice(m // 2 - n // 2, m // 2 + n // 2)
         big = np.zeros(rows.shape[:-1] + (m,), dtype=np.complex128)
         big[..., band] = rows
         phys = _inverse_raw(big, dx_big)
-        out = _forward_raw(phys ** powers[0], dx_big)[..., band]
-        out *= coeffs[powers[0]]
+        np.multiply(_forward_raw(phys ** powers[0], dx_big)[..., band], coeffs[powers[0]], out=out)
         for p in powers[1:]:
             out += coeffs[p] * _forward_raw(phys**p, dx_big)[..., band]
         return out
 
-    def deriv(self, rows):
+    def deriv(self, rows, out=None, work=None):
         """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
+        out = np.empty(rows.shape, np.complex128) if out is None else out
         grid = self.grid
         n, dx = grid.n_points, grid.dx
         if self.real:
-            # x f is real, so its half spectrum expands; fhat' = -i times it
-            return -1j * self._on_half(
-                lambda r: _forward_half(grid.x * _inverse_half(r, n, dx), n, dx), rows
-            )
-        return _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
+            work = _ONE_SHOT if work is None else work
 
-    def norm(self, rows, deriv, q):
+            def op(half, dest):
+                # x f is real, so its half spectrum expands; fhat' = -i times it
+                phys = _inverse_half(half, n, dx, work.scratch(2, half.shape[:-1] + (n,), np.float64), dest)
+                np.multiply(grid.x, phys, out=phys)
+                return _forward_half(phys, n, dx, dest, dest)
+
+            self._on_half(op, rows, out)
+            return np.multiply(-1j, out, out=out)
+        out[...] = _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
+        return out
+
+    def norm(self, rows, deriv, q, out=None, work=None):
         """Weighted sup norm of each row of a stack, given its derivative rows.
 
         The row-stack form of weighted_norm: one warning covers every row
@@ -336,7 +368,8 @@ class _Layout:
         if q < 0:
             raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
         grid = self.grid
-        size = np.abs(rows)
+        work = _ONE_SHOT if work is None else work
+        size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
         band = slice(grid.n_points // 8, None) if self.half else _outer_band(grid)
         if not np.max(size[..., band]) <= grid.tail_tol:
             warnings.warn(
@@ -345,8 +378,9 @@ class _Layout:
                 UnderResolvedWarning,
                 stacklevel=3,
             )
+        total = np.add(size, np.abs(deriv, out=work.scratch(3, rows.shape, np.float64)), out=size)
         weight = 1.0 + self.abs_omega_pow(q)
-        return np.max(weight * (size + np.abs(deriv)), axis=-1)
+        return np.max(np.multiply(weight, total, out=total), axis=-1, out=out)
 
 
 def _layout_of(fhat, grid):
@@ -473,7 +507,8 @@ def _chunks(n_rows, width):
 
     Whole-stack transforms and norms run one chunk of about _CHUNK_BYTES
     at a time: a batched transform matches the per-row one bit for bit,
-    and the chunk keeps its temporaries small next to the stacks.
+    and the chunk keeps its scratch (_Workspace.scratch) small next to the
+    stacks.
     """
     step = max(1, _CHUNK_BYTES // (16 * width))
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
@@ -493,7 +528,9 @@ def _empty_stack(shape, dtype=np.complex128):
     resident, and whether the next one reuses it depends on where unrelated
     small blocks landed in between: the peak of a process would then differ
     from run to run by whole stacks. Stacks of a few MiB (a block on the
-    canonical grid) stay on the heap, which reuses them without page faults.
+    canonical grid) stay on the heap; a freed one is not kept warm (glibc
+    trims the heap top and the next stack faults its pages in again), so
+    a flow reuses them through a _Workspace instead of freeing them.
     """
     dtype = np.dtype(dtype)
     size = math.prod(shape) * dtype.itemsize
@@ -503,17 +540,100 @@ def _empty_stack(shape, dtype=np.complex128):
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
+def _empty_scratch(size):
+    """An uninitialised scratch buffer of at least size bytes.
+
+    At least _CHUNK_BYTES: the scratch of one chunk (_chunks) stays within
+    that budget unless a single row exceeds it, so the slots of a solve are
+    allocated once and never grow. complex128 elements keep every view of
+    it aligned for any dtype.
+    """
+    return np.empty(-(-max(size, _CHUNK_BYTES) // 16), np.complex128)
+
+
+class _Workspace:
+    """Working memory that Picard solves reuse instead of allocating.
+
+    Row stacks are held by role (stack). A heap-sized stack is kept and
+    given out again for its role, unless it was handed over (hand_over) to
+    a solution that still lives: a solution's rows are never written while
+    anyone holds it. A mapped stack is made afresh each time and not kept,
+    so one solve's resident memory stays the stacks it holds.
+
+    Scratch buffers are numbered slots (scratch) that the chunk steps view
+    at the shape and dtype they need; a slot grows only for a request
+    larger than it (_empty_scratch). _Layout.power uses slots 0-2,
+    _Layout.deriv slot 2 and _Layout.norm slots 2 and 3, so a caller may
+    keep its own chunk in slots 0 and 1 across deriv and norm.
+
+    A flow creates one for all its blocks and a lone solve one of its own;
+    nothing outlives the workspace's last reference.
+    """
+
+    __slots__ = ("_stacks", "_scratch")
+
+    def __init__(self):
+        self._stacks = {}  # role -> (stack, weakref to its owner or None)
+        self._scratch = [None] * 4
+
+    def stack(self, role, shape, dtype=np.complex128):
+        """An uninitialised row stack for role (_empty_stack when new)."""
+        dtype = np.dtype(dtype)
+        held, owner = self._stacks.get(role, (None, None))
+        if held is not None and held.shape == shape and held.dtype == dtype:
+            if owner is None or owner() is None:
+                self._stacks[role] = (held, None)
+                return held
+        arr = _empty_stack(shape, dtype)
+        if arr.nbytes < _MAPPED_STACK_BYTES:
+            self._stacks[role] = (arr, None)
+        else:
+            self._stacks.pop(role, None)
+        return arr
+
+    def hand_over(self, stack, owner):
+        """Keep stack from reuse for as long as owner lives."""
+        for role, (held, _) in self._stacks.items():
+            if held is stack:
+                self._stacks[role] = (held, weakref.ref(owner))
+
+    def scratch(self, slot, shape, dtype=np.complex128):
+        """Slot's buffer viewed as an uninitialised array of shape and dtype."""
+        buf = self._scratch[slot]
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if buf is None or buf.nbytes < size:
+            buf = self._scratch[slot] = _empty_scratch(size)
+        return np.ndarray(shape, dtype, buf)
+
+
+class _OneShot:
+    """The scratch of a call given no _Workspace: a new array each time.
+
+    A one-row call (pointwise_power, weighted_norm) runs one chunk, so it
+    has nothing to reuse, and a new array costs less than a new workspace.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def scratch(slot, shape, dtype=np.complex128):
+        return np.empty(shape, dtype)
+
+
+_ONE_SHOT = _OneShot()
+
+
 def _pad_factor(coeffs):
     # ceil((k+1)/2) for the largest power k: the smallest factor that keeps
     # every aliased image of the product outside the retained band
     return (max(coeffs) + 2) // 2
 
 
-def _poly(u, coeffs):
-    # sum_p c_p u^p by Horner's rule, products only: `**` on a real field
-    # with subnormal tails costs more than the whole transform
+def _poly(u, coeffs, acc):
+    # sum_p c_p u^p by Horner's rule into acc, products only: `**` on a real
+    # field with subnormal tails costs more than the whole transform
     top = max(coeffs)
-    acc = coeffs[top] * u
+    np.multiply(coeffs[top], u, out=acc)
     for p in range(top - 1, 0, -1):
         if p in coeffs:
             acc += coeffs[p]

@@ -181,13 +181,14 @@ def _split_drift(f, amplitude, reference, remainder):
     return float(np.max(np.abs(gap)))
 
 
-def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params):
+def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=None):
     """Advance the split one block: solve, correct, rescale.
 
     The amplitude absorbs the zero-frequency mass of the nonlinear
     correction; the remainder keeps everything else and stays
     mass-free.  Raises DecompositionDrift when the split residual or
     the remainder mass leaves tolerance, and propagates solver errors.
+    workspace is the solver's working memory, passed on to solve_block.
     """
     grid = f.grid
     here = linear_profile(kernel, tc, n, L, grid)
@@ -197,7 +198,7 @@ def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params):
             f"split residual {drift_in:.3e} exceeds {SPLIT_TOL:.1e} "
             f"entering level {n}"
         )
-    sol = solve_block(f, kernel, tc, nl, n, L, params)
+    sol = solve_block(f, kernel, tc, nl, n, L, params, workspace)
     block_end = sol.final
     linear_end = fs.apply_multiplier(f, kernel, tc.block_elapsed(n, L, L))
     correction = block_end - linear_end
@@ -272,6 +273,9 @@ def run_flow(config):
 
     Solver failures abort the run; the partial trace is returned with
     the failure message attached so callers can still write it out.
+    Every block's solve works in one workspace (funcspace._Workspace),
+    so blocks after the first allocate no stacks or scratch; it is
+    dropped when the run returns.
     """
     kernel, tc, nl = config.kernel, config.tc, config.nonlinearity
     grid, params, L = config.grid, config.solver, config.L
@@ -299,6 +303,7 @@ def run_flow(config):
         trace.final_remainder = rem
 
     record_state(0)
+    workspace = fs._Workspace()
     response = None
     for n in range(config.n_steps):
         previous_amp = amp
@@ -307,7 +312,7 @@ def run_flow(config):
                 response = marginal_response(
                     n, kernel, tc, L, alpha, grid, m_tau=params.m
                 )
-            f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params)
+            f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace)
         except (SolverError, DecompositionDrift, TailTooLarge, UnderResolved) as exc:
             trace.failure = f"level {n}: {exc}"
             return trace

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from block_oracles import damping_term, forcing_term, linear_block
 from scipy.integrate import solve_ivp
 
 from marginalrg import blocksolver, verify
@@ -13,9 +14,6 @@ from marginalrg.blocksolver import (
     Nonlinearity,
     SolverParams,
     block_to_csv,
-    damping_term,
-    forcing_term,
-    linear_block,
     solve_block,
 )
 from marginalrg.errors import Divergence, DomainError, NoConvergence, UnderResolvedWarning
@@ -236,10 +234,17 @@ def test_divergence_guard():
 
 
 def test_stacked_integrand_and_norm_match_rows():
-    # 77 rows: not a multiple of the chunk of the padded (2N) or the plain
-    # (N) full-layout transforms, nor of the padded half-layout ones, and
-    # more than one chunk of each
-    lin = linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=76))
+    # 77 and 65 rows: not a multiple of the chunk of the padded (2N) or the
+    # plain (N) full-layout transforms, nor of the padded half-layout ones,
+    # and more than one chunk of each. One workspace serves every stacked
+    # call, so its scratch is reused across chunk shapes and layouts.
+    work = fs._Workspace()
+    for m in (76, 64):
+        check_stacked_rows(m, work)
+
+
+def check_stacked_rows(m, work):
+    lin = linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=m))
     rows = np.array([s.fhat for s in lin.slices])
     half_width = GRID.n_points // 2 + 1
     for width in (GRID.n_points, 2 * GRID.n_points, 2 * half_width):
@@ -248,7 +253,7 @@ def test_stacked_integrand_and_norm_match_rows():
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     full = fs._Layout(GRID, True)
     half = fs._Layout(GRID, True, half=True)
-    integrand = blocksolver._integrand_rows(rows, coeffs, full)
+    integrand = blocksolver._integrand_rows(rows, coeffs, full, np.empty_like(rows), work)
     for row, got in zip(rows, integrand):
         # bitwise: a stacked chunk gives what the same transform gives one row
         assert np.array_equal(got, full.power(row, coeffs))
@@ -259,17 +264,29 @@ def test_stacked_integrand_and_norm_match_rows():
             want = want + coeffs[k] * fs.pointwise_power(fs.SpectralFunction(GRID, row), k).fhat
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     held = half.rows(rows)
-    half_integrand = blocksolver._integrand_rows(held, coeffs, half)
+    half_integrand = blocksolver._integrand_rows(held, coeffs, half, np.empty_like(held), work)
     for row, got in zip(held, half_integrand):
         assert np.array_equal(got, half.power(row, coeffs))
     assert np.array_equal(half.expand(half_integrand), integrand)
     deriv = np.empty_like(rows)
-    norm = blocksolver._block_norm(rows, full, 2, deriv)
+    norm = blocksolver._block_norm(rows, full, 2, work, deriv)
     assert np.array_equal(deriv, np.array([fs._deriv_rows(r, GRID) for r in rows]))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
     half_deriv = np.empty_like(held)
-    assert blocksolver._block_norm(held, half, 2, half_deriv) == norm
+    assert blocksolver._block_norm(held, half, 2, work, half_deriv) == norm
     assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
+    # a field that is not real keeps the full layout and complex transforms
+    odd = 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
+    skew = rows + odd
+    assert not any(fs._is_real_field(r) for r in skew)
+    plain = fs._Layout(GRID, False)
+    skew_integrand = blocksolver._integrand_rows(skew, coeffs, plain, np.empty_like(skew), work)
+    for row, got in zip(skew, skew_integrand):
+        assert np.array_equal(got, plain.power(row, coeffs))
+    skew_deriv = np.empty_like(skew)
+    skew_norm = blocksolver._block_norm(skew, plain, 2, work, skew_deriv)
+    assert np.array_equal(skew_deriv, np.array([fs._deriv_rows(r, GRID) for r in skew]))
+    assert skew_norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in skew)
 
 
 def real_input():
@@ -330,9 +347,9 @@ def test_duhamel_sums_in_place():
         want[i] = emult[i - 1] * (want[i - 1] + 0.5 * h[i - 1] * integrand[i - 1]) + (
             0.5 * h[i - 1]
         ) * integrand[i]
-    work = integrand.copy()
-    assert blocksolver._duhamel_rows(work, emult, h) is work
-    assert np.array_equal(work, want)
+    sums = integrand.copy()
+    assert blocksolver._duhamel_rows(sums, emult, h, fs._Workspace()) is sums
+    assert np.array_equal(sums, want)
 
 
 def test_solve_allocates_its_stacks_once(monkeypatch):
@@ -343,19 +360,49 @@ def test_solve_allocates_its_stacks_once(monkeypatch):
     heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert heap.iterations >= 3
     shapes = []
-    make = blocksolver._empty_stack
+    make = fs._empty_stack
 
     def counted(shape, dtype=np.complex128):
         shapes.append(shape)
         return make(shape, dtype)
 
-    monkeypatch.setattr(blocksolver, "_empty_stack", counted)
+    monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert len(shapes) == 6
     assert mapped.iterations == heap.iterations
     for a, b in zip(mapped.slices, heap.slices):
         assert np.array_equal(a.fhat, b.fhat)
+
+
+def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
+    # the stack that ends as a solution's rows is handed over to it: a later
+    # solve in the same workspace never writes it while the solution lives,
+    # and reuses it once the solution is gone
+    params = SolverParams(m=16)
+    work = fs._Workspace()
+    first = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
+    kept = [s.fhat.copy() for s in first.slices]
+    second = solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params, work)
+    assert not np.shares_memory(first._rows, second._rows)
+    for a, b in zip(first.slices, kept):
+        assert np.array_equal(a.fhat, b)
+    alone = solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params)
+    for a, b in zip(second.slices, alone.slices):
+        assert np.array_equal(a.fhat, b.fhat)
+    del first, second
+    shapes = []
+    make = fs._empty_stack
+
+    def counted(shape, dtype=np.complex128):
+        shapes.append(shape)
+        return make(shape, dtype)
+
+    monkeypatch.setattr(fs, "_empty_stack", counted)
+    third = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
+    assert shapes == []
+    for a, b in zip(third.slices, kept):
+        assert np.array_equal(a.fhat, b)
 
 
 def test_solve_block_warns_when_under_resolved():

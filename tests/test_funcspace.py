@@ -111,11 +111,27 @@ def test_large_stacks_are_mapped():
         assert np.all(big == 2.0)
 
 
+def chunked_norms(layout, rows, q, work):
+    # the solver's chunk loop: derivative and norm of each chunk into the
+    # workspace's scratch and the out= view of one result array
+    out = np.empty(rows.shape[0])
+    for c in fs._chunks(*rows.shape):
+        d = layout.deriv(rows[c], work.scratch(1, rows[c].shape), work)
+        layout.norm(rows[c], d, q, out[c], work)
+    return out
+
+
 def test_stacked_norm_matches_rows():
-    rows = stack()
+    # 65 rows: not a multiple of the half-layout (31) or the full-layout (16)
+    # chunk, so the chunked norms end on a partial chunk
+    rows = stack(65)
     assert fs._is_real_field(rows)
     full = fs._Layout(GRID, True)
     half = fs._Layout(GRID, True, half=True)
+    plain = fs._Layout(GRID, False)
+    skew = rows + 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
+    assert not any(fs._is_real_field(r) for r in skew)
+    work = fs._Workspace()
     held = half.rows(rows)
     assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
     assert np.array_equal(half.expand(held), rows)
@@ -135,6 +151,14 @@ def test_stacked_norm_matches_rows():
         )
         # the sup over the half layout is the sup over the whole axis
         assert np.array_equal(half.norm(held, half.deriv(held), q), stacked)
+        assert np.array_equal(chunked_norms(half, held, q, work), stacked)
+        assert np.array_equal(chunked_norms(full, rows, q, work), stacked)
+        # a field that is not real: complex transforms on the full axis
+        skewed = plain.norm(skew, plain.deriv(skew), q)
+        assert np.array_equal(
+            skewed, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in skew]
+        )
+        assert np.array_equal(chunked_norms(plain, skew, q, work), skewed)
     # the half layout's outer octaves are its nodes [N/8:]
     band = np.flatnonzero(fs._to_half(fs._outer_band(GRID)))
     assert np.array_equal(band, np.arange(GRID.n_points // 8, GRID.n_points // 2 + 1))

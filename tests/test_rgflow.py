@@ -231,6 +231,52 @@ def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
     assert all(fs._is_real_field(x) for x in inputs + images)
 
 
+def test_flow_reuses_its_working_memory(monkeypatch, tmp_path):
+    # one workspace serves every block of a flow: after block 0 the solver
+    # allocates no stack and no scratch (counted at the two allocator
+    # hooks), and the trace is bitwise the one of a flow whose every solve
+    # allocates afresh
+    cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=4)
+    allocs = []
+    inside = [False]
+
+    def counted(make):
+        def alloc(*args):
+            if inside[0]:
+                allocs[-1] += 1
+            return make(*args)
+
+        return alloc
+
+    def solve(*args):
+        allocs.append(0)
+        inside[0] = True
+        try:
+            return solve_block(*args)
+        finally:
+            inside[0] = False
+
+    def write(trace, name):
+        path = tmp_path / name
+        rg.write_trace_csv(trace, path)
+        return path.read_bytes()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fs, "_empty_stack", counted(fs._empty_stack))
+        patch.setattr(fs, "_empty_scratch", counted(fs._empty_scratch))
+        patch.setattr(rg, "solve_block", solve)
+        shared = rg.run_flow(cfg)
+    assert shared.completed and len(allocs) == 4
+    assert allocs[0] > 0 and allocs[1:] == [0, 0, 0]
+    with monkeypatch.context() as patch:
+        # the same solves, each in a workspace of its own
+        patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7]))
+        fresh = rg.run_flow(cfg)
+    assert write(shared, "shared.csv") == write(fresh, "fresh.csv")
+    for a, b in zip(shared.profiles + [shared.final_remainder], fresh.profiles + [fresh.final_remainder]):
+        assert np.array_equal(a.fhat, b.fhat)
+
+
 def test_trace_csv_round_trip(tmp_path, canonical_trace):
     path = tmp_path / "trace.csv"
     rg.write_trace_csv(canonical_trace, path)
