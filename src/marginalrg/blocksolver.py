@@ -30,7 +30,6 @@ from .funcspace import (  # noqa: F401
     _Workspace,
     _chunks,
     _layout_of,
-    _pad_factor,
 )
 
 __all__ = [
@@ -135,7 +134,6 @@ class BlockSolution:
         self._rows = rows
         self.iterations = iterations
         self.final_delta = final_delta
-        self._norm_cache = {}
 
     def _slice(self, i):
         row = self._first if i == 0 else self._layout.expand(self._rows[i])
@@ -154,12 +152,6 @@ class BlockSolution:
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise DomainError(f"no time node at t = {t}; nearest is {self.times[i]}")
         return self._slice(i)
-
-    def block_norm(self, q=2):
-        """sup over time nodes of the weighted norm of the slice."""
-        if q not in self._norm_cache:
-            self._norm_cache[q] = _block_norm(self._rows, self._layout, q, _Workspace())
-        return self._norm_cache[q]
 
 
 def _block_nodes(tc, n, L, m):
@@ -189,16 +181,6 @@ def _linear_rows(f, kernel, layout, elapsed, work):
     mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
     np.multiply(row, mult, out=rows[1:])
     return rows
-
-
-def _integrand_rows(rows, coeffs, layout, out, work):
-    """Transform of sum_p c_p u^p for each time row, on one dealiasing grid.
-
-    out receives the rows; it must not overlap rows.
-    """
-    for c in _chunks(rows.shape[0], _pad_factor(coeffs) * rows.shape[-1]):
-        layout.power(rows[c], coeffs, out[c], work)
-    return out
 
 
 def _duhamel_rows(integrand, emult, h, work):
@@ -277,7 +259,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q, work=None):
     for it in range(1, params.picard_max + 1):
         if spare is None:
             spare = work.stack(f"iterate{it}", u0.shape)
-        u_new = _integrand_rows(u, coeffs, layout, spare, work)
+        u_new = layout.power(u, coeffs, spare, work)
         _duhamel_rows(u_new, emult, h, work)
         u_new += u0
         for c in _chunks(*u0.shape):

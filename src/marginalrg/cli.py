@@ -6,7 +6,6 @@ configuration, 3 the solver failed (a partial trace is still written).
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from .config import load_config
 from .errors import ConfigError, DomainError, MarginalRGError
 from .funcspace import from_csv, weighted_norm
 from .marginal import marginal_constants
-from .rgflow import run_flow, trace_manifest, write_trace_csv
+from .rgflow import run_flow, theorem_trend, trace_manifest, write_trace_csv
 from .verify import direct_integrate, run_verification
 from .blocksolver import block_to_csv
 
@@ -62,13 +61,10 @@ def cmd_flow(args):
 
 
 def _trend_verdict(gaps):
-    finite = [(n, g) for n, g in enumerate(gaps) if not math.isnan(g)]
-    window = [g for n, g in finite if n >= 5]
-    if len(window) < 2:
+    trend = theorem_trend(gaps)
+    if trend is None:
         return "not applicable (needs levels past 5 and mu > 0)"
-    if all(a > b for a, b in zip(window, window[1:])):
-        return "decreasing on [5, end]"
-    return "not decreasing"
+    return "decreasing on [5, end]" if trend[1] else "not decreasing"
 
 
 def cmd_beta(args):

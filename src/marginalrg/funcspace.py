@@ -8,8 +8,8 @@ this module so the conventions live in exactly one place.
 
 A spectrum that is exactly Hermitian (the transform of a real function) is
 transformed with half-length real FFTs inside the power and the norm; any
-other spectrum takes the complex ones. Stacks of such spectra can be held
-in the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
+other spectrum takes the complex ones. Stacks of such spectra are held in
+the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
 -omega_max, with the full sorted axis built when a caller needs it.
 """
 
@@ -27,7 +27,6 @@ from .errors import DomainError, UnderResolved, UnderResolvedWarning
 __all__ = [
     "GridSpec",
     "SpectralFunction",
-    "from_physical",
     "from_profile",
     "zero_function",
     "weighted_norm",
@@ -148,9 +147,10 @@ def _abs_omega_pow(grid, d, half=False):
 
 
 @functools.lru_cache(maxsize=32)
-def _outer_band(grid, frac=0.25):
-    # frac = 0.25 is the two outermost octaves, where is_resolved looks
-    band = np.abs(_omega_nodes(grid)) >= frac * grid.omega_max
+def _outer_band(grid):
+    # the two outermost octaves |omega| >= omega_max / 4, where is_resolved
+    # and the norm's warning look
+    band = np.abs(_omega_nodes(grid)) >= 0.25 * grid.omega_max
     band.flags.writeable = False
     return band
 
@@ -261,81 +261,76 @@ class _Layout:
     """How a stack of spectral rows on one grid is held and transformed.
 
     real: every row is the transform of a real field (_is_real_field), so
-    powers and derivatives take half-length real FFTs; otherwise complex
-    FFTs. half (real fields only): rows hold the half layout of _to_half,
-    the negative half being the conjugate of the positive one; otherwise
-    rows hold the N sorted nodes, and a real-field transform converts at
-    its boundary. Every element-wise step maps the half of a Hermitian
-    input to the half of its Hermitian output, so the two layouts of a
-    real field hold the same numbers.
+    rows hold the half layout of _to_half, the negative half being the
+    conjugate of the positive one, and powers and derivatives take
+    half-length real FFTs. Otherwise rows hold the N sorted nodes and take
+    complex FFTs. Every element-wise step maps the half of a Hermitian
+    input to the half of its Hermitian output, so the half rows hold the
+    numbers the sorted axis would.
 
     power, deriv and norm write into out when given, else into a new
     array, and take their real-field temporaries from the scratch of work
     (a _Workspace), else as new arrays.
     """
 
-    __slots__ = ("grid", "real", "half")
+    __slots__ = ("grid", "real")
 
-    def __init__(self, grid, real, half=False):
+    def __init__(self, grid, real):
         self.grid = grid
         self.real = real
-        self.half = half
 
     def rows(self, fhat):
         """Sorted spectra held in this layout."""
-        return _to_half(fhat) if self.half else fhat
+        return _to_half(fhat) if self.real else fhat
 
     def expand(self, rows):
         """Sorted spectra of rows held in this layout, in a new array."""
-        return _from_half(rows) if self.half else rows.copy()
+        return _from_half(rows) if self.real else rows.copy()
 
     def abs_omega_pow(self, d):
         """|omega|**d on this layout's nodes, cached per (grid, d)."""
-        return _abs_omega_pow(self.grid, float(d), self.half)
-
-    def _on_half(self, op, rows, out):
-        # op(half rows, destination) of a real-field step, run on this layout
-        if self.half:
-            return op(rows, out)
-        half = _to_half(rows)
-        return _from_half(op(half, np.empty_like(half)), out)
+        return _abs_omega_pow(self.grid, float(d), self.real)
 
     def power(self, rows, coeffs, out=None, work=None):
-        """Transform of sum_p c_p u^p for each row, for {p: c_p}.
+        """Transform of sum_p c_p u^p for one row or each row of a stack.
 
         Each spectrum is embedded centered in a grid with _pad_factor * N
         points and the same x_max (finer physical sampling, same frequency
         spacing), and restricted to the original band after the products.
         Real fields take one irfft, the sum formed in physical space and
         one rfft; any other spectrum takes one complex transform per
-        power, with the coefficients applied on the band.
+        power, with the coefficients applied on the band. A stack runs in
+        _chunks of its padded width; out must not overlap rows.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
+        work = _ONE_SHOT if work is None else work
         n = self.grid.n_points
-        m = _pad_factor(coeffs) * n
+        pad = _pad_factor(coeffs)
+        m = pad * n
         dx_big = 2.0 * self.grid.x_max / m
-        if self.real:
-            work = _ONE_SHOT if work is None else work
-
-            def op(half, dest):
-                # slot 1 holds the padded field, then its rfft
-                lead = half.shape[:-1]
-                spec = work.scratch(1, lead + (m // 2 + 1,))
-                phys = _inverse_half(
-                    half, m, dx_big, work.scratch(1, lead + (m,), np.float64), work.scratch(0, half.shape)
-                )
-                acc = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
-                return _forward_half(acc, n, dx_big, dest, spec)
-
-            return self._on_half(op, rows, out)
-        powers = sorted(coeffs)
         band = slice(m // 2 - n // 2, m // 2 + n // 2)
-        big = np.zeros(rows.shape[:-1] + (m,), dtype=np.complex128)
-        big[..., band] = rows
-        phys = _inverse_raw(big, dx_big)
-        np.multiply(_forward_raw(phys ** powers[0], dx_big)[..., band], coeffs[powers[0]], out=out)
-        for p in powers[1:]:
-            out += coeffs[p] * _forward_raw(phys**p, dx_big)[..., band]
+        powers = sorted(coeffs)
+        width = rows.shape[-1]
+        # a view for one row or a stack, so each chunk writes into out
+        stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
+        for c in _chunks(len(stack), pad * width):
+            chunk, dst = stack[c], dest[c]
+            k = len(chunk)
+            if self.real:
+                # slot 1 holds the padded field, then its rfft
+                spec = work.scratch(1, (k, m // 2 + 1))
+                phys = _inverse_half(
+                    chunk, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, chunk.shape)
+                )
+                total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
+                _forward_half(total, n, dx_big, dst, spec)
+                continue
+            big = np.zeros((k, m), dtype=np.complex128)
+            big[:, band] = chunk
+            phys = _inverse_raw(big, dx_big)
+            np.multiply(_forward_raw(phys ** powers[0], dx_big)[:, band], coeffs[powers[0]], out=dst)
+            for p in powers[1:]:
+                dst += coeffs[p] * _forward_raw(phys**p, dx_big)[:, band]
         return out
 
     def deriv(self, rows, out=None, work=None):
@@ -343,19 +338,15 @@ class _Layout:
         out = np.empty(rows.shape, np.complex128) if out is None else out
         grid = self.grid
         n, dx = grid.n_points, grid.dx
-        if self.real:
-            work = _ONE_SHOT if work is None else work
-
-            def op(half, dest):
-                # x f is real, so its half spectrum expands; fhat' = -i times it
-                phys = _inverse_half(half, n, dx, work.scratch(2, half.shape[:-1] + (n,), np.float64), dest)
-                np.multiply(grid.x, phys, out=phys)
-                return _forward_half(phys, n, dx, dest, dest)
-
-            self._on_half(op, rows, out)
-            return np.multiply(-1j, out, out=out)
-        out[...] = _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
-        return out
+        if not self.real:
+            out[...] = _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
+            return out
+        work = _ONE_SHOT if work is None else work
+        # x f is real, so its half spectrum expands; fhat' = -i times it
+        phys = _inverse_half(rows, n, dx, work.scratch(2, rows.shape[:-1] + (n,), np.float64), out)
+        np.multiply(grid.x, phys, out=phys)
+        _forward_half(phys, n, dx, out, out)
+        return np.multiply(-1j, out, out=out)
 
     def norm(self, rows, deriv, q, out=None, work=None):
         """Weighted sup norm of each row of a stack, given its derivative rows.
@@ -370,7 +361,7 @@ class _Layout:
         grid = self.grid
         work = _ONE_SHOT if work is None else work
         size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
-        band = slice(grid.n_points // 8, None) if self.half else _outer_band(grid)
+        band = slice(grid.n_points // 8, None) if self.real else _outer_band(grid)
         if not np.max(size[..., band]) <= grid.tail_tol:
             warnings.warn(
                 "input spectrum is not negligible on the outer frequency "
@@ -384,9 +375,8 @@ class _Layout:
 
 
 def _layout_of(fhat, grid):
-    """The layout a solve from fhat holds its rows in: half for a real field."""
-    real = _is_real_field(fhat)
-    return _Layout(grid, real, half=real)
+    """The layout of rows from fhat: half rows for a real field."""
+    return _Layout(grid, _is_real_field(fhat))
 
 
 class SpectralFunction:
@@ -419,13 +409,9 @@ class SpectralFunction:
     def to_physical(self):
         return self.grid.inverse(self.fhat)
 
-    def tail_max(self, frac=0.25):
-        """Largest |fhat| on the outer band |omega| >= frac * omega_max."""
-        return float(np.max(np.abs(self.fhat[_outer_band(self.grid, frac)])))
-
     def is_resolved(self):
         """True when |fhat| on the two outermost octaves stays below tail_tol."""
-        return self.tail_max(0.25) <= self.grid.tail_tol
+        return float(np.max(np.abs(self.fhat[_outer_band(self.grid)]))) <= self.grid.tail_tol
 
     def _check_same_grid(self, other):
         if not self.grid.compatible(other.grid):
@@ -454,10 +440,6 @@ class SpectralFunction:
         )
 
 
-def from_physical(grid, values):
-    return SpectralFunction(grid, grid.forward(values))
-
-
 def from_profile(grid, profile):
     """Build a SpectralFunction by sampling fhat = profile(omega) directly."""
     return SpectralFunction(grid, profile(grid.omega))
@@ -481,11 +463,6 @@ def weighted_norm(f, q=2):
     return float(layout.norm(rows, layout.deriv(rows), q)[0])
 
 
-def _deriv_rows(fhat, grid):
-    """Frequency derivative fhat' of each row on the sorted axis."""
-    return _Layout(grid, _is_real_field(fhat)).deriv(fhat)
-
-
 def pointwise_power(f, k):
     """Transform of f(x)**k, dealiased by zero padding in frequency.
 
@@ -494,8 +471,8 @@ def pointwise_power(f, k):
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"power must be an integer >= 2, got {k}")
-    layout = _Layout(f.grid, _is_real_field(f.fhat))
-    return SpectralFunction(f.grid, layout.power(f.fhat, {k: 1.0}))
+    layout = _layout_of(f.fhat, f.grid)
+    return SpectralFunction(f.grid, layout.expand(layout.power(layout.rows(f.fhat), {k: 1.0})))
 
 
 # Byte budget of one chunk of rows in the whole-stack transforms.
@@ -562,9 +539,11 @@ class _Workspace:
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need; a slot grows only for a request
-    larger than it (_empty_scratch). _Layout.power uses slots 0-2,
-    _Layout.deriv slot 2 and _Layout.norm slots 2 and 3, so a caller may
-    keep its own chunk in slots 0 and 1 across deriv and norm.
+    larger than it (_empty_scratch). On a real field _Layout.power uses
+    slots 0-2 and _Layout.deriv slot 2; _Layout.norm uses slots 2 and 3 on
+    any field. So a caller may keep its own chunk in slots 0 and 1 across
+    deriv and norm (the Picard update and its derivative), but not across
+    power. blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
 
     A flow creates one for all its blocks and a lone solve one of its own;
     nothing outlives the workspace's last reference.

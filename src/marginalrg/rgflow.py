@@ -268,6 +268,20 @@ class FlowTrace:
         return self.profiles[-1]
 
 
+def theorem_trend(gaps):
+    """The theorem gaps past the transient, and whether they fall strictly.
+
+    The window is the finite gaps at levels n >= 5, once the irrelevant
+    couplings have died out. Returns (window, decreasing), or None when
+    fewer than two levels qualify: a flow too short to judge, or mu <= 0,
+    where every gap is nan.
+    """
+    window = [g for g in gaps[5:] if not math.isnan(g)]
+    if len(window) < 2:
+        return None
+    return window, all(a > b for a, b in zip(window, window[1:]))
+
+
 def run_flow(config):
     """Iterate the RG map n_steps times and record the trace.
 

@@ -31,7 +31,7 @@ from .marginal import (
     linear_profile,
     overlap_constant,
 )
-from .rgflow import initial_state, linear_rg_step, run_flow
+from .rgflow import initial_state, linear_rg_step, run_flow, theorem_trend
 from .timechange import TimeChange
 
 # wide companion grid for checks whose dilation factor reaches L = 8
@@ -475,11 +475,12 @@ def _increment_body(trace, config):
 
 def _theorem_trend_body(trace):
     gaps = trace.theorem_gap
-    upper = len(gaps) - 1
-    window = [gaps[n] for n in range(5, upper + 1)]
-    decreasing = all(a > b for a, b in zip(window, window[1:]))
+    trend = theorem_trend(gaps)
+    if trend is None:
+        return False, {"error": "needs levels past 5"}
+    window, decreasing = trend
     return decreasing, {
-        "window": [5, upper],
+        "window": [5, len(gaps) - 1],
         "first": window[0],
         "last": window[-1],
     }

@@ -1,9 +1,12 @@
-"""Test-only solver pieces: the linear block and single Duhamel terms.
+"""Test-only solver pieces and the full-width reference layout.
 
-They are built on the solver's own internals (_linear_rows,
-_integrand_rows, _duhamel_rows, the _Layout of the rows) so the tests can
-check every node of a Picard solution against u0 - damping + forcing, and
-the damping and forcing terms against closed forms.
+The linear block, the single Duhamel terms and the block norm are built
+on the solver's own internals (_linear_rows, _Layout.power, _duhamel_rows,
+_block_norm) so the tests can check every node of a Picard solution
+against u0 - damping + forcing, and the damping and forcing terms against
+closed forms. FullRealLayout holds a real field's rows on the whole
+sorted axis, the reference the half rows of the solver must match bit
+for bit, and deriv_rows is the frequency derivative of sorted rows.
 """
 
 import numpy as np
@@ -32,11 +35,63 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
     work = fs._Workspace()
     _, elapsed = blocksolver._block_nodes(tc, n, L, m)
     rows = sol._rows[: t_index + 1]
-    integrand = blocksolver._integrand_rows(rows, coeffs, layout, np.empty_like(rows), work)
+    integrand = layout.power(rows, coeffs, np.empty_like(rows), work)
     emult = blocksolver._step_multipliers(kernel, layout, elapsed[: t_index + 1], work)
     h = np.diff(sol.times[: t_index + 1])
     d = blocksolver._duhamel_rows(integrand, emult, h, work)
     return fs.SpectralFunction(grid, layout.expand(d[t_index]))
+
+
+def block_norm(sol, q=2):
+    """sup over the time nodes of sol of the weighted norm of the slice."""
+    return blocksolver._block_norm(sol._rows, sol._layout, q, fs._Workspace())
+
+
+class FullRealLayout(fs._Layout):
+    """A real field's rows held on the N sorted nodes.
+
+    Each real-field step converts to the half rows at its boundary, so this
+    layout holds the numbers of the half one expanded; the norm is the
+    complex layout's on the whole axis.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, grid):
+        super().__init__(grid, True)
+
+    def rows(self, fhat):
+        return fhat
+
+    def expand(self, rows):
+        return rows.copy()
+
+    def abs_omega_pow(self, d):
+        return self.grid.abs_omega_pow(d)
+
+    def power(self, rows, coeffs, out=None, work=None):
+        return fs._from_half(super().power(fs._to_half(rows), coeffs, work=work), out)
+
+    def deriv(self, rows, out=None, work=None):
+        # x f is real: expand its half spectrum, then fhat' = -i times it.
+        # Expanding the -i half instead would flip the negative half, since
+        # fhat' of a real field is anti-Hermitian.
+        grid = self.grid
+        n, dx = grid.n_points, grid.dx
+        half = fs._to_half(rows)
+        phys = fs._inverse_half(half, n, dx, None, None) * grid.x
+        xf = fs._forward_half(phys, n, dx, np.empty_like(half), None)
+        out = fs._from_half(xf, out)
+        return np.multiply(-1j, out, out=out)
+
+    def norm(self, rows, deriv, q, out=None, work=None):
+        return fs._Layout(self.grid, False).norm(rows, deriv, q, out, work)
+
+
+def deriv_rows(fhat, grid):
+    """Frequency derivative fhat' of each row on the sorted axis."""
+    layout = FullRealLayout(grid) if fs._is_real_field(fhat) else fs._Layout(grid, False)
+    return layout.deriv(fhat)
 
 
 def damping_term(sol, nl, kernel, tc, n, L, t_index):

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from block_oracles import damping_term, forcing_term, linear_block
+from block_oracles import (
+    FullRealLayout,
+    block_norm,
+    damping_term,
+    deriv_rows,
+    forcing_term,
+    linear_block,
+)
 from scipy.integrate import solve_ivp
 
 from marginalrg import blocksolver, verify
@@ -89,7 +96,7 @@ def test_solve_block_converges():
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=64))
     assert 1 <= sol.iterations <= 8
     assert sol.final_delta < 1e-10
-    assert sol.block_norm(2) > 0.0
+    assert block_norm(sol, 2) > 0.0
 
 
 def test_mass_identity_is_preserved():
@@ -222,7 +229,7 @@ def test_divergence_guard():
     # the guard norm is taken with the running derivative stack: it matches
     # a fresh evaluation of the same first iterate up to rounding
     loose = SolverParams(m=16, picard_max=1, picard_tol=1e300, norm_guard=1e300)
-    fresh = solve_block(profile(), KERNEL, TC, wild, 0, 2.0, loose).block_norm(2)
+    fresh = block_norm(solve_block(profile(), KERNEL, TC, wild, 0, 2.0, loose), 2)
     with pytest.raises(Divergence) as info:
         solve_block(profile(), KERNEL, TC, wild, 0, 2.0, SolverParams(m=16, norm_guard=0.5 * fresh))
     assert info.value.iteration == 1
@@ -251,9 +258,9 @@ def check_stacked_rows(m, work):
         chunk = fs._CHUNK_BYTES // (16 * width)
         assert chunk < rows.shape[0] and rows.shape[0] % chunk != 0
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
-    full = fs._Layout(GRID, True)
-    half = fs._Layout(GRID, True, half=True)
-    integrand = blocksolver._integrand_rows(rows, coeffs, full, np.empty_like(rows), work)
+    full = FullRealLayout(GRID)
+    half = fs._Layout(GRID, True)
+    integrand = full.power(rows, coeffs, np.empty_like(rows), work)
     for row, got in zip(rows, integrand):
         # bitwise: a stacked chunk gives what the same transform gives one row
         assert np.array_equal(got, full.power(row, coeffs))
@@ -264,13 +271,13 @@ def check_stacked_rows(m, work):
             want = want + coeffs[k] * fs.pointwise_power(fs.SpectralFunction(GRID, row), k).fhat
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     held = half.rows(rows)
-    half_integrand = blocksolver._integrand_rows(held, coeffs, half, np.empty_like(held), work)
+    half_integrand = half.power(held, coeffs, np.empty_like(held), work)
     for row, got in zip(held, half_integrand):
         assert np.array_equal(got, half.power(row, coeffs))
     assert np.array_equal(half.expand(half_integrand), integrand)
     deriv = np.empty_like(rows)
     norm = blocksolver._block_norm(rows, full, 2, work, deriv)
-    assert np.array_equal(deriv, np.array([fs._deriv_rows(r, GRID) for r in rows]))
+    assert np.array_equal(deriv, np.array([deriv_rows(r, GRID) for r in rows]))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
     half_deriv = np.empty_like(held)
     assert blocksolver._block_norm(held, half, 2, work, half_deriv) == norm
@@ -280,12 +287,12 @@ def check_stacked_rows(m, work):
     skew = rows + odd
     assert not any(fs._is_real_field(r) for r in skew)
     plain = fs._Layout(GRID, False)
-    skew_integrand = blocksolver._integrand_rows(skew, coeffs, plain, np.empty_like(skew), work)
+    skew_integrand = plain.power(skew, coeffs, np.empty_like(skew), work)
     for row, got in zip(skew, skew_integrand):
         assert np.array_equal(got, plain.power(row, coeffs))
     skew_deriv = np.empty_like(skew)
     skew_norm = blocksolver._block_norm(skew, plain, 2, work, skew_deriv)
-    assert np.array_equal(skew_deriv, np.array([fs._deriv_rows(r, GRID) for r in skew]))
+    assert np.array_equal(skew_deriv, np.array([deriv_rows(r, GRID) for r in skew]))
     assert skew_norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in skew)
 
 
@@ -301,7 +308,7 @@ def solve_in_layouts(monkeypatch, solve):
     assert fs._is_real_field(f.fhat)
     half = solve(f)
     with monkeypatch.context() as patch:
-        patch.setattr(blocksolver, "_layout_of", lambda fhat, grid: fs._Layout(grid, True))
+        patch.setattr(blocksolver, "_layout_of", lambda fhat, grid: FullRealLayout(grid))
         full = solve(f)
     assert half._rows.shape[-1] == GRID.n_points // 2 + 1
     assert full._rows.shape[-1] == GRID.n_points
@@ -310,7 +317,7 @@ def solve_in_layouts(monkeypatch, solve):
         assert sol.slices[0].fhat is f.fhat
     for a, b in zip(half.slices, full.slices):
         assert np.array_equal(a.fhat, b.fhat)
-    assert half.block_norm(2) == full.block_norm(2)
+    assert block_norm(half, 2) == block_norm(full, 2)
     assert (half.iterations, half.final_delta) == (full.iterations, full.final_delta)
     return half, full
 

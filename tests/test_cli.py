@@ -61,6 +61,23 @@ def test_flow_is_bit_reproducible(tmp_path):
     assert (tmp_path / "a_trace.csv").read_bytes() == (tmp_path / "b_trace.csv").read_bytes()
 
 
+def test_flow_without_damping_has_no_theorem_trend(tmp_path, capsys):
+    # mu = 0: every theorem gap is nan, so even levels past 5 give no trend
+    cfg = write_config(
+        tmp_path,
+        """
+        time: {p: 1.0}
+        grid: {n_points: 1024, x_max: 40.0}
+        nonlinearity: {mu: 0.0, lam: 0.0}
+        flow: {L: 2.0, n_steps: 7, A0: 0.05}
+        """,
+    )
+    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path), "--label", "free") == 0
+    out = capsys.readouterr().out
+    assert "levels completed: 7" in out
+    assert "theorem trend: not applicable (needs levels past 5 and mu > 0)" in out
+
+
 def test_flow_solver_failure_writes_partial_trace(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from block_oracles import FullRealLayout, deriv_rows
 
 from marginalrg import funcspace as fs
 from marginalrg.errors import DomainError, UnderResolved, UnderResolvedWarning
@@ -126,8 +127,8 @@ def test_stacked_norm_matches_rows():
     # chunk, so the chunked norms end on a partial chunk
     rows = stack(65)
     assert fs._is_real_field(rows)
-    full = fs._Layout(GRID, True)
-    half = fs._Layout(GRID, True, half=True)
+    full = FullRealLayout(GRID)
+    half = fs._Layout(GRID, True)
     plain = fs._Layout(GRID, False)
     skew = rows + 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
     assert not any(fs._is_real_field(r) for r in skew)
@@ -136,7 +137,7 @@ def test_stacked_norm_matches_rows():
     assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
     assert np.array_equal(half.expand(held), rows)
     for q in (0, 2, 4):
-        stacked = full.norm(rows, fs._deriv_rows(rows, GRID), q)
+        stacked = full.norm(rows, deriv_rows(rows, GRID), q)
         # per-row reference: the weighted_norm formula on one row at a time,
         # with complex transforms; the rows are real fields, which the norm
         # transforms as such, so the two agree to rounding
@@ -175,7 +176,7 @@ def test_stacked_norm_matches_rows():
     # one under-resolved row is enough for the stack's warning, in either layout
     rows[5] = 1.0 / (1.0 + GRID.omega**2)
     with pytest.warns(UnderResolvedWarning):
-        full.norm(rows, fs._deriv_rows(rows, GRID), 2)
+        full.norm(rows, deriv_rows(rows, GRID), 2)
     held = half.rows(rows)
     with pytest.warns(UnderResolvedWarning):
         half.norm(held, half.deriv(held), 2)
@@ -273,7 +274,7 @@ def test_power_of_real_field_is_exactly_hermitian():
         got = fs.pointwise_power(f, k).fhat
         assert_hermitian(got)
         assert np.max(np.abs(got[1:] - oracle[1:])) < 1e-12 * np.max(np.abs(oracle))
-    assert_hermitian(fs._deriv_rows(f.fhat, GRID) * 1j)
+    assert_hermitian(deriv_rows(f.fhat, GRID) * 1j)
     assert_hermitian(fs.dilate(gauss(), 1.7).fhat)
     assert_hermitian(fs.dilate(gauss(), 0.6).fhat)
 

@@ -200,6 +200,11 @@ def test_theorem_error_matches_flow_column():
         stretch = (n * math.log(cfg.L)) ** ((cfg.tc.p + 1.0) / HEAT.d)
         err = fs.weighted_norm(trace.profile(n) * stretch - target * pref, HEAT.q)
         assert err == pytest.approx(trace.theorem_gap[n], rel=1e-12)
+    passed, measured = verify._theorem_trend_body(trace)
+    assert passed and measured["window"] == [5, 6]
+    # one level past the transient is too few to judge a trend
+    trace.theorem_gap.pop()
+    assert verify._theorem_trend_body(trace) == (False, {"error": "needs levels past 5"})
 
 
 # ---------------------------------------------------------------------------
