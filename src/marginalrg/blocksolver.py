@@ -217,7 +217,7 @@ def _block_norm(rows, layout, q, work, deriv=None):
     return float(np.max(norms))
 
 
-def _picard_rows(f, kernel, times, elapsed, coeffs, params, q, work=None):
+def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
     """Shared Picard core; returns the BlockSolution on the nodes.
 
     The rows are held in one layout for the whole solve, chosen once from
@@ -242,11 +242,11 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q, work=None):
     u0 = _linear_rows(f, kernel, layout, elapsed, work)
     guard = params.norm_guard
     if guard is not None:
-        f_norm = _block_norm(u0[:1], layout, q, work)
+        f_norm = _block_norm(u0[:1], layout, kernel.q, work)
         if f_norm > guard:
             raise Divergence(0, f_norm, guard)
     du = work.stack("deriv", u0.shape)
-    linear_norm = _block_norm(u0, layout, q, work, du)
+    linear_norm = _block_norm(u0, layout, kernel.q, work, du)
     if guard is None:
         guard = 10.0 * linear_norm
     if not coeffs:
@@ -265,9 +265,9 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, q, work=None):
         for c in _chunks(*u0.shape):
             step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
             dstep = layout.deriv(step, work.scratch(1, step.shape), work)
-            layout.norm(step, dstep, q, step_norms[c], work)
+            layout.norm(step, dstep, kernel.q, step_norms[c], work)
             du[c] += dstep
-            layout.norm(u_new[c], du[c], q, new_norms[c], work)
+            layout.norm(u_new[c], du[c], kernel.q, new_norms[c], work)
         delta = float(np.max(step_norms))
         bnorm = float(np.max(new_norms))
         if bnorm > guard:
@@ -297,7 +297,7 @@ def solve_block(f, kernel, tc, nl, n, L, params, workspace=None):
     """
     times, elapsed = _block_nodes(tc, n, L, params.m)
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    return _picard_rows(f, kernel, times, elapsed, coeffs, params, kernel.q, workspace)
+    return _picard_rows(f, kernel, times, elapsed, coeffs, params, workspace)
 
 
 def block_to_csv(sol, path, times=None):

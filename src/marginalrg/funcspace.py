@@ -269,8 +269,8 @@ class _Layout:
     numbers the sorted axis would.
 
     power, deriv and norm write into out when given, else into a new
-    array, and take their real-field temporaries from the scratch of work
-    (a _Workspace), else as new arrays.
+    array, and take their scratch from work (a _Workspace), else from a
+    new one.
     """
 
     __slots__ = ("grid", "real")
@@ -300,10 +300,11 @@ class _Layout:
         Real fields take one irfft, the sum formed in physical space and
         one rfft; any other spectrum takes one complex transform per
         power, with the coefficients applied on the band. A stack runs in
-        _chunks of its padded width; out must not overlap rows.
+        _chunks of its padded width, each read before its output is
+        written, so out may be rows itself.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
-        work = _ONE_SHOT if work is None else work
+        work = _Workspace() if work is None else work
         n = self.grid.n_points
         pad = _pad_factor(coeffs)
         m = pad * n
@@ -341,7 +342,7 @@ class _Layout:
         if not self.real:
             out[...] = _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
             return out
-        work = _ONE_SHOT if work is None else work
+        work = _Workspace() if work is None else work
         # x f is real, so its half spectrum expands; fhat' = -i times it
         phys = _inverse_half(rows, n, dx, work.scratch(2, rows.shape[:-1] + (n,), np.float64), out)
         np.multiply(grid.x, phys, out=phys)
@@ -359,7 +360,7 @@ class _Layout:
         if q < 0:
             raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
         grid = self.grid
-        work = _ONE_SHOT if work is None else work
+        work = _Workspace() if work is None else work
         size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
         band = slice(grid.n_points // 8, None) if self.real else _outer_band(grid)
         if not np.max(size[..., band]) <= grid.tail_tol:
@@ -545,8 +546,9 @@ class _Workspace:
     deriv and norm (the Picard update and its derivative), but not across
     power. blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
 
-    A flow creates one for all its blocks and a lone solve one of its own;
-    nothing outlives the workspace's last reference.
+    A flow creates one for all its blocks; a lone solve, and a layout call
+    given none (marginal_response's power, one-row calls), makes its own.
+    Nothing outlives the workspace's last reference.
     """
 
     __slots__ = ("_stacks", "_scratch")
@@ -583,23 +585,6 @@ class _Workspace:
         if buf is None or buf.nbytes < size:
             buf = self._scratch[slot] = _empty_scratch(size)
         return np.ndarray(shape, dtype, buf)
-
-
-class _OneShot:
-    """The scratch of a call given no _Workspace: a new array each time.
-
-    A one-row call (pointwise_power, weighted_norm) runs one chunk, so it
-    has nothing to reuse, and a new array costs less than a new workspace.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def scratch(slot, shape, dtype=np.complex128):
-        return np.empty(shape, dtype)
-
-
-_ONE_SHOT = _OneShot()
 
 
 def _pad_factor(coeffs):

@@ -111,11 +111,6 @@ class FlowConfig:
         if not (math.isfinite(self.A0) and self.A0 > 0.0):
             raise ConfigError("initial amplitude A0 must be finite and positive")
         object.__setattr__(self, "A0", float(self.A0))
-        if self.g0_kind not in REMAINDER_KINDS:
-            raise ConfigError(
-                f"unknown remainder kind {self.g0_kind!r}; choose one of "
-                f"{REMAINDER_KINDS}"
-            )
         if not math.isfinite(self.g0_eps):
             raise ConfigError("g0_eps must be finite")
         try:

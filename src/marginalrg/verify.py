@@ -160,9 +160,7 @@ def direct_integrate(config, t_end):
     coeffs = config.nonlinearity.combined_coefficients(
         0, L, config.tc.p, config.kernel.d
     )
-    return _picard_rows(
-        f0, config.kernel, times, elapsed, coeffs, config.solver, config.kernel.q
-    )
+    return _picard_rows(f0, config.kernel, times, elapsed, coeffs, config.solver)
 
 
 def rescaled_direct_slice(config, solution, level):
@@ -382,6 +380,7 @@ def _overlap_body(config):
 
 
 def _beta_constant_body(config):
+    # the direct coefficients at the flow's own m, as run_flow uses them
     kern, tc, L, alpha = config.kernel, config.tc, config.L, config.alpha_c
     limit = decay_limit(kern, tc.p, L)
     closed = [
@@ -389,7 +388,7 @@ def _beta_constant_body(config):
         for n in range(0, 21)
     ]
     direct = [
-        decay_coefficient(n, kern, tc, L, alpha, grid=config.grid, route="direct")
+        decay_coefficient(n, kern, tc, L, alpha, config.grid, config.solver.m, route="direct")
         for n in (0, 10, 20)
     ]
     lo, hi = decay_bracket(kern, tc.p, L)

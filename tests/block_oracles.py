@@ -7,12 +7,15 @@ against u0 - damping + forcing, and the damping and forcing terms against
 closed forms. FullRealLayout holds a real field's rows on the whole
 sorted axis, the reference the half rows of the solver must match bit
 for bit, and deriv_rows is the frequency derivative of sorted rows.
+marginal_response_loop is the per-tau form of the stacked marginal
+response, one evolve-power-evolve pass per tau on the sorted axis.
 """
 
 import numpy as np
 
 from marginalrg import blocksolver
 from marginalrg import funcspace as fs
+from marginalrg import marginal as mg
 from marginalrg.errors import DomainError
 
 
@@ -108,3 +111,21 @@ def forcing_term(sol, nl, kernel, tc, n, L, t_index):
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
     coeffs.pop(nl.critical_power, None)
     return _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index)
+
+
+def marginal_response_loop(n, kernel, tc, L, alpha_c, grid, m_tau=64):
+    """The marginal response tau by tau: apply_multiplier, pointwise_power,
+    apply_multiplier, and the trapezoid weight, on the sorted axis."""
+    h = mg.linear_profile(kernel, tc, n, L, grid)
+    s_end = float(tc.block_elapsed(n, L, L))
+    taus = np.linspace(0.0, L - 1.0, m_tau + 1)
+    dtau = taus[1] - taus[0]
+    acc = np.zeros(grid.n_points, dtype=np.complex128)
+    for i, tau in enumerate(taus):
+        s_in = float(tc.block_elapsed(n, L, L - tau))
+        inner = fs.apply_multiplier(h, kernel, s_in)
+        powered = fs.pointwise_power(inner, alpha_c)
+        outer = fs.apply_multiplier(powered, kernel, s_end - s_in)
+        weight = dtau if 0 < i < m_tau else 0.5 * dtau
+        acc += weight * outer.fhat
+    return fs.SpectralFunction(grid, acc)

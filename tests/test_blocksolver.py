@@ -339,7 +339,7 @@ def test_layouts_agree_bitwise(monkeypatch):
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     solve_in_layouts(
         monkeypatch,
-        lambda f: blocksolver._picard_rows(f, KERNEL, times, elapsed, coeffs, params, 2),
+        lambda f: blocksolver._picard_rows(f, KERNEL, times, elapsed, coeffs, params),
     )
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from block_oracles import marginal_response_loop
+from scipy.integrate import quad
 
 from marginalrg import funcspace as fs
 from marginalrg import marginal as mg
@@ -90,6 +92,27 @@ def test_marginal_response_basics():
     assert np.max(np.abs(nu.fhat - nu7.fhat)) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "n, kernel, tc, L, alpha_c, grid, m_tau",
+    [
+        (0, HEAT, TC0, 2.0, 2, GRID, 64),
+        (3, HEAT, TC0, 2.0, 2, GRID, 64),
+        (10, HEAT, TC0, 2.0, 2, GRID, 64),
+        (2, HEAT, TCP, 2.0, 2, GRID, 64),
+        (1, ScalingKernel(d=4.0, kappa=0.5), TC0, 2.0, 3, fs.GridSpec(1024, 40.0), 32),
+        # a non-integral L, and 18 rows that fill part of one power chunk
+        (0, HEAT, TC0, 3.3, 2, fs.GridSpec(2048, 40.0), 17),
+        (0, ScalingKernel(d=1.5), TimeChange(p=0.5), 2.0, 2, GRID, 64),
+    ],
+)
+def test_marginal_response_matches_per_tau_loop(n, kernel, tc, L, alpha_c, grid, m_tau):
+    # the stacked response holds the numbers of the per-tau loop; values,
+    # not sign bits: a zero imaginary part may differ in sign
+    got = mg.marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau)
+    want = marginal_response_loop(n, kernel, tc, L, alpha_c, grid, m_tau)
+    assert np.array_equal(got.fhat, want.fhat)
+
+
 def test_marginal_response_refinement_order():
     vals = {
         m: mg.marginal_response(0, HEAT, TC0, 2.0, 2, GRID, m_tau=m).at_zero.real
@@ -106,6 +129,45 @@ def test_decay_coefficient_routes_agree():
     # 1-D closed form: beta = ln(2)/(2 sqrt(pi)) for the heat kernel, L=2
     assert closed == pytest.approx(BETA_EXACT, rel=1e-12)
     assert direct == pytest.approx(BETA_EXACT, abs=5e-6)
+
+
+def _adaptive_closed_form(n, tc, L, alpha_c, r_value):
+    # the closed-form integral in tau by adaptive quadrature, with the
+    # block remainder coeff L^(-n delta) (t^e - 1)/e written out in floats
+    p, rho = tc.p, tc.remainder_ratio(n, L)
+    e = p + 1.0 - tc.delta
+    scale = tc.coeff * L ** (-n * tc.delta) / e
+
+    def integrand(tau):
+        remainder = scale * ((L - tau) ** e - 1.0) + rho
+        return ((L - tau) ** (p + 1.0) + (p + 1.0) * remainder) ** (-1.0 / (p + 1.0))
+
+    integral, _ = quad(integrand, 0.0, L - 1.0, epsabs=1e-13, epsrel=1e-12)
+    return r_value * (p + 1.0) ** (1.0 / (p + 1.0)) / (2.0 * math.pi) ** (alpha_c - 1) * integral
+
+
+def test_closed_form_matches_adaptive_quadrature():
+    worst = 0.0
+    for p in (0.25, 0.5, 1.0, 2.0, 3.0):
+        tcs = [TimeChange(p=p)] + [
+            TimeChange(p=p, r_model="power", delta=delta, coeff=coeff)
+            for delta in (0.1, 0.5, 1.0, p + 0.9)
+            for coeff in (0.1, 1.0, 10.0)
+        ]
+        for L in (1.1, 1.5, 2.0, 4.0, 8.0, 32.0, 1000.0):
+            for tc in tcs:
+                for n in (0, 1, 2, 5, 10, 20):
+                    got = mg._closed_form_coefficient(n, HEAT, tc, L, 2, 1.0)
+                    want = _adaptive_closed_form(n, tc, L, 2, 1.0)
+                    worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-13
+
+
+def test_closed_form_rejects_a_degenerate_integrand(monkeypatch):
+    # a remainder that drives the base to zero anywhere in the block
+    monkeypatch.setattr(TimeChange, "block_remainder", lambda self, n, L, t: -np.asarray(t) ** 2)
+    with pytest.raises(DomainError, match="degenerate at tau="):
+        mg._closed_form_coefficient(0, HEAT, TC0, 2.0, 2, 1.0)
 
 
 def test_decay_coefficient_level_independent_without_remainder():

@@ -236,6 +236,18 @@ def test_report_sanitizes_and_renders():
     assert text.endswith("overall: FAIL")
 
 
+def test_beta_constant_checks_the_flow_m():
+    # the check measures the direct beta_n at the m the flow runs with: at
+    # m = 32 the flow's beta_0 is 1.7e-5 from the limit, past the 5e-6 bound
+    cfg = make_config(solver=SolverParams(m=32), n_steps=1)
+    passed, measured = verify._beta_constant_body(cfg)
+    beta_0 = run_flow(cfg).decay_coeff[0]
+    assert measured["worst_gap"] >= abs(beta_0 - measured["limit"]) > 5e-6
+    assert not passed
+    passed, measured = verify._beta_constant_body(make_config())
+    assert passed and measured["worst_gap"] <= 5e-6
+
+
 def test_run_verification_power_model_branches():
     # mu = 0 skips the flow checks; a power remainder selects the
     # convergence variant of the beta check
