@@ -62,7 +62,8 @@ class OverlapConstant:
     direct: tensor-product quadrature of the chained-profile integral
     (None when alpha_c > 3, where the dimension makes it impractical).
     oracle: (2 pi)^{alpha_c - 1} * integral of G(x,1)^{alpha_c} dx through
-    the spectral machinery. value prefers the direct route.
+    the spectral machinery on the default grid. value prefers the direct
+    route, and is the R that every constant in this module reads.
     """
 
     direct: float | None
@@ -105,24 +106,23 @@ def _chain_quadrature(kernel, alpha_c, box):
 
 
 @functools.lru_cache(maxsize=64)
-def overlap_constant(kernel, alpha_c, grid=None, box=None):
+def overlap_constant(kernel, alpha_c, box=None):
     """Both routes to the self-interaction constant.
 
     The direct route chains alpha_c profile factors through alpha_c - 1
     integration variables on a truncated box (tensor trapezoid, spectrally
     accurate for these analytic integrands). The oracle route uses the
-    identity with the physical-space power integral.
+    identity with the physical-space power integral on GridSpec(), so each
+    (kernel, alpha_c) has one R whatever grid a run uses.
     """
     if not isinstance(alpha_c, (int, np.integer)) or alpha_c < 2:
         raise DomainError(f"alpha_c must be an integer >= 2, got {alpha_c}")
-    if grid is None:
-        grid = GridSpec()
     if box is None:
         box = _auto_box(kernel)
     direct = None
     if alpha_c <= 3:
         direct = _chain_quadrature(kernel, int(alpha_c), float(box))
-    profile = from_profile(grid, lambda w: kernel.ghat(w, 1.0))
+    profile = from_profile(GridSpec(), lambda w: kernel.ghat(w, 1.0))
     oracle = (2.0 * math.pi) ** (alpha_c - 1) * pointwise_power(
         profile, int(alpha_c)
     ).at_zero.real
@@ -155,7 +155,7 @@ def marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau=64):
     s_end = float(tc.block_elapsed(n, L, L))
     taus = np.linspace(0.0, L - 1.0, m_tau + 1)
     dtau = taus[1] - taus[0]
-    s_in = np.array([float(tc.block_elapsed(n, L, L - tau)) for tau in taus])
+    s_in = tc.block_elapsed(n, L, L - taus)
     layout = _layout_of(h.fhat, grid)
     rows = np.repeat(layout.rows(h.fhat)[np.newaxis], m_tau + 1, axis=0)
     _evolve(rows, kernel, layout, s_in)
@@ -203,7 +203,7 @@ def _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value):
     return prefac * integral
 
 
-def decay_coefficient(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, route="direct", r_value=None):
+def decay_coefficient(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, route="direct"):
     """The level-n decay coefficient beta_n.
 
     route="direct" reads the zero mode of the marginal response;
@@ -216,38 +216,29 @@ def decay_coefficient(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, route="dir
             grid = GridSpec()
         return marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau).at_zero.real
     if route == "closed_form":
-        if r_value is None:
-            r_value = overlap_constant(kernel, alpha_c).value
+        r_value = overlap_constant(kernel, alpha_c).value
         return _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value)
     raise DomainError(f"unknown route {route!r}")
 
 
-def decay_coefficient_routes(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, r_value=None):
+def decay_coefficient_routes(n, kernel, tc, L, alpha_c, grid=None, m_tau=64):
     """(direct, closed_form, |difference|) for the level-n coefficient."""
     direct = decay_coefficient(n, kernel, tc, L, alpha_c, grid, m_tau, "direct")
-    closed = decay_coefficient(
-        n, kernel, tc, L, alpha_c, route="closed_form", r_value=r_value
-    )
+    closed = decay_coefficient(n, kernel, tc, L, alpha_c, route="closed_form")
     return direct, closed, abs(direct - closed)
 
 
-def decay_limit(kernel, p, L, r_value=None, alpha_c=None):
+def decay_limit(kernel, p, L):
     """The n -> infinity decay coefficient R [(p+1)/(2 pi)^d]^{1/(p+1)} ln L."""
     d = kernel.d
-    if alpha_c is None:
-        alpha_c = critical_exponent(p, d)
-    if r_value is None:
-        r_value = overlap_constant(kernel, alpha_c).value
+    r_value = overlap_constant(kernel, critical_exponent(p, d)).value
     return r_value * ((p + 1.0) / (2.0 * math.pi) ** d) ** (1.0 / (p + 1.0)) * math.log(L)
 
 
-def decay_bracket(kernel, p, L, r_value=None, alpha_c=None):
+def decay_bracket(kernel, p, L):
     """(lower, upper) bounds valid for every beta_n at this (kernel, p, L)."""
-    d = kernel.d
-    if alpha_c is None:
-        alpha_c = critical_exponent(p, d)
-    if r_value is None:
-        r_value = overlap_constant(kernel, alpha_c).value
+    alpha_c = critical_exponent(p, kernel.d)
+    r_value = overlap_constant(kernel, alpha_c).value
     scale = r_value / (2.0 * math.pi) ** (alpha_c - 1)
     lo = scale * ((p + 1.0) / 4.0) ** (1.0 / (p + 1.0)) * (1.0 - 3.0 ** (-1.0 / (p + 1.0)))
     hi = scale * (L - 1.0) * (6.0 * (p + 1.0)) ** (1.0 / (p + 1.0))
@@ -261,7 +252,7 @@ class DecayGapRow:
     envelope: float
 
 
-def decay_convergence(kernel, tc, L, alpha_c, n_range, r_value=None):
+def decay_convergence(kernel, tc, L, alpha_c, n_range):
     """|beta_n - beta| against the reference envelope c n^{-(p+1)/d}.
 
     Uses the closed-form route so the gaps carry no spatial-grid noise.
@@ -271,9 +262,8 @@ def decay_convergence(kernel, tc, L, alpha_c, n_range, r_value=None):
     ns = sorted(set(int(n) for n in n_range))
     if not ns or ns[0] < 1:
         raise DomainError("n_range must contain integers >= 1")
-    if r_value is None:
-        r_value = overlap_constant(kernel, alpha_c).value
-    beta = decay_limit(kernel, tc.p, L, r_value=r_value, alpha_c=alpha_c)
+    r_value = overlap_constant(kernel, alpha_c).value
+    beta = decay_limit(kernel, tc.p, L)
     expo = (tc.p + 1.0) / kernel.d
     gaps = {
         n: abs(
@@ -285,13 +275,12 @@ def decay_convergence(kernel, tc, L, alpha_c, n_range, r_value=None):
     return [DecayGapRow(n=n, gap=gaps[n], envelope=c * n ** (-expo)) for n in ns]
 
 
-def amplitude_prefactor(kernel, p, mu, r_value=None):
+def amplitude_prefactor(kernel, p, mu):
     """The limit prefactor {(d/(p+1)) [(p+1)/(2 pi)^d]^{1/(p+1)} mu R}^{-(p+1)/d}."""
     if not (mu > 0):
         raise DomainError(f"the amplitude prefactor needs mu > 0, got {mu}")
     d = kernel.d
-    if r_value is None:
-        r_value = overlap_constant(kernel, critical_exponent(p, d)).value
+    r_value = overlap_constant(kernel, critical_exponent(p, d)).value
     inner = (
         (d / (p + 1.0))
         * ((p + 1.0) / (2.0 * math.pi) ** d) ** (1.0 / (p + 1.0))
@@ -307,23 +296,21 @@ def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
     Keys: R_direct, R_oracle, beta, beta_star_lo, beta_star_hi,
     beta_n_table (rows n, direct, closed_form), A_prefactor.
     """
-    if grid is None:
-        grid = GridSpec()
     alpha_c = critical_exponent(tc.p, kernel.d)
-    overlap = overlap_constant(kernel, alpha_c, grid=grid)
-    lo, hi = decay_bracket(kernel, tc.p, L, r_value=overlap.value, alpha_c=alpha_c)
+    overlap = overlap_constant(kernel, alpha_c)
+    lo, hi = decay_bracket(kernel, tc.p, L)
     table = []
     for n in range(0, n_max + 1):
         direct, closed, _ = decay_coefficient_routes(
-            n, kernel, tc, L, alpha_c, grid=grid, m_tau=m_tau, r_value=overlap.value
+            n, kernel, tc, L, alpha_c, grid=grid, m_tau=m_tau
         )
         table.append({"n": n, "direct": direct, "closed_form": closed})
     return {
         "R_direct": overlap.direct,
         "R_oracle": overlap.oracle,
-        "beta": decay_limit(kernel, tc.p, L, r_value=overlap.value, alpha_c=alpha_c),
+        "beta": decay_limit(kernel, tc.p, L),
         "beta_star_lo": lo,
         "beta_star_hi": hi,
         "beta_n_table": table,
-        "A_prefactor": amplitude_prefactor(kernel, tc.p, mu, r_value=overlap.value),
+        "A_prefactor": amplitude_prefactor(kernel, tc.p, mu),
     }

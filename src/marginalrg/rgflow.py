@@ -60,8 +60,12 @@ def initial_remainder(grid, kind, eps=0.0):
     if kind == "even-bump":
         return SpectralFunction(grid, eps * w**2 * np.exp(-(w**2)))
     if kind == "odd-bump":
-        # imaginary odd spectrum keeps the physical field real
-        return SpectralFunction(grid, 1j * eps * w * np.exp(-(w**2)))
+        # imaginary odd spectrum keeps the physical field real; the node
+        # -omega_max has no +omega_max partner, so on a coarse grid its
+        # tiny imaginary value would make the field complex: keep its real part
+        fhat = 1j * eps * w * np.exp(-(w**2))
+        fhat[0] = fhat[0].real
+        return SpectralFunction(grid, fhat)
     raise ConfigError(
         f"unknown remainder kind {kind!r}; choose one of {REMAINDER_KINDS}"
     )
@@ -317,7 +321,7 @@ def run_flow(config):
     for n in range(config.n_steps):
         previous_amp = amp
         try:
-            if response is None or tc.r_model != "zero":
+            if response is None or not tc.vanishes:
                 response = marginal_response(
                     n, kernel, tc, L, alpha, grid, m_tau=params.m
                 )

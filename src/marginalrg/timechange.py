@@ -6,9 +6,9 @@ elapsed time is
     s_n(t) = (t^{p+1} - 1)/(p+1) + r_n(t),
     r_n(t) = [r(L^n t) - r(L^n)] L^{-n(p+1)}.
 
-Two remainder models ship: zero, and a single power r(t) =
-coeff (t^{p+1-delta} - 1)/(p+1-delta), i.e. a drift c(t) = t^p +
-coeff t^{p-delta}. Both admit closed forms, so s_n is exact rather than
+The remainder is a single power r(t) = coeff (t^{p+1-delta} - 1)/(p+1-delta),
+i.e. a drift c(t) = t^p + coeff t^{p-delta}; the zero model is the power
+with coeff = delta = 0. The closed forms make s_n exact rather than
 quadrature-based, and large-n factors are evaluated in log space to avoid
 overflow and cancellation.
 """
@@ -50,6 +50,11 @@ class TimeChange:
         else:
             raise DomainError(f"unknown remainder model {self.r_model!r}")
 
+    @property
+    def vanishes(self):
+        """True when r(t) is identically zero (the zero model, or coeff 0)."""
+        return self.coeff == 0.0
+
     def _check_t(self, t, upper=None):
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 1.0 - _T_SLOP):
@@ -61,8 +66,6 @@ class TimeChange:
     def remainder(self, t):
         """r(t) for t >= 1."""
         t = self._check_t(t)
-        if self.r_model == "zero":
-            return np.zeros_like(t)
         e = self.p + 1.0 - self.delta
         return self.coeff * (t**e - 1.0) / e
 
@@ -74,15 +77,12 @@ class TimeChange:
     def block_remainder(self, n, L, t):
         """r_n(t) = [r(L^n t) - r(L^n)] L^{-n(p+1)}, in closed form.
 
-        For the power model this simplifies to
-        coeff L^{-n delta} (t^{p+1-delta} - 1)/(p+1-delta), which is
-        evaluated directly; the naive difference would overflow L^{n(p+1)}
-        and cancel catastrophically for large n.
+        This simplifies to coeff L^{-n delta} (t^{p+1-delta} - 1)/(p+1-delta),
+        which is evaluated directly; the naive difference would overflow
+        L^{n(p+1)} and cancel catastrophically for large n.
         """
         self._validate_block_args(n, L)
         t = self._check_t(t, upper=L)
-        if self.r_model == "zero":
-            return np.zeros_like(t)
         e = self.p + 1.0 - self.delta
         scale = math.exp(-n * self.delta * math.log(L))
         return self.coeff * scale * (t**e - 1.0) / e
@@ -97,8 +97,6 @@ class TimeChange:
     def remainder_ratio(self, n, L):
         """rho_n = r(L^n) L^{-n(p+1)}, the level-n remainder scale."""
         self._validate_block_args(n, L)
-        if self.r_model == "zero":
-            return 0.0
         e = self.p + 1.0 - self.delta
         lnl = math.log(L)
         return (

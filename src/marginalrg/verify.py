@@ -245,7 +245,7 @@ class FixedPointRow:
     ok: bool
 
 
-def fixed_point_check(kernel, tc, p, grid_list, L=2.0, tol=1e-8):
+def fixed_point_check(kernel, tc, grid_list, L=2.0, tol=1e-8):
     """Residual of the linear block map at the scaling profile.
 
     With a vanishing remainder the profile is an exact fixed point and
@@ -255,12 +255,12 @@ def fixed_point_check(kernel, tc, p, grid_list, L=2.0, tol=1e-8):
     gap against the envelope c * rho_n^(1/d) fitted at n = 2.
     """
     rows = []
-    if tc.r_model == "zero":
+    if tc.vanishes:
         prev = math.inf
         for grid in grid_list:
             label = f"grid {grid.n_points}"
             try:
-                target = fixed_point_profile(kernel, p, grid)
+                target = fixed_point_profile(kernel, tc.p, grid)
                 value = fs.weighted_norm(
                     linear_rg_step(target, kernel, tc, 0, L) - target, kernel.q
                 )
@@ -273,7 +273,7 @@ def fixed_point_check(kernel, tc, p, grid_list, L=2.0, tol=1e-8):
             prev = value
         return rows
     grid = grid_list[-1]
-    target = fixed_point_profile(kernel, p, grid)
+    target = fixed_point_profile(kernel, tc.p, grid)
     gaps = {
         n: fs.weighted_norm(linear_profile(kernel, tc, n, L, grid) - target, kernel.q)
         for n in range(2, 13)
@@ -333,7 +333,7 @@ def _fixed_point_body(config):
     measured = {}
     passed = True
     for kern in kernels:
-        rows = fixed_point_check(kern, config.tc, config.tc.p, grids, L=config.L)
+        rows = fixed_point_check(kern, config.tc, grids, L=config.L)
         measured[f"d={kern.d} kappa={kern.kappa}"] = [
             {"label": r.label, "value": r.value, "bound": r.bound} for r in rows
         ]
@@ -366,7 +366,7 @@ def _overlap_body(config):
     measured = {}
     passed = True
     for label, (kern, a) in instances.items():
-        ov = overlap_constant(kern, a, grid=config.grid)
+        ov = overlap_constant(kern, a)
         measured[label] = {
             "direct": ov.direct,
             "oracle": ov.oracle,
@@ -536,7 +536,7 @@ def run_verification(config, seed=0):
         "<= 1e-5 (heat exact <= 1e-6)",
         lambda: _overlap_body(config),
     )
-    if config.tc.r_model == "zero":
+    if config.tc.vanishes:
         _check(
             report,
             "beta_constant",

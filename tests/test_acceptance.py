@@ -145,17 +145,14 @@ def test_criterion_05_decay_constant():
     kern = heat_kernel()
     tc = TimeChange(p=1.0)
     L = 2.0
-    r_value = overlap_constant(kern, 2).value
-    limit = decay_limit(kern, tc.p, L, r_value=r_value)
+    limit = decay_limit(kern, tc.p, L)
     exact = math.log(2.0) / (2.0 * math.sqrt(math.pi))  # closed form, heat at L = 2
     assert abs(limit - exact) <= 1e-9
-    lo, hi = decay_bracket(kern, tc.p, L, r_value=r_value)
+    lo, hi = decay_bracket(kern, tc.p, L)
     grid = GridSpec()
     worst = 0.0
     for n in range(21):
-        direct, closed, _ = decay_coefficient_routes(
-            n, kern, tc, L, 2, grid=grid, r_value=r_value
-        )
+        direct, closed, _ = decay_coefficient_routes(n, kern, tc, L, 2, grid=grid)
         for val in (direct, closed):
             assert lo < val < hi
             worst = max(worst, abs(val - limit))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -255,10 +256,14 @@ def test_norm_of_a_non_real_field(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the subprocess finds the package where this process did, installed or not
+    src = Path(fs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "marginalrg", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"

@@ -257,3 +257,15 @@ def test_marginal_constants_mapping():
     for row in out["beta_n_table"]:
         assert abs(row["direct"] - row["closed_form"]) < 5e-6
         assert out["beta_star_lo"] < row["closed_form"] < out["beta_star_hi"]
+
+
+def test_one_overlap_constant_per_kernel():
+    # for alpha_c = 4 R is the spectral oracle; the constants that
+    # marginalrg beta prints and the prefactor the flow uses read the same
+    # R whatever grid the run names
+    kern, tc = ScalingKernel(d=6.0), TimeChange(p=1.0)
+    out = mg.marginal_constants(kern, tc, 2.0, 0.05, grid=fs.GridSpec(256, 10.0), n_max=1)
+    assert out["R_direct"] is None
+    assert out["R_oracle"] == mg.overlap_constant(kern, 4).value
+    assert out["A_prefactor"] == mg.amplitude_prefactor(kern, 1.0, 0.05)
+    assert out["beta"] == mg.decay_limit(kern, 1.0, 2.0)

@@ -299,3 +299,35 @@ def test_trace_manifest(canonical_trace):
     assert man["config"]["nonlinearity"]["mu"] == 0.05
     assert man["config"]["grid"]["n_points"] == 4096
     json.dumps(man)
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 1024, 4096])
+@pytest.mark.parametrize("kind", rg.REMAINDER_KINDS)
+def test_initial_remainders_are_real_fields(kind, n_points):
+    # on coarse grids the odd bump is not yet negligible at the unpaired
+    # node -omega_max; the field must still be exactly real there
+    g = rg.initial_remainder(GridSpec(n_points, 40.0), kind, 1e-3)
+    assert fs._is_real_field(g.fhat)
+
+
+def test_vanishing_power_remainder_flows_as_the_zero_model(monkeypatch, tmp_path):
+    # a power remainder with coeff = 0 is the zero remainder: the flow reuses
+    # its level-0 response and writes the zero model's trace byte for byte
+    calls = [0]
+
+    def response(*args, _response=rg.marginal_response, **kwargs):
+        calls[0] += 1
+        return _response(*args, **kwargs)
+
+    monkeypatch.setattr(rg, "marginal_response", response)
+    traces = {}
+    for name, tc in (
+        ("zero", TC0),
+        ("flat", TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)),
+    ):
+        calls[0] = 0
+        trace = rg.run_flow(make_config(grid=GridSpec(1024, 40.0), tc=tc))
+        assert trace.completed and calls[0] == 1
+        rg.write_trace_csv(trace, tmp_path / f"{name}.csv")
+        traces[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert traces["flat"] == traces["zero"]

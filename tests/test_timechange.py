@@ -93,3 +93,16 @@ def test_remainder_ratio():
 def test_remainder_ratio_decreases():
     vals = [POWER.remainder_ratio(n, 2.0) for n in range(1, 15)]
     assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
+
+
+def test_a_vanishing_power_is_the_zero_model():
+    # coeff = 0 makes every remainder term an exact zero, so the power
+    # formula reproduces the zero model bit for bit
+    zero = TimeChange(p=1.0)
+    flat = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)
+    assert zero.vanishes and flat.vanishes and not POWER.vanishes
+    t = np.linspace(1.0, 2.0, 33)
+    assert np.array_equal(flat.elapsed(8.0 * t), zero.elapsed(8.0 * t))
+    for n in (0, 1, 5, 40):
+        assert np.array_equal(flat.block_elapsed(n, 2.0, t), zero.block_elapsed(n, 2.0, t))
+        assert flat.remainder_ratio(n, 2.0) == zero.remainder_ratio(n, 2.0) == 0.0

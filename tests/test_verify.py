@@ -158,7 +158,7 @@ def test_contraction_worst_mode_is_seed_independent():
 
 def test_fixed_point_zero_branch_ladder():
     grids = [GridSpec(n, 40.0) for n in (1024, 2048, 4096)]
-    rows = verify.fixed_point_check(HEAT, TC0, 1.0, grids)
+    rows = verify.fixed_point_check(HEAT, TC0, grids)
     assert [r.ok for r in rows] == [True, True, True]
     assert max(r.value for r in rows) <= 1e-10
 
@@ -168,13 +168,13 @@ def test_fixed_point_coarse_grid_fails_cleanly():
     # 256 points at x_max=80 leaves the profile tail unresolved; the row
     # records the failure and refinement recovers
     grids = [GridSpec(256, 80.0), GridSpec(1024, 80.0), GridSpec(4096, 80.0)]
-    rows = verify.fixed_point_check(HEAT, TC0, 1.0, grids)
+    rows = verify.fixed_point_check(HEAT, TC0, grids)
     assert not rows[0].ok and math.isinf(rows[0].value)
     assert rows[1].ok and rows[2].ok
 
 
 def test_fixed_point_power_branch_envelope():
-    rows = verify.fixed_point_check(HEAT, TCP, 1.0, [GridSpec(4096, 40.0)])
+    rows = verify.fixed_point_check(HEAT, TCP, [GridSpec(4096, 40.0)])
     assert [r.label for r in rows] == [f"level {n}" for n in range(2, 13)]
     assert all(r.ok for r in rows)
     assert rows[0].value == pytest.approx(rows[0].bound, rel=1e-12)
@@ -271,6 +271,17 @@ def test_run_verification_power_model_branches():
     assert report.passed
     assert all(c.runtime_s >= 0.0 for c in report.checks)
     json.dumps(report.as_dict())
+
+
+def test_run_verification_vanishing_power_remainder():
+    # a power remainder with coeff = 0 is the zero remainder: the fixed-point
+    # check takes its exact branch (the envelope would divide by rho_n = 0)
+    # and the beta check its constant variant, and every check passes
+    flat = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)
+    report = verify.run_verification(make_config(tc=flat, grid=GridSpec(1024, 40.0)))
+    assert [c.name for c in report.checks][4] == "beta_constant"
+    assert len(report.checks) == 10
+    assert report.passed, report.as_text()
 
 
 def test_verify_times_the_shared_flow(monkeypatch):
