@@ -31,6 +31,7 @@ from .funcspace import (  # noqa: F401
     _chunks,
     _layout_of,
 )
+from .marginal import critical_exponent
 
 __all__ = [
     "Nonlinearity",
@@ -42,16 +43,17 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
-    """F(u) = -mu u^{critical_power} + lam sum_j a_j u^j.
+    """F(u) = -mu u^{alpha_c} + lam sum_j a_j u^j.
 
-    terms lists the higher powers as (j, a_j) pairs with every
-    j > critical_power; their block-n couplings decay geometrically in n,
-    which is what makes them irrelevant to the flow.
+    The marginal power alpha_c = (p+1+d)/(p+1) is fixed by the time change
+    and the kernel, so it is derived where the block is known, never held.
+    terms lists the higher powers as (j, a_j) pairs, each with j > alpha_c;
+    their block-n couplings decay geometrically in n, which is what makes
+    them irrelevant to the flow.
     """
 
     mu: float
     lam: float = 0.0
-    critical_power: int = 2
     terms: tuple = ()
 
     def __post_init__(self):
@@ -59,19 +61,10 @@ class Nonlinearity:
             raise DomainError(f"mu must be finite, got {self.mu}")
         if not math.isfinite(self.lam):
             raise DomainError(f"lambda must be finite, got {self.lam}")
-        ac = self.critical_power
-        if not isinstance(ac, (int, np.integer)) or ac < 2:
-            raise DomainError(
-                f"critical power must be an integer >= 2, got {ac}"
-            )
         terms = tuple((int(j), float(a)) for j, a in self.terms)
         object.__setattr__(self, "terms", terms)
         seen = set()
         for j, a in terms:
-            if j <= ac:
-                raise DomainError(
-                    f"perturbation power {j} must exceed the critical power {ac}"
-                )
             if j in seen:
                 raise DomainError(f"duplicate perturbation power {j}")
             if not math.isfinite(a):
@@ -84,19 +77,22 @@ class Nonlinearity:
         """{power: coefficient} of the block-n Duhamel integrand.
 
         The integrand is -mu u^{alpha_c} + lam sum_j a_j
-        L^{-n (j - alpha_c)(p+1)/d} u^j; the per-term scale absorbs both
-        the coupling decay and the term rescaling factors.
+        L^{-n (j - alpha_c)(p+1)/d} u^j, with alpha_c from
+        critical_exponent(p, d); the per-term scale absorbs both the
+        coupling decay and the term rescaling factors. Raises DomainError
+        when a term power does not exceed alpha_c.
         """
-        coeffs = {}
-        if self.mu != 0.0:
-            coeffs[self.critical_power] = -self.mu
-        if self.lam != 0.0:
-            lnl = math.log(L)
-            for j, a in self.terms:
-                expo = -n * (j - self.critical_power) * (p + 1.0) / d
-                c = self.lam * a * math.exp(expo * lnl)
-                if c != 0.0:
-                    coeffs[j] = coeffs.get(j, 0.0) + c
+        alpha_c = critical_exponent(p, d)
+        coeffs = {alpha_c: -self.mu} if self.mu != 0.0 else {}
+        lnl = math.log(L)
+        for j, a in self.terms:
+            if j <= alpha_c:
+                raise DomainError(
+                    f"perturbation power {j} must exceed the critical power {alpha_c}"
+                )
+            c = self.lam * a * math.exp(-n * (j - alpha_c) * (p + 1.0) / d * lnl)
+            if c != 0.0:
+                coeffs[j] = c
         return coeffs
 
 
@@ -243,7 +239,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
     guard = params.norm_guard
     if guard is not None:
         f_norm = _block_norm(u0[:1], layout, kernel.q, work)
-        if f_norm > guard:
+        if not f_norm <= guard:
             raise Divergence(0, f_norm, guard)
     du = work.stack("deriv", u0.shape)
     linear_norm = _block_norm(u0, layout, kernel.q, work, du)
@@ -270,7 +266,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
             layout.norm(u_new[c], du[c], kernel.q, new_norms[c], work)
         delta = float(np.max(step_norms))
         bnorm = float(np.max(new_norms))
-        if bnorm > guard:
+        if not bnorm <= guard:  # a NaN norm fails too
             raise Divergence(it, bnorm, guard)
         spare = None if u is u0 else u
         u = u_new
@@ -291,9 +287,9 @@ def solve_block(f, kernel, tc, nl, n, L, params, workspace=None):
     Iterates u <- u0 + Duhamel(F-terms of u) until the block norm of the
     update falls below picard_tol. Raises NoConvergence when picard_max is
     exhausted and Divergence when the block norm passes the guard
-    (default: 10x the linear block norm). workspace is the working memory
-    a caller solving many blocks passes to each (funcspace._Workspace);
-    without one the solve allocates its own.
+    (default: 10x the linear block norm) or is NaN. workspace is the
+    working memory a caller solving many blocks passes to each
+    (funcspace._Workspace); without one the solve allocates its own.
     """
     times, elapsed = _block_nodes(tc, n, L, params.m)
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)

@@ -16,7 +16,6 @@ from .blocksolver import Nonlinearity, SolverParams
 from .errors import ConfigError, DomainError
 from .funcspace import GridSpec
 from .kernel import ScalingKernel
-from .marginal import critical_exponent
 from .rgflow import FlowConfig
 from .timechange import TimeChange
 
@@ -94,15 +93,6 @@ def flow_config_from_mapping(data, allow_negative_mu=False):
     nl_raw = _section(data, "nonlinearity")
     if "terms" in nl_raw:
         nl_raw["terms"] = _terms("nonlinearity", nl_raw["terms"])
-    if "critical_power" in nl_raw:
-        nl_raw["critical_power"] = _as_int(
-            "nonlinearity", "critical_power", nl_raw["critical_power"]
-        )
-    else:
-        try:
-            nl_raw["critical_power"] = critical_exponent(tc.p, kernel.d)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
     nl_raw.setdefault("mu", 0.0)
     nonlinearity = _build("nonlinearity", Nonlinearity, nl_raw)
 

@@ -7,8 +7,9 @@ analytic bracket that must contain every beta_n, and the prefactor of
 the amplitude law.
 
 Conventions: the working kernel profile is ghat(., 1), the critical power
-alpha_c = (p+1+d)/(p+1) is required to be an integer, and all large-n
-scale factors are evaluated in log space.
+alpha_c = (p+1+d)/(p+1) is required to be an integer and is derived by
+critical_exponent wherever p and d are known, and all large-n scale
+factors are evaluated in log space.
 """
 
 import dataclasses
@@ -139,11 +140,12 @@ def linear_profile(kernel, tc, n, L, grid):
     return SpectralFunction(grid, kernel.multiplier(grid, t_arg))
 
 
-def marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau=64):
+def marginal_response(n, kernel, tc, L, grid, m_tau=64):
     """Trapezoidal Duhamel response of the level-n profile.
 
     Integrates over tau in [0, L-1]: evolve the profile h_n to block time
-    L - tau, raise to alpha_c, then evolve over the remaining warped time.
+    L - tau, raise to alpha_c = critical_exponent(p, d), then evolve over
+    the remaining warped time.
     Its zero mode is the per-level decay coefficient.
 
     The tau rows go through as one stack of half spectra: a multiplier
@@ -151,6 +153,7 @@ def marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau=64):
     """
     if m_tau < 8:
         raise DomainError(f"m_tau must be >= 8, got {m_tau}")
+    alpha_c = critical_exponent(tc.p, kernel.d)
     h = linear_profile(kernel, tc, n, L, grid)
     s_end = float(tc.block_elapsed(n, L, L))
     taus = np.linspace(0.0, L - 1.0, m_tau + 1)
@@ -203,7 +206,7 @@ def _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value):
     return prefac * integral
 
 
-def decay_coefficient(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, route="direct"):
+def decay_coefficient(n, kernel, tc, L, grid=None, m_tau=64, route="direct"):
     """The level-n decay coefficient beta_n.
 
     route="direct" reads the zero mode of the marginal response;
@@ -214,17 +217,18 @@ def decay_coefficient(n, kernel, tc, L, alpha_c, grid=None, m_tau=64, route="dir
     if route == "direct":
         if grid is None:
             grid = GridSpec()
-        return marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau).at_zero.real
+        return marginal_response(n, kernel, tc, L, grid, m_tau).at_zero.real
     if route == "closed_form":
+        alpha_c = critical_exponent(tc.p, kernel.d)
         r_value = overlap_constant(kernel, alpha_c).value
         return _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value)
     raise DomainError(f"unknown route {route!r}")
 
 
-def decay_coefficient_routes(n, kernel, tc, L, alpha_c, grid=None, m_tau=64):
+def decay_coefficient_routes(n, kernel, tc, L, grid=None, m_tau=64):
     """(direct, closed_form, |difference|) for the level-n coefficient."""
-    direct = decay_coefficient(n, kernel, tc, L, alpha_c, grid, m_tau, "direct")
-    closed = decay_coefficient(n, kernel, tc, L, alpha_c, route="closed_form")
+    direct = decay_coefficient(n, kernel, tc, L, grid, m_tau, "direct")
+    closed = decay_coefficient(n, kernel, tc, L, route="closed_form")
     return direct, closed, abs(direct - closed)
 
 
@@ -252,7 +256,7 @@ class DecayGapRow:
     envelope: float
 
 
-def decay_convergence(kernel, tc, L, alpha_c, n_range):
+def decay_convergence(kernel, tc, L, n_range):
     """|beta_n - beta| against the reference envelope c n^{-(p+1)/d}.
 
     Uses the closed-form route so the gaps carry no spatial-grid noise.
@@ -262,6 +266,7 @@ def decay_convergence(kernel, tc, L, alpha_c, n_range):
     ns = sorted(set(int(n) for n in n_range))
     if not ns or ns[0] < 1:
         raise DomainError("n_range must contain integers >= 1")
+    alpha_c = critical_exponent(tc.p, kernel.d)
     r_value = overlap_constant(kernel, alpha_c).value
     beta = decay_limit(kernel, tc.p, L)
     expo = (tc.p + 1.0) / kernel.d
@@ -294,15 +299,16 @@ def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
     """All marginal-sector constants as one JSON-ready mapping.
 
     Keys: R_direct, R_oracle, beta, beta_star_lo, beta_star_hi,
-    beta_n_table (rows n, direct, closed_form), A_prefactor.
+    beta_n_table (rows n, direct, closed_form), A_prefactor. Only
+    A_prefactor depends on mu; it is None when mu <= 0, where the
+    amplitude law does not apply.
     """
-    alpha_c = critical_exponent(tc.p, kernel.d)
-    overlap = overlap_constant(kernel, alpha_c)
+    overlap = overlap_constant(kernel, critical_exponent(tc.p, kernel.d))
     lo, hi = decay_bracket(kernel, tc.p, L)
     table = []
     for n in range(0, n_max + 1):
         direct, closed, _ = decay_coefficient_routes(
-            n, kernel, tc, L, alpha_c, grid=grid, m_tau=m_tau
+            n, kernel, tc, L, grid=grid, m_tau=m_tau
         )
         table.append({"n": n, "direct": direct, "closed_form": closed})
     return {
@@ -312,5 +318,5 @@ def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
         "beta_star_lo": lo,
         "beta_star_hi": hi,
         "beta_n_table": table,
-        "A_prefactor": amplitude_prefactor(kernel, tc.p, mu),
+        "A_prefactor": amplitude_prefactor(kernel, tc.p, mu) if mu > 0.0 else None,
     }

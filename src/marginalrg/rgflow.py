@@ -87,11 +87,11 @@ class FlowConfig:
     """Fully resolved flow description; validated on construction.
 
     The cross-field checks live here rather than in the CLI so that
-    programmatic use hits the same guards: the critical power must
-    match the scaling arithmetic, couplings must satisfy
-    |lambda| < mu, mu must be nonnegative unless explicitly
-    overridden, and the initial remainder must be small against
-    A0^alpha_c in the weighted norm.
+    programmatic use hits the same guards: the scaling arithmetic must
+    give an integer marginal power alpha_c below every perturbation
+    power, couplings must satisfy |lambda| < mu, mu must be nonnegative
+    unless explicitly overridden, and the initial remainder must be
+    small against A0^alpha_c in the weighted norm.
     """
 
     kernel: ScalingKernel
@@ -118,14 +118,9 @@ class FlowConfig:
         if not math.isfinite(self.g0_eps):
             raise ConfigError("g0_eps must be finite")
         try:
-            implied = critical_exponent(self.tc.p, self.kernel.d)
+            self.nonlinearity.combined_coefficients(0, self.L, self.tc.p, self.kernel.d)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if implied != self.nonlinearity.critical_power:
-            raise ConfigError(
-                f"critical power mismatch: scaling arithmetic gives {implied}, "
-                f"nonlinearity declares {self.nonlinearity.critical_power}"
-            )
         mu = self.nonlinearity.mu
         lam = self.nonlinearity.lam
         if mu < 0.0 and not self.allow_negative_mu:
@@ -140,11 +135,11 @@ class FlowConfig:
             )
         g0 = initial_remainder(self.grid, self.g0_kind, self.g0_eps)
         g0_norm = fs.weighted_norm(g0, self.kernel.q)
-        bound = self.A0**self.nonlinearity.critical_power
-        if not g0_norm < bound:
+        # compared in logs: A0^alpha_c can overflow or underflow a float
+        if not (g0_norm == 0.0 or math.log(g0_norm) < self.alpha_c * math.log(self.A0)):
             raise ConfigError(
                 f"need weighted_norm(g0) < A0^alpha_c; got {g0_norm:.6e} vs "
-                f"{bound:.6e}"
+                f"{self.A0:.6e}^{self.alpha_c}"
             )
 
     @property
@@ -153,7 +148,7 @@ class FlowConfig:
 
     @property
     def alpha_c(self):
-        return self.nonlinearity.critical_power
+        return critical_exponent(self.tc.p, self.kernel.d)
 
 
 def initial_state(config):
@@ -293,7 +288,7 @@ def run_flow(config):
     kernel, tc, nl = config.kernel, config.tc, config.nonlinearity
     grid, params, L = config.grid, config.solver, config.L
     q = kernel.q
-    alpha = nl.critical_power
+    alpha = config.alpha_c
     mu = nl.mu
     f, amp, rem = initial_state(config)
     trace = FlowTrace(config=config)
@@ -322,9 +317,7 @@ def run_flow(config):
         previous_amp = amp
         try:
             if response is None or not tc.vanishes:
-                response = marginal_response(
-                    n, kernel, tc, L, alpha, grid, m_tau=params.m
-                )
+                response = marginal_response(n, kernel, tc, L, grid, m_tau=params.m)
             f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace)
         except (SolverError, DecompositionDrift, TailTooLarge, UnderResolved) as exc:
             trace.failure = f"level {n}: {exc}"

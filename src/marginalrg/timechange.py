@@ -7,10 +7,10 @@ elapsed time is
     r_n(t) = [r(L^n t) - r(L^n)] L^{-n(p+1)}.
 
 The remainder is a single power r(t) = coeff (t^{p+1-delta} - 1)/(p+1-delta),
-i.e. a drift c(t) = t^p + coeff t^{p-delta}; the zero model is the power
-with coeff = delta = 0. The closed forms make s_n exact rather than
-quadrature-based, and large-n factors are evaluated in log space to avoid
-overflow and cancellation.
+i.e. a drift c(t) = t^p + coeff t^{p-delta}; coeff = 0, the default, is
+the zero remainder whatever delta. The closed forms make s_n exact rather
+than quadrature-based, and large-n factors are evaluated in log space to
+avoid overflow and cancellation.
 """
 
 import dataclasses
@@ -28,31 +28,22 @@ _T_SLOP = 1e-12
 @dataclasses.dataclass(frozen=True)
 class TimeChange:
     p: float
-    r_model: str = "zero"
     delta: float = 0.0
     coeff: float = 0.0
 
     def __post_init__(self):
         if not (self.p > 0) or not math.isfinite(self.p):
             raise DomainError(f"growth exponent p must be positive, got {self.p}")
-        if self.r_model == "zero":
-            if self.delta != 0.0 or self.coeff != 0.0:
-                raise DomainError("zero remainder model takes no delta/coeff")
-        elif self.r_model == "power":
-            if not (0.0 < self.delta < self.p + 1.0):
-                raise DomainError(
-                    f"power remainder needs delta in (0, p+1), got {self.delta}"
-                )
-            if not (self.coeff >= 0.0) or not math.isfinite(self.coeff):
-                raise DomainError(
-                    f"power remainder coefficient must be >= 0, got {self.coeff}"
-                )
-        else:
-            raise DomainError(f"unknown remainder model {self.r_model!r}")
+        if not (self.coeff >= 0.0) or not math.isfinite(self.coeff):
+            raise DomainError(f"remainder coefficient must be >= 0, got {self.coeff}")
+        if not (0.0 <= self.delta < self.p + 1.0):
+            raise DomainError(f"remainder needs delta in [0, p+1), got {self.delta}")
+        if self.coeff > 0.0 and not self.delta > 0.0:
+            raise DomainError("a remainder with coeff > 0 needs delta > 0")
 
     @property
     def vanishes(self):
-        """True when r(t) is identically zero (the zero model, or coeff 0)."""
+        """True when r(t) is identically zero (coeff 0)."""
         return self.coeff == 0.0
 
     def _check_t(self, t, upper=None):

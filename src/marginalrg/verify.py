@@ -381,14 +381,14 @@ def _overlap_body(config):
 
 def _beta_constant_body(config):
     # the direct coefficients at the flow's own m, as run_flow uses them
-    kern, tc, L, alpha = config.kernel, config.tc, config.L, config.alpha_c
+    kern, tc, L = config.kernel, config.tc, config.L
     limit = decay_limit(kern, tc.p, L)
     closed = [
-        decay_coefficient(n, kern, tc, L, alpha, route="closed_form")
+        decay_coefficient(n, kern, tc, L, route="closed_form")
         for n in range(0, 21)
     ]
     direct = [
-        decay_coefficient(n, kern, tc, L, alpha, config.grid, config.solver.m, route="direct")
+        decay_coefficient(n, kern, tc, L, config.grid, config.solver.m, route="direct")
         for n in (0, 10, 20)
     ]
     lo, hi = decay_bracket(kern, tc.p, L)
@@ -403,9 +403,7 @@ def _beta_constant_body(config):
 
 
 def _beta_convergence_body(config):
-    rows = decay_convergence(
-        config.kernel, config.tc, config.L, config.alpha_c, range(2, 21)
-    )
+    rows = decay_convergence(config.kernel, config.tc, config.L, range(2, 21))
     gaps = [r.gap for r in rows]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     tail = [(math.log(r.n), math.log(r.gap)) for r in rows if r.n >= 8]

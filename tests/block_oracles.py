@@ -102,14 +102,14 @@ def damping_term(sol, nl, kernel, tc, n, L, t_index):
 
     Evaluated at the block node t_index; returns zero at the first node.
     """
-    coeffs = {nl.critical_power: nl.mu} if nl.mu != 0.0 else {}
+    coeffs = {mg.critical_exponent(tc.p, kernel.d): nl.mu} if nl.mu != 0.0 else {}
     return _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index)
 
 
 def forcing_term(sol, nl, kernel, tc, n, L, t_index):
     """The scaled perturbation Duhamel term at the block node t_index."""
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    coeffs.pop(nl.critical_power, None)
+    coeffs.pop(mg.critical_exponent(tc.p, kernel.d), None)
     return _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index)
 
 

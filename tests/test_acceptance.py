@@ -152,7 +152,7 @@ def test_criterion_05_decay_constant():
     grid = GridSpec()
     worst = 0.0
     for n in range(21):
-        direct, closed, _ = decay_coefficient_routes(n, kern, tc, L, 2, grid=grid)
+        direct, closed, _ = decay_coefficient_routes(n, kern, tc, L, grid=grid)
         for val in (direct, closed):
             assert lo < val < hi
             worst = max(worst, abs(val - limit))
@@ -169,8 +169,8 @@ def test_criterion_06_decay_convergence_rate():
     # the gap to the limit must fall strictly on [2, 20] with log-log
     # slope at most -(p+1)/d + 0.3.
     kern = heat_kernel()
-    tc = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=1.0)
-    rows = decay_convergence(kern, tc, 2.0, 2, range(2, 21))
+    tc = TimeChange(p=1.0, delta=0.5, coeff=1.0)
+    rows = decay_convergence(kern, tc, 2.0, range(2, 21))
     gaps = [row.gap for row in rows]
     assert _strictly_decreasing(gaps)
     ns = np.array([row.n for row in rows], dtype=float)

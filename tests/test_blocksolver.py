@@ -30,7 +30,7 @@ from marginalrg.timechange import TimeChange
 GRID = fs.GridSpec(n_points=1024, x_max=40.0)
 KERNEL = heat_kernel()
 TC = TimeChange(p=1.0)
-NL = Nonlinearity(mu=0.05, lam=0.01, critical_power=2, terms=((3, 1.0),))
+NL = Nonlinearity(mu=0.05, lam=0.01, terms=((3, 1.0),))
 
 
 def profile():
@@ -38,10 +38,16 @@ def profile():
 
 
 def test_nonlinearity_validation():
-    with pytest.raises(DomainError):
-        Nonlinearity(mu=0.1, critical_power=1)
-    with pytest.raises(DomainError):
-        Nonlinearity(mu=0.1, lam=0.2, terms=((2, 1.0),))
+    # alpha_c is derived from (p, d), so a term at or below it is caught
+    # where the block is known
+    with pytest.raises(TypeError):
+        Nonlinearity(mu=0.1, critical_power=2)
+    cubic = Nonlinearity(mu=0.1, lam=0.05, terms=((3, 1.0),))
+    assert cubic.combined_coefficients(0, 2.0, 1.0, 2.0) == {2: -0.1, 3: 0.05}
+    with pytest.raises(DomainError, match="power 3 must exceed the critical power 3"):
+        cubic.combined_coefficients(0, 2.0, 1.0, 4.0)
+    with pytest.raises(DomainError, match="power 2 must exceed the critical power 2"):
+        Nonlinearity(mu=0.1, lam=0.2, terms=((2, 1.0),)).combined_coefficients(0, 2.0, 1.0, 2.0)
     with pytest.raises(DomainError):
         Nonlinearity(mu=0.1, lam=0.2, terms=((3, 1.0), (3, 2.0)))
     with pytest.raises(DomainError):
@@ -57,6 +63,8 @@ def test_coupling_decay():
     assert c[3] == pytest.approx(0.00125, rel=1e-13)
     none = Nonlinearity(mu=0.0).combined_coefficients(0, 2.0, 1.0, 2.0)
     assert none == {}
+    # the damped power is the marginal one of the block: u^3 for d = 4
+    assert Nonlinearity(mu=0.1).combined_coefficients(0, 2.0, 1.0, 4.0) == {3: -0.1}
 
 
 def test_solver_params_validation():
@@ -238,6 +246,13 @@ def test_divergence_guard():
     with pytest.raises(Divergence) as info:
         solve_block(profile(), KERNEL, TC, NL, 0, 2.0, tiny_guard)
     assert info.value.iteration == 0
+    # an iterate that overflows to NaN fails the guard at once instead of
+    # running out the Picard budget
+    huge = fixed_point_profile(KERNEL, 1.0, fs.GridSpec(256)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence) as info:
+        solve_block(huge, KERNEL, TC, NL, 0, 2.0, SolverParams())
+    assert info.value.iteration == 1
+    assert math.isnan(info.value.norm)
 
 
 def test_stacked_integrand_and_norm_match_rows():

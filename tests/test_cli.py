@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 import marginalrg.funcspace as fs
@@ -93,6 +94,14 @@ def test_flow_solver_failure_writes_partial_trace(tmp_path, capsys):
     assert manifest["completed"] is False
     assert manifest["failure"].startswith("level 0")
 
+    # an amplitude whose u^2 overflows ends in the same typed failure
+    cfg = write_config(tmp_path, SMALL_FLOW.replace("A0: 0.05", "A0: 1.0e+155"), name="big.yaml")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("flow", "--config", cfg, "--out", str(tmp_path), "--label", "big")
+    assert code == 3
+    assert "divergence at iteration 1" in capsys.readouterr().err
+    assert len((tmp_path / "big_trace.csv").read_text().splitlines()) == 2
+
 
 def test_exit_2_names_the_violated_condition(tmp_path, capsys):
     cfg = write_config(
@@ -132,6 +141,16 @@ def test_exit_2_names_the_violated_condition(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: grid: ") and "'pad_factor'" in err
 
+    # nor for the marginal power or a remainder model: p, d and coeff fix them
+    for section, key, text in (
+        ("nonlinearity", "critical_power", "time: {p: 1.0}\nnonlinearity: {critical_power: 2}\n"),
+        ("time", "r_model", "time: {p: 1.0, r_model: power, delta: 0.5, coeff: 1.0}\n"),
+    ):
+        cfg = write_config(tmp_path, text, name="knob.yaml")
+        assert run_cli("beta", "--config", cfg, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: ") and f"'{key}'" in err
+
 
 def test_beta_json_contract(tmp_path, capsys):
     import math
@@ -157,12 +176,22 @@ def test_beta_json_contract(tmp_path, capsys):
     on_disk = json.loads((tmp_path / "b_beta.json").read_text())
     assert on_disk == data
 
+    # only the prefactor needs mu > 0: at the default mu = 0 it is null and
+    # every other key stands; A0^alpha_c past the float range is no error
+    cfg = write_config(
+        tmp_path, "time: {p: 1.0}\ngrid: {n_points: 1024}\nflow: {A0: 1.0e+155}\n"
+    )
+    assert run_cli("beta", "--config", cfg, "--out", str(tmp_path), "--label", "free") == 0
+    free = json.loads(capsys.readouterr().out)
+    assert free["A_prefactor"] is None
+    assert (free["beta"], free["R_direct"]) == (data["beta"], data["R_direct"])
+
 
 def test_verify_power_model_passes(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         """
-        time: {p: 1.0, r_model: power, delta: 0.5, coeff: 1.0}
+        time: {p: 1.0, delta: 0.5, coeff: 1.0}
         flow: {n_steps: 3}
         """,
     )

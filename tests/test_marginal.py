@@ -17,7 +17,7 @@ from marginalrg.timechange import TimeChange
 GRID = fs.GridSpec()
 HEAT = heat_kernel()
 TC0 = TimeChange(p=1.0)
-TCP = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=1.0)
+TCP = TimeChange(p=1.0, delta=0.5, coeff=1.0)
 
 BETA_EXACT = math.log(2.0) / (2.0 * math.sqrt(math.pi))
 
@@ -84,11 +84,11 @@ def test_linear_profile_approaches_fixed_point():
 
 
 def test_marginal_response_basics():
-    nu = mg.marginal_response(0, HEAT, TC0, 2.0, 2, GRID)
+    nu = mg.marginal_response(0, HEAT, TC0, 2.0, GRID)
     assert nu.at_zero.real > 0.0
     assert abs(nu.at_zero.imag) < 1e-15
     # with a vanishing remainder the response cannot depend on the level
-    nu7 = mg.marginal_response(7, HEAT, TC0, 2.0, 2, GRID)
+    nu7 = mg.marginal_response(7, HEAT, TC0, 2.0, GRID)
     assert np.max(np.abs(nu.fhat - nu7.fhat)) < 1e-14
 
 
@@ -107,15 +107,17 @@ def test_marginal_response_basics():
 )
 def test_marginal_response_matches_per_tau_loop(n, kernel, tc, L, alpha_c, grid, m_tau):
     # the stacked response holds the numbers of the per-tau loop; values,
-    # not sign bits: a zero imaginary part may differ in sign
-    got = mg.marginal_response(n, kernel, tc, L, alpha_c, grid, m_tau)
+    # not sign bits: a zero imaginary part may differ in sign. The response
+    # derives its power; the loop is given the one written out here.
+    assert mg.critical_exponent(tc.p, kernel.d) == alpha_c
+    got = mg.marginal_response(n, kernel, tc, L, grid, m_tau)
     want = marginal_response_loop(n, kernel, tc, L, alpha_c, grid, m_tau)
     assert np.array_equal(got.fhat, want.fhat)
 
 
 def test_marginal_response_refinement_order():
     vals = {
-        m: mg.marginal_response(0, HEAT, TC0, 2.0, 2, GRID, m_tau=m).at_zero.real
+        m: mg.marginal_response(0, HEAT, TC0, 2.0, GRID, m_tau=m).at_zero.real
         for m in (16, 32, 64)
     }
     ratio = (vals[16] - vals[64]) / (vals[32] - vals[64])
@@ -124,7 +126,7 @@ def test_marginal_response_refinement_order():
 
 
 def test_decay_coefficient_routes_agree():
-    direct, closed, gap = mg.decay_coefficient_routes(0, HEAT, TC0, 2.0, 2, grid=GRID)
+    direct, closed, gap = mg.decay_coefficient_routes(0, HEAT, TC0, 2.0, grid=GRID)
     assert gap < 5e-6
     # 1-D closed form: beta = ln(2)/(2 sqrt(pi)) for the heat kernel, L=2
     assert closed == pytest.approx(BETA_EXACT, rel=1e-12)
@@ -150,7 +152,7 @@ def test_closed_form_matches_adaptive_quadrature():
     worst = 0.0
     for p in (0.25, 0.5, 1.0, 2.0, 3.0):
         tcs = [TimeChange(p=p)] + [
-            TimeChange(p=p, r_model="power", delta=delta, coeff=coeff)
+            TimeChange(p=p, delta=delta, coeff=coeff)
             for delta in (0.1, 0.5, 1.0, p + 0.9)
             for coeff in (0.1, 1.0, 10.0)
         ]
@@ -171,11 +173,11 @@ def test_closed_form_rejects_a_degenerate_integrand(monkeypatch):
 
 
 def test_decay_coefficient_level_independent_without_remainder():
-    b0 = mg.decay_coefficient(0, HEAT, TC0, 2.0, 2, route="closed_form")
-    b5 = mg.decay_coefficient(5, HEAT, TC0, 2.0, 2, route="closed_form")
+    b0 = mg.decay_coefficient(0, HEAT, TC0, 2.0, route="closed_form")
+    b5 = mg.decay_coefficient(5, HEAT, TC0, 2.0, route="closed_form")
     assert b0 == pytest.approx(b5, abs=1e-14)
     with pytest.raises(DomainError):
-        mg.decay_coefficient(0, HEAT, TC0, 2.0, 2, route="simpson")
+        mg.decay_coefficient(0, HEAT, TC0, 2.0, route="simpson")
 
 
 def test_decay_limit():
@@ -191,17 +193,20 @@ def test_decay_bracket():
     assert hi == pytest.approx(scale * math.sqrt(12.0), rel=1e-10)
     assert lo < BETA_EXACT < hi
     for n in range(0, 6):
-        bn = mg.decay_coefficient(n, HEAT, TCP, 2.0, 2, route="closed_form")
+        bn = mg.decay_coefficient(n, HEAT, TCP, 2.0, route="closed_form")
         assert lo < bn < hi
 
 
 def test_decay_convergence_zero_remainder():
-    rows = mg.decay_convergence(HEAT, TC0, 2.0, 2, range(2, 8))
+    rows = mg.decay_convergence(HEAT, TC0, 2.0, range(2, 8))
+    assert all(row.gap < 1e-12 for row in rows)
+    # alpha_c = 3 for d = 4, derived on both sides of the gap
+    rows = mg.decay_convergence(ScalingKernel(d=4.0, kappa=0.5), TC0, 2.0, range(2, 5))
     assert all(row.gap < 1e-12 for row in rows)
 
 
 def test_decay_convergence_power_remainder():
-    rows = mg.decay_convergence(HEAT, TCP, 2.0, 2, range(2, 21))
+    rows = mg.decay_convergence(HEAT, TCP, 2.0, range(2, 21))
     gaps = [row.gap for row in rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     # the reference envelope is a fit at the first level; the gaps drop

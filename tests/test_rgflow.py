@@ -18,7 +18,7 @@ from marginalrg.timechange import TimeChange
 GRID = GridSpec(4096, 40.0)
 HEAT = heat_kernel()
 TC0 = TimeChange(p=1.0)
-CANONICAL_NL = Nonlinearity(0.05, 0.01, 2, ((3, 1.0),))
+CANONICAL_NL = Nonlinearity(0.05, 0.01, ((3, 1.0),))
 
 
 def make_config(**overrides):
@@ -54,16 +54,27 @@ def test_config_validation():
         make_config(g0_kind="spike")
     with pytest.raises(ConfigError, match="integer"):
         make_config(kernel=heat_kernel().__class__(d=3.0))
-    with pytest.raises(ConfigError, match="critical power"):
-        make_config(nonlinearity=Nonlinearity(0.05, 0.0, 3))
+    # the marginal power is derived: a term at alpha_c is rejected, and a
+    # d = 4 kernel damps with u^3 where the heat kernel damps with u^2
+    with pytest.raises(ConfigError, match="power 2 must exceed the critical power 2"):
+        make_config(nonlinearity=Nonlinearity(0.05, 0.01, ((2, 1.0),)))
+    quartic = make_config(
+        kernel=heat_kernel().__class__(d=4.0), nonlinearity=Nonlinearity(0.05), g0_kind="zero"
+    )
+    assert quartic.alpha_c == 3
     with pytest.raises(ConfigError, match=r"\|lambda\| < mu"):
-        make_config(nonlinearity=Nonlinearity(0.05, 0.1, 2, ((3, 1.0),)))
+        make_config(nonlinearity=Nonlinearity(0.05, 0.1, ((3, 1.0),)))
     with pytest.raises(ConfigError, match="mu"):
-        make_config(nonlinearity=Nonlinearity(-0.05, 0.0, 2))
+        make_config(nonlinearity=Nonlinearity(-0.05, 0.0))
     # negative mu passes only with the explicit override
-    make_config(nonlinearity=Nonlinearity(-0.05, 0.0, 2), allow_negative_mu=True)
+    make_config(nonlinearity=Nonlinearity(-0.05, 0.0), allow_negative_mu=True)
     with pytest.raises(ConfigError, match="A0"):
         make_config(g0_eps=0.5)
+    # A0^alpha_c is compared in logs: it neither overflows nor underflows
+    make_config(A0=1e155)
+    make_config(A0=1e-200, g0_kind="zero", g0_eps=0.0)
+    with pytest.raises(ConfigError, match="A0"):
+        make_config(A0=1e-200)
 
 
 def test_initial_remainder_masses():
@@ -129,7 +140,7 @@ def test_rg_step_canonical_first_block():
 
 def test_stationary_flow_without_forcing():
     cfg = make_config(
-        nonlinearity=Nonlinearity(0.0, 0.0, 2), g0_kind="zero", g0_eps=0.0, n_steps=4
+        nonlinearity=Nonlinearity(0.0, 0.0), g0_kind="zero", g0_eps=0.0, n_steps=4
     )
     tr = rg.run_flow(cfg)
     assert tr.completed
@@ -175,7 +186,7 @@ def test_canonical_flow_theorem_trend(canonical_trace):
 
 
 def test_coupling_perturbation_is_first_order(canonical_trace):
-    tr0 = rg.run_flow(make_config(nonlinearity=Nonlinearity(0.05, 0.0, 2)))
+    tr0 = rg.run_flow(make_config(nonlinearity=Nonlinearity(0.05, 0.0)))
     gap = [
         abs(a - b) for a, b in zip(canonical_trace.amplitude, tr0.amplitude)
     ]
@@ -323,7 +334,7 @@ def test_vanishing_power_remainder_flows_as_the_zero_model(monkeypatch, tmp_path
     traces = {}
     for name, tc in (
         ("zero", TC0),
-        ("flat", TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)),
+        ("flat", TimeChange(p=1.0, delta=0.5, coeff=0.0)),
     ):
         calls[0] = 0
         trace = rg.run_flow(make_config(grid=GridSpec(1024, 40.0), tc=tc))

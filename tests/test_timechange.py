@@ -6,22 +6,27 @@ import pytest
 from marginalrg.errors import DomainError
 from marginalrg.timechange import TimeChange
 
-POWER = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=1.0)
+POWER = TimeChange(p=1.0, delta=0.5, coeff=1.0)
 
 
 def test_validation():
     with pytest.raises(DomainError):
         TimeChange(p=0.0)
-    with pytest.raises(DomainError):
-        TimeChange(p=1.0, r_model="spline")
-    with pytest.raises(DomainError):
-        TimeChange(p=1.0, r_model="zero", delta=0.5)
-    with pytest.raises(DomainError):
-        TimeChange(p=1.0, r_model="power", delta=0.0, coeff=1.0)
-    with pytest.raises(DomainError):
-        TimeChange(p=1.0, r_model="power", delta=2.0, coeff=1.0)
-    with pytest.raises(DomainError):
-        TimeChange(p=1.0, r_model="power", delta=0.5, coeff=-1.0)
+    # coeff says whether a remainder exists; there is no model name
+    with pytest.raises(TypeError):
+        TimeChange(p=1.0, r_model="power")
+    with pytest.raises(DomainError, match="delta > 0"):
+        TimeChange(p=1.0, delta=0.0, coeff=1.0)
+    with pytest.raises(DomainError, match=r"\[0, p\+1\)"):
+        TimeChange(p=1.0, delta=2.0, coeff=1.0)
+    with pytest.raises(DomainError, match=r"\[0, p\+1\)"):
+        TimeChange(p=1.0, delta=-0.5)
+    with pytest.raises(DomainError, match=">= 0"):
+        TimeChange(p=1.0, delta=0.5, coeff=-1.0)
+    with pytest.raises(DomainError, match=">= 0"):
+        TimeChange(p=1.0, delta=0.5, coeff=float("inf"))
+    # a vanishing coefficient takes any delta in [0, p+1)
+    assert TimeChange(p=1.0, delta=0.5).vanishes
 
 
 def test_time_domain():
@@ -73,7 +78,7 @@ def test_block_matches_naive_rescaling():
 
 def test_composition_identity():
     # s(L^{n+1}) - s(L^n) = L^{n(p+1)} s_n(L)
-    for tc in (TimeChange(p=1.0), POWER, TimeChange(p=0.5, r_model="power", delta=0.7, coeff=0.3)):
+    for tc in (TimeChange(p=1.0), POWER, TimeChange(p=0.5, delta=0.7, coeff=0.3)):
         for n in range(0, 9):
             lhs = float(tc.elapsed(2.0 ** (n + 1)) - tc.elapsed(2.0**n))
             rhs = 2.0 ** (n * (tc.p + 1.0)) * float(tc.block_elapsed(n, 2.0, 2.0))
@@ -99,7 +104,7 @@ def test_a_vanishing_power_is_the_zero_model():
     # coeff = 0 makes every remainder term an exact zero, so the power
     # formula reproduces the zero model bit for bit
     zero = TimeChange(p=1.0)
-    flat = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)
+    flat = TimeChange(p=1.0, delta=0.5, coeff=0.0)
     assert zero.vanishes and flat.vanishes and not POWER.vanishes
     t = np.linspace(1.0, 2.0, 33)
     assert np.array_equal(flat.elapsed(8.0 * t), zero.elapsed(8.0 * t))

@@ -18,14 +18,14 @@ from marginalrg import verify
 
 HEAT = ScalingKernel(d=2.0, kappa=1.0, q=2)
 TC0 = TimeChange(p=1.0)
-TCP = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=1.0)
+TCP = TimeChange(p=1.0, delta=0.5, coeff=1.0)
 
 
 def make_config(**overrides):
     base = dict(
         kernel=HEAT,
         tc=TC0,
-        nonlinearity=Nonlinearity(0.05, 0.01, 2, ((3, 1.0),)),
+        nonlinearity=Nonlinearity(0.05, 0.01, ((3, 1.0),)),
         grid=GridSpec(4096, 40.0),
         solver=SolverParams(),
         L=2.0,
@@ -65,7 +65,7 @@ def test_direct_linear_closed_form():
     # initial data, and landmark times must be exact nodes even for a
     # non-dyadic L
     cfg = make_config(
-        nonlinearity=Nonlinearity(0.0, 0.0, 2, ()),
+        nonlinearity=Nonlinearity(0.0, 0.0, ()),
         grid=GridSpec(1024, 40.0),
         g0_kind="zero",
         g0_eps=0.0,
@@ -253,7 +253,7 @@ def test_run_verification_power_model_branches():
     # convergence variant of the beta check
     cfg = make_config(
         tc=TCP,
-        nonlinearity=Nonlinearity(0.0, 0.0, 2, ()),
+        nonlinearity=Nonlinearity(0.0, 0.0, ()),
         g0_kind="zero",
         g0_eps=0.0,
         n_steps=3,
@@ -277,7 +277,7 @@ def test_run_verification_vanishing_power_remainder():
     # a power remainder with coeff = 0 is the zero remainder: the fixed-point
     # check takes its exact branch (the envelope would divide by rho_n = 0)
     # and the beta check its constant variant, and every check passes
-    flat = TimeChange(p=1.0, r_model="power", delta=0.5, coeff=0.0)
+    flat = TimeChange(p=1.0, delta=0.5, coeff=0.0)
     report = verify.run_verification(make_config(tc=flat, grid=GridSpec(1024, 40.0)))
     assert [c.name for c in report.checks][4] == "beta_constant"
     assert len(report.checks) == 10
