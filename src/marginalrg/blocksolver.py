@@ -30,6 +30,8 @@ from .funcspace import (  # noqa: F401
     _Workspace,
     _chunks,
     _layout_of,
+    _run_chunks,
+    _warn_if_under_resolved,
 )
 from .marginal import critical_exponent
 
@@ -204,12 +206,20 @@ def _duhamel_rows(integrand, emult, h, work):
 
 
 def _block_norm(rows, layout, q, work, deriv=None):
-    """sup over rows of the weighted norm; deriv, if given, gets fhat'."""
+    """sup over rows of the weighted norm; deriv, if given, gets fhat'.
+
+    An under-resolved row warns once, at the caller's line.
+    """
     norms = np.empty(rows.shape[0])
-    for c in _chunks(*rows.shape):
+    tails = np.empty(rows.shape[0])
+
+    def body(c):
         d = work.scratch(1, rows[c].shape) if deriv is None else deriv[c]
         layout.deriv(rows[c], d, work)
-        layout.norm(rows[c], d, q, norms[c], work)
+        _, tails[c] = layout.norm(rows[c], d, q, norms[c], work)
+
+    _run_chunks(body, _chunks(*rows.shape))
+    _warn_if_under_resolved(np.max(tails), layout.grid)
     return float(np.max(norms))
 
 
@@ -252,18 +262,25 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
     new_norms = np.empty(u0.shape[0])
+    tails = np.empty(u0.shape[0])
+
+    def update(c):
+        # the norm of the update and, through du, of u_new on chunk c
+        step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
+        dstep = layout.deriv(step, work.scratch(1, step.shape), work)
+        _, step_tail = layout.norm(step, dstep, kernel.q, step_norms[c], work)
+        du[c] += dstep
+        _, new_tail = layout.norm(u_new[c], du[c], kernel.q, new_norms[c], work)
+        tails[c] = np.maximum(step_tail, new_tail)  # NaN wins
+
     for it in range(1, params.picard_max + 1):
         if spare is None:
             spare = work.stack(f"iterate{it}", u0.shape)
         u_new = layout.power(u, coeffs, spare, work)
         _duhamel_rows(u_new, emult, h, work)
         u_new += u0
-        for c in _chunks(*u0.shape):
-            step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
-            dstep = layout.deriv(step, work.scratch(1, step.shape), work)
-            layout.norm(step, dstep, kernel.q, step_norms[c], work)
-            du[c] += dstep
-            layout.norm(u_new[c], du[c], kernel.q, new_norms[c], work)
+        _run_chunks(update, _chunks(*u0.shape))
+        _warn_if_under_resolved(np.max(tails), layout.grid)
         delta = float(np.max(step_norms))
         bnorm = float(np.max(new_norms))
         if not bnorm <= guard:  # a NaN norm fails too

@@ -10,13 +10,19 @@ A spectrum that is exactly Hermitian (the transform of a real function) is
 transformed with half-length real FFTs inside the power and the norm; any
 other spectrum takes the complex ones. Stacks of such spectra are held in
 the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
--omega_max, with the full sorted axis built when a caller needs it.
+-omega_max, with the full sorted axis built when a caller needs it. A
+stack's rows are transformed and normed in chunks that run on every CPU
+the process may use (_run_chunks), with the same bits as on one.
 """
 
+import contextvars
 import dataclasses
 import functools
 import math
 import mmap
+import os
+import queue
+import threading
 import warnings
 import weakref
 
@@ -300,8 +306,9 @@ class _Layout:
         Real fields take one irfft, the sum formed in physical space and
         one rfft; any other spectrum takes one complex transform per
         power, with the coefficients applied on the band. A stack runs in
-        _chunks of its padded width, each read before its output is
-        written, so out may be rows itself.
+        _chunks of its padded width, shared out by _run_chunks; a chunk is
+        read before its output is written, so out may be rows itself. The
+        scratch comes from each thread's slots 0-2 of work.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
         work = _Workspace() if work is None else work
@@ -314,7 +321,8 @@ class _Layout:
         width = rows.shape[-1]
         # a view for one row or a stack, so each chunk writes into out
         stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
-        for c in _chunks(len(stack), pad * width):
+
+        def body(c):
             chunk, dst = stack[c], dest[c]
             k = len(chunk)
             if self.real:
@@ -325,13 +333,15 @@ class _Layout:
                 )
                 total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
                 _forward_half(total, n, dx_big, dst, spec)
-                continue
+                return
             big = np.zeros((k, m), dtype=np.complex128)
             big[:, band] = chunk
             phys = _inverse_raw(big, dx_big)
             np.multiply(_forward_raw(phys ** powers[0], dx_big)[:, band], coeffs[powers[0]], out=dst)
             for p in powers[1:]:
                 dst += coeffs[p] * _forward_raw(phys**p, dx_big)[:, band]
+
+        _run_chunks(body, _chunks(len(stack), pad * width))
         return out
 
     def deriv(self, rows, out=None, work=None):
@@ -352,10 +362,12 @@ class _Layout:
     def norm(self, rows, deriv, q, out=None, work=None):
         """Weighted sup norm of each row of a stack, given its derivative rows.
 
-        The row-stack form of weighted_norm: one warning covers every row
-        whose outer-octave tail exceeds the grid's tail_tol. In the half
-        layout the outer octaves are the contiguous nodes [N/8:], and
-        |fhat|, |fhat'| are even, so the sup over the half is the sup.
+        The row-stack form of weighted_norm. Returns the norms (in out) and
+        the stack's tail: the largest |fhat| of any row on the outer
+        octaves, which the caller passes to _warn_if_under_resolved once
+        per stack. In the half layout the outer octaves are the contiguous
+        nodes [N/8:], and |fhat|, |fhat'| are even, so the sup over the
+        half is the sup.
         """
         if q < 0:
             raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
@@ -363,16 +375,25 @@ class _Layout:
         work = _Workspace() if work is None else work
         size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
         band = slice(grid.n_points // 8, None) if self.real else _outer_band(grid)
-        if not np.max(size[..., band]) <= grid.tail_tol:
-            warnings.warn(
-                "input spectrum is not negligible on the outer frequency "
-                "octaves; the reported norm may be under-resolved",
-                UnderResolvedWarning,
-                stacklevel=3,
-            )
+        tail = float(np.max(size[..., band]))
         total = np.add(size, np.abs(deriv, out=work.scratch(3, rows.shape, np.float64)), out=size)
         weight = 1.0 + self.abs_omega_pow(q)
-        return np.max(np.multiply(weight, total, out=total), axis=-1, out=out)
+        return np.max(np.multiply(weight, total, out=total), axis=-1, out=out), tail
+
+
+def _warn_if_under_resolved(tail, grid, stacklevel=2):
+    """Warn when a norm's tail (_Layout.norm) exceeds the grid's tail_tol.
+
+    stacklevel counts as for warnings.warn called where this is called;
+    a NaN tail warns too.
+    """
+    if not tail <= grid.tail_tol:
+        warnings.warn(
+            "input spectrum is not negligible on the outer frequency "
+            "octaves; the reported norm may be under-resolved",
+            UnderResolvedWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _layout_of(fhat, grid):
@@ -461,7 +482,9 @@ def weighted_norm(f, q=2):
     """
     layout = _layout_of(f.fhat, f.grid)
     rows = layout.rows(f.fhat)[np.newaxis]
-    return float(layout.norm(rows, layout.deriv(rows), q)[0])
+    norms, tail = layout.norm(rows, layout.deriv(rows), q)
+    _warn_if_under_resolved(tail, f.grid)
+    return float(norms[0])
 
 
 def pointwise_power(f, k):
@@ -476,20 +499,140 @@ def pointwise_power(f, k):
     return SpectralFunction(f.grid, layout.expand(layout.power(layout.rows(f.fhat), {k: 1.0})))
 
 
-# Byte budget of one chunk of rows in the whole-stack transforms.
+# Byte budget of the chunks of rows in the whole-stack transforms that run
+# at one time, one chunk per thread.
 _CHUNK_BYTES = 1 << 20
+
+# Threads that run a stack's chunks (_run_chunks): the caller and
+# _WORKERS - 1 helpers, one per CPU the process may run on (its affinity
+# mask where the platform has one).
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def _chunks(n_rows, width):
-    """Row slices of a stack with rows of width complex values.
+    """Balanced row slices of a stack with rows of width complex values.
 
-    Whole-stack transforms and norms run one chunk of about _CHUNK_BYTES
-    at a time: a batched transform matches the per-row one bit for bit,
-    and the chunk keeps its scratch (_Workspace.scratch) small next to the
-    stacks.
+    Whole-stack transforms and norms run chunk by chunk on _WORKERS
+    threads (_run_chunks). The chunks number a multiple of _WORKERS (or
+    one per row, when there are fewer rows), differ by at most one row,
+    and hold at most _CHUNK_BYTES // _WORKERS each unless a single row is
+    larger; so the scratch of the chunks in flight (_Workspace.scratch)
+    stays within _CHUNK_BYTES, small next to the stacks. A batched
+    transform matches the per-row one bit for bit, so the chunking never
+    changes a result.
     """
-    step = max(1, _CHUNK_BYTES // (16 * width))
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    per_chunk = max(1, _CHUNK_BYTES // _WORKERS // (16 * width))
+    count = -(-n_rows // per_chunk)
+    count = min(n_rows, -(-count // _WORKERS) * _WORKERS)
+    return [slice(n_rows * i // count, n_rows * (i + 1) // count) for i in range(count)]
+
+
+class _Lane(threading.local):
+    # the scratch slot set (_Workspace.scratch) of the running thread: 0 on
+    # a calling thread, 1 .. _WORKERS - 1 on a helper running a task
+    index = 0
+
+
+_lane = _Lane()
+_tasks = queue.SimpleQueue()  # (context, _Run, lane) for the helpers
+_helpers = []
+_helpers_lock = threading.Lock()
+
+
+class _Run:
+    """One _run_chunks call: chunks that each thread claims one at a time."""
+
+    __slots__ = ("body", "chunks", "lock", "error", "done")
+
+    def __init__(self, body, chunks):
+        self.body = body
+        self.chunks = iter(chunks)
+        self.lock = threading.Lock()
+        self.error = None
+        self.done = queue.SimpleQueue()  # one item per finished helper task
+
+    def work(self):
+        while True:
+            with self.lock:
+                c = None if self.error is not None else next(self.chunks, None)
+            if c is None:
+                return
+            try:
+                self.body(c)
+            except BaseException as exc:  # the caller raises it
+                with self.lock:
+                    if self.error is None:
+                        self.error = exc
+
+
+def _serve():
+    # a helper's loop; it holds nothing of a task while it waits for the next
+    while True:
+        context, run, _lane.index = _tasks.get()
+        context.run(run.work)
+        done = run.done
+        del context, run
+        done.put(None)
+
+
+def _forget_helpers():
+    # a forked child has none of its parent's threads: it starts its own,
+    # with a queue and lock of its own
+    global _tasks, _helpers_lock
+    _helpers.clear()
+    _tasks = queue.SimpleQueue()
+    _helpers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _start_helpers():
+    with _helpers_lock:
+        while len(_helpers) < _WORKERS - 1:
+            helper = threading.Thread(
+                target=_serve, name=f"marginalrg-chunks-{len(_helpers) + 1}", daemon=True
+            )
+            helper.start()
+            _helpers.append(helper)
+
+
+def _run_chunks(body, chunks):
+    """Call body(c) for each chunk slice c of a stack, on _WORKERS threads.
+
+    The calling thread and up to _WORKERS - 1 daemon helper threads, which
+    start on the first call with two or more chunks, each claim the next
+    chunk until none is left. A body reads and writes only its chunk's
+    rows and its thread's scratch slots, and numpy releases the GIL in the
+    transforms and element-wise steps, so the chunks overlap and every
+    result is the serial one bit for bit. A helper runs its task in a copy
+    of the caller's context, so the caller's numpy errstate applies there.
+    The first exception a body raises is raised here once every thread
+    has stopped. Warnings meant for the caller are raised after this
+    returns (_Layout.norm returns its tail for that). A body must not
+    call _run_chunks itself.
+    """
+    helpers = min(len(chunks), _WORKERS) - 1
+    if helpers < 1:
+        for c in chunks:
+            body(c)
+        return
+    _start_helpers()
+    run = _Run(body, chunks)
+    for lane in range(1, helpers + 1):
+        _tasks.put((contextvars.copy_context(), run, lane))
+    run.work()
+    for _ in range(helpers):
+        run.done.get()
+    error, run = run.error, None
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None  # no cycle through this frame
 
 
 # Row stacks of at least this many bytes get an anonymous mapping of their
@@ -521,12 +664,12 @@ def _empty_stack(shape, dtype=np.complex128):
 def _empty_scratch(size):
     """An uninitialised scratch buffer of at least size bytes.
 
-    At least _CHUNK_BYTES: the scratch of one chunk (_chunks) stays within
-    that budget unless a single row exceeds it, so the slots of a solve are
-    allocated once and never grow. complex128 elements keep every view of
-    it aligned for any dtype.
+    At least _CHUNK_BYTES // _WORKERS: the scratch of one chunk (_chunks)
+    stays within that budget unless a single row exceeds it, so the slots
+    of a solve are allocated once and never grow. complex128 elements keep
+    every view of it aligned for any dtype.
     """
-    return np.empty(-(-max(size, _CHUNK_BYTES) // 16), np.complex128)
+    return np.empty(-(-max(size, _CHUNK_BYTES // _WORKERS) // 16), np.complex128)
 
 
 class _Workspace:
@@ -539,8 +682,10 @@ class _Workspace:
     so one solve's resident memory stays the stacks it holds.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
-    at the shape and dtype they need; a slot grows only for a request
-    larger than it (_empty_scratch). On a real field _Layout.power uses
+    at the shape and dtype they need. Each of the _WORKERS threads that
+    run chunks (_run_chunks) has a set of its own, and a slot grows only
+    for a request larger than it (_empty_scratch), so the sets together
+    hold about _CHUNK_BYTES per slot. On a real field _Layout.power uses
     slots 0-2 and _Layout.deriv slot 2; _Layout.norm uses slots 2 and 3 on
     any field. So a caller may keep its own chunk in slots 0 and 1 across
     deriv and norm (the Picard update and its derivative), but not across
@@ -555,7 +700,7 @@ class _Workspace:
 
     def __init__(self):
         self._stacks = {}  # role -> (stack, weakref to its owner or None)
-        self._scratch = [None] * 4
+        self._scratch = [[None] * 4 for _ in range(_WORKERS)]  # per thread
 
     def stack(self, role, shape, dtype=np.complex128):
         """An uninitialised row stack for role (_empty_stack when new)."""
@@ -579,11 +724,13 @@ class _Workspace:
                 self._stacks[role] = (held, weakref.ref(owner))
 
     def scratch(self, slot, shape, dtype=np.complex128):
-        """Slot's buffer viewed as an uninitialised array of shape and dtype."""
-        buf = self._scratch[slot]
+        """Slot's buffer in the running thread's set, viewed as an
+        uninitialised array of shape and dtype."""
+        slots = self._scratch[_lane.index]
+        buf = slots[slot]
         size = math.prod(shape) * np.dtype(dtype).itemsize
         if buf is None or buf.nbytes < size:
-            buf = self._scratch[slot] = _empty_scratch(size)
+            buf = slots[slot] = _empty_scratch(size)
         return np.ndarray(shape, dtype, buf)
 
 

@@ -172,9 +172,12 @@ def marginal_response(n, kernel, tc, L, grid, m_tau=64):
 
 
 def _evolve(rows, kernel, layout, t):
-    # each row times its multiplier; a time of exactly 0 is the identity
-    moving = t != 0.0
-    rows[moving] *= kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), t[moving])
+    # each row times its multiplier, in place; a time of exactly 0 is the
+    # identity, and zeros sit only at the ends (tau = 0 or L - 1), so the
+    # rows that move are one slice
+    moving = np.flatnonzero(t)
+    run = slice(moving[0], moving[-1] + 1)
+    rows[run] *= kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), t[run])
 
 
 @functools.lru_cache(maxsize=1)

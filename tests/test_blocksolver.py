@@ -1,6 +1,8 @@
 """Single-block Picard solver against independent oracles."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,11 +257,76 @@ def test_divergence_guard():
     assert math.isnan(info.value.norm)
 
 
+def test_errstate_applies_on_every_thread(monkeypatch):
+    # numpy's errstate is a context variable, which a new thread does not
+    # inherit: the helpers run the chunks in a copy of the caller's context
+    monkeypatch.setattr(fs, "_WORKERS", max(2, fs._WORKERS))
+    huge = fixed_point_profile(KERNEL, 1.0, fs.GridSpec(256)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence):
+            solve_block(huge, KERNEL, TC, NL, 0, 2.0, SolverParams())
+
+
+def test_under_resolved_stacks_warn_once_at_the_solver_line(monkeypatch):
+    # one warning for the linear stack and one per Picard iteration, each
+    # raised on the calling thread at the line that asked for the norm
+    monkeypatch.setattr(fs, "_WORKERS", max(2, fs._WORKERS))
+    slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
+    params = SolverParams(m=16)
+    assert len(fs._chunks(params.m + 1, GRID.n_points // 2 + 1)) > 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_block(slow, KERNEL, TC, NL, 0, 2.0, params)
+    assert [w.category for w in caught] == [UnderResolvedWarning] * (1 + sol.iterations)
+    source = Path(blocksolver.__file__).read_text().splitlines()
+    assert caught[0].filename == blocksolver.__file__
+    assert "_block_norm(u0, " in source[caught[0].lineno - 1]
+    for w in caught[1:]:
+        assert w.filename == blocksolver.__file__
+        assert "return _picard_rows(" in source[w.lineno - 1]
+
+
+def test_threads_change_no_bit(monkeypatch):
+    # no row's arithmetic depends on another row, so the chunks give the
+    # same bits on one thread as on several
+    params = SolverParams(m=76)
+    coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
+    rows = np.array([s.fhat for s in linear_block(profile(), KERNEL, TC, 0, 2.0, params).slices])
+    half = fs._Layout(GRID, True)
+    held = half.rows(rows)
+    plain = fs._Layout(GRID, False)
+    skew = rows + 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
+
+    def run():
+        work = fs._Workspace()
+        deriv = np.empty_like(held)
+        norm = blocksolver._block_norm(held, half, 2, work, deriv)
+        sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
+        return (
+            half.power(held, coeffs, work=work),
+            plain.power(skew, coeffs, work=work),
+            deriv,
+            norm,
+            [s.fhat for s in sol.slices],
+            (sol.iterations, sol.final_delta),
+        )
+
+    monkeypatch.setattr(fs, "_WORKERS", 1)
+    serial = run()
+    monkeypatch.setattr(fs, "_WORKERS", max(2, fs._WORKERS))
+    assert len(fs._chunks(*held.shape)) > 1
+    threaded = run()
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
 def test_stacked_integrand_and_norm_match_rows():
-    # 77 and 65 rows: not a multiple of the chunk of the padded (2N) or the
-    # plain (N) full-layout transforms, nor of the padded half-layout ones,
-    # and more than one chunk of each. One workspace serves every stacked
-    # call, so its scratch is reused across chunk shapes and layouts.
+    # 77 and 65 rows: more than one chunk of the padded (2N) and the plain
+    # (N) full-layout transforms and of the padded half-layout ones. One
+    # workspace serves every stacked call, so its scratch is reused across
+    # chunk shapes and layouts.
     work = fs._Workspace()
     for m in (76, 64):
         check_stacked_rows(m, work)
@@ -270,8 +337,7 @@ def check_stacked_rows(m, work):
     rows = np.array([s.fhat for s in lin.slices])
     half_width = GRID.n_points // 2 + 1
     for width in (GRID.n_points, 2 * GRID.n_points, 2 * half_width):
-        chunk = fs._CHUNK_BYTES // (16 * width)
-        assert chunk < rows.shape[0] and rows.shape[0] % chunk != 0
+        assert len(fs._chunks(rows.shape[0], width)) > 1
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     full = FullRealLayout(GRID)
     half = fs._Layout(GRID, True)

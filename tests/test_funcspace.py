@@ -2,12 +2,20 @@
 
 import math
 import mmap
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from block_oracles import FullRealLayout, deriv_rows
 
+from marginalrg import config
 from marginalrg import funcspace as fs
 from marginalrg.errors import DomainError, UnderResolved, UnderResolvedWarning
 from marginalrg.kernel import heat_kernel
@@ -137,7 +145,7 @@ def test_stacked_norm_matches_rows():
     assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
     assert np.array_equal(half.expand(held), rows)
     for q in (0, 2, 4):
-        stacked = full.norm(rows, deriv_rows(rows, GRID), q)
+        stacked, _ = full.norm(rows, deriv_rows(rows, GRID), q)
         # per-row reference: the weighted_norm formula on one row at a time,
         # with complex transforms; the rows are real fields, which the norm
         # transforms as such, so the two agree to rounding
@@ -151,11 +159,11 @@ def test_stacked_norm_matches_rows():
             stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
         )
         # the sup over the half layout is the sup over the whole axis
-        assert np.array_equal(half.norm(held, half.deriv(held), q), stacked)
+        assert np.array_equal(half.norm(held, half.deriv(held), q)[0], stacked)
         assert np.array_equal(chunked_norms(half, held, q, work), stacked)
         assert np.array_equal(chunked_norms(full, rows, q, work), stacked)
         # a field that is not real: complex transforms on the full axis
-        skewed = plain.norm(skew, plain.deriv(skew), q)
+        skewed, _ = plain.norm(skew, plain.deriv(skew), q)
         assert np.array_equal(
             skewed, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in skew]
         )
@@ -164,24 +172,145 @@ def test_stacked_norm_matches_rows():
     band = np.flatnonzero(fs._to_half(fs._outer_band(GRID)))
     assert np.array_equal(band, np.arange(GRID.n_points // 8, GRID.n_points // 2 + 1))
     # a tail on the first node of the band warns in both layouts, one node
-    # further in does not
+    # further in does not; the norm returns the tail, its caller warns
     for k, warns in ((GRID.n_points // 8, True), (GRID.n_points // 8 - 1, False)):
         edge = np.where(np.abs(GRID.omega) == k * GRID.dw, 1e-6, 0.0).astype(complex)
         for layout in (full, half):
             held = layout.rows(edge[np.newaxis])
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                layout.norm(held, layout.deriv(held), 2)
+                _, tail = layout.norm(held, layout.deriv(held), 2)
+                fs._warn_if_under_resolved(tail, GRID)
             assert (len(caught) == 1) == warns
     # one under-resolved row is enough for the stack's warning, in either layout
     rows[5] = 1.0 / (1.0 + GRID.omega**2)
     with pytest.warns(UnderResolvedWarning):
-        full.norm(rows, deriv_rows(rows, GRID), 2)
+        fs._warn_if_under_resolved(full.norm(rows, deriv_rows(rows, GRID), 2)[1], GRID)
     held = half.rows(rows)
     with pytest.warns(UnderResolvedWarning):
-        half.norm(held, half.deriv(held), 2)
+        fs._warn_if_under_resolved(half.norm(held, half.deriv(held), 2)[1], GRID)
     with pytest.raises(DomainError):
         full.norm(rows, rows, -1)
+
+
+def test_chunks_are_balanced_and_share_out_evenly(monkeypatch):
+    # a multiple of the thread count (or one chunk per row), sizes within
+    # one row of each other, and each within its thread's share of the
+    # budget unless one row alone exceeds it
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fs, "_WORKERS", workers)
+        for n_rows, width in ((65, 2049), (65, 4098), (193, 8193), (1, 4096), (2, 513), (7, 1 << 17)):
+            chunks = fs._chunks(n_rows, width)
+            sizes = [c.stop - c.start for c in chunks]
+            assert chunks[0].start == 0 and chunks[-1].stop == n_rows
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert len(chunks) % workers == 0 or len(chunks) == n_rows
+            assert max(sizes) == 1 or 16 * width * max(sizes) <= fs._CHUNK_BYTES // workers
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    # at least two threads share out the chunks, whatever the CPU count
+    monkeypatch.setattr(fs, "_WORKERS", max(2, fs._WORKERS))
+
+
+class WeakWorkspace(fs._Workspace):
+    """A workspace that takes weak references (no __slots__)."""
+
+
+def test_threaded_calls_keep_no_reference(threads):
+    # a helper drops the task (the body's closure over the arrays and the
+    # workspace) before it waits for the next one
+    layout = fs._Layout(GRID, True)
+    held = layout.rows(gauss().fhat)[np.newaxis].repeat(37, axis=0)
+    assert len(fs._chunks(len(held), 2 * held.shape[-1])) > 1
+    work, out = WeakWorkspace(), np.empty_like(held)
+    layout.power(held, {2: 1.0}, out, work)
+    refs = [weakref.ref(work), weakref.ref(out)]
+    del work, out
+    assert [r() for r in refs] == [None, None]
+
+
+def test_a_helper_exception_reaches_the_caller(threads):
+    caller = threading.current_thread()
+    chunks = [slice(i, i + 1) for i in range(8)]
+    helper_ran = threading.Event()
+
+    def body(c):
+        # the caller's first chunk waits until a helper has raised
+        if threading.current_thread() is caller:
+            assert helper_ran.wait(10)
+        else:
+            helper_ran.set()
+            raise ValueError("raised in a helper")
+
+    with pytest.raises(ValueError, match="raised in a helper"):
+        fs._run_chunks(body, chunks)
+    # the helpers stay usable
+    seen = np.zeros(8)
+
+    def count(c):
+        seen[c] += 1
+
+    fs._run_chunks(count, chunks)
+    assert np.array_equal(seen, np.ones(8))
+
+
+def test_every_chunk_runs_once_under_contention(monkeypatch):
+    # more threads than CPUs and a switch interval of a microsecond: a
+    # chunk claimed twice or never shows in the counts
+    monkeypatch.setattr(fs, "_WORKERS", max(4, fs._WORKERS + 2))
+    chunks = [slice(i, i + 1) for i in range(64)]
+    seen = np.zeros(64, dtype=np.int64)
+
+    def count(c):
+        seen[c] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            fs._run_chunks(count, chunks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(seen, np.full(64, 100))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helpers(threads):
+    # the child of a fork has none of its parent's helper threads
+    layout = fs._Layout(GRID, True)
+    held = layout.rows(gauss().fhat)[np.newaxis].repeat(8, axis=0)
+    want = layout.power(held, {2: 1.0})
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(layout.power(held, {2: 1.0}), want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_one_chunk_calls_start_no_thread(threads, monkeypatch):
+    def refuse():
+        raise AssertionError("the call shared out its chunks")
+
+    monkeypatch.setattr(fs, "_start_helpers", refuse)
+    fs.weighted_norm(gauss(), 2)
+    fs.pointwise_power(gauss(), 3)
+    # FlowConfig's set-up takes the weighted norm of g0, one row
+    config.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "canonical.yaml"))
+    with pytest.raises(AssertionError, match="shared out"):
+        layout = fs._Layout(GRID, True)
+        layout.power(layout.rows(gauss().fhat)[np.newaxis].repeat(2, axis=0), {2: 1.0})
 
 
 def test_pointwise_power_rejects_low_powers():
