@@ -381,10 +381,10 @@ class _Layout:
         return np.max(np.multiply(weight, total, out=total), axis=-1, out=out), tail
 
 
-def _warn_if_under_resolved(tail, grid, stacklevel=2):
+def _warn_if_under_resolved(tail, grid):
     """Warn when a norm's tail (_Layout.norm) exceeds the grid's tail_tol.
 
-    stacklevel counts as for warnings.warn called where this is called;
+    The warning points at the caller of the function that calls this one;
     a NaN tail warns too.
     """
     if not tail <= grid.tail_tol:
@@ -392,7 +392,7 @@ def _warn_if_under_resolved(tail, grid, stacklevel=2):
             "input spectrum is not negligible on the outer frequency "
             "octaves; the reported norm may be under-resolved",
             UnderResolvedWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 
@@ -518,10 +518,12 @@ def _chunks(n_rows, width):
     threads (_run_chunks). The chunks number a multiple of _WORKERS (or
     one per row, when there are fewer rows), differ by at most one row,
     and hold at most _CHUNK_BYTES // _WORKERS each unless a single row is
-    larger; so the scratch of the chunks in flight (_Workspace.scratch)
-    stays within _CHUNK_BYTES, small next to the stacks. A batched
-    transform matches the per-row one bit for bit, so the chunking never
-    changes a result.
+    larger. While a row fits that share, the scratch of the chunks in
+    flight (_Workspace.scratch) stays within _CHUNK_BYTES, small next to
+    the stacks; past it (a 4098-wide padded half row on 16 or more
+    CPUs) every chunk is one row and the scratch grows with _WORKERS. A
+    batched transform matches the per-row one bit for bit, so the
+    chunking never changes a result.
     """
     per_chunk = max(1, _CHUNK_BYTES // _WORKERS // (16 * width))
     count = -(-n_rows // per_chunk)
@@ -616,14 +618,11 @@ def _run_chunks(body, chunks):
     call _run_chunks itself.
     """
     helpers = min(len(chunks), _WORKERS) - 1
-    if helpers < 1:
-        for c in chunks:
-            body(c)
-        return
-    _start_helpers()
     run = _Run(body, chunks)
-    for lane in range(1, helpers + 1):
-        _tasks.put((contextvars.copy_context(), run, lane))
+    if helpers >= 1:
+        _start_helpers()
+        for lane in range(1, helpers + 1):
+            _tasks.put((contextvars.copy_context(), run, lane))
     run.work()
     for _ in range(helpers):
         run.done.get()
@@ -684,12 +683,15 @@ class _Workspace:
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each of the _WORKERS threads that
     run chunks (_run_chunks) has a set of its own, and a slot grows only
-    for a request larger than it (_empty_scratch), so the sets together
-    hold about _CHUNK_BYTES per slot. On a real field _Layout.power uses
-    slots 0-2 and _Layout.deriv slot 2; _Layout.norm uses slots 2 and 3 on
-    any field. So a caller may keep its own chunk in slots 0 and 1 across
-    deriv and norm (the Picard update and its derivative), but not across
-    power. blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
+    for a request larger than it (_empty_scratch). While a row fits
+    _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold about
+    _CHUNK_BYTES per slot, as one set did on one thread; past that each
+    set holds a whole row, so the scratch grows with _WORKERS. On a real
+    field _Layout.power uses slots 0-2 and _Layout.deriv slot 2;
+    _Layout.norm uses slots 2 and 3 on any field. So a caller may keep
+    its own chunk in slots 0 and 1 across deriv and norm (the Picard
+    update and its derivative), but not across power.
+    blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
 
     A flow creates one for all its blocks; a lone solve, and a layout call
     given none (marginal_response's power, one-row calls), makes its own.
