@@ -205,22 +205,32 @@ def _duhamel_rows(integrand, emult, h, work):
     return integrand
 
 
-def _block_norm(rows, layout, q, work, deriv=None):
-    """sup over rows of the weighted norm; deriv, if given, gets fhat'.
+# Relative margin by which a Picard bound must stay below its limit (the
+# guard, tail_tol) to stand for the exact value: the bounds add norms
+# computed in floating point, for which the triangle inequality holds only
+# up to rounding of order eps log N (1 + omega_max^q) relative to the norm,
+# once per iteration.
+_BOUND_SLACK = 1e-6
 
-    An under-resolved row warns once, at the caller's line.
-    """
+
+def _norm_and_tail(rows, layout, q, work):
+    """sup over rows of the weighted norm, and the stack's tail (_Layout.norm)."""
     norms = np.empty(rows.shape[0])
     tails = np.empty(rows.shape[0])
 
     def body(c):
-        d = work.scratch(1, rows[c].shape) if deriv is None else deriv[c]
-        layout.deriv(rows[c], d, work)
+        d = layout.deriv(rows[c], work.scratch(1, rows[c].shape), work)
         _, tails[c] = layout.norm(rows[c], d, q, norms[c], work)
 
     _run_chunks(body, _chunks(*rows.shape))
-    _warn_if_under_resolved(np.max(tails), layout.grid)
-    return float(np.max(norms))
+    return float(np.max(norms)), float(np.max(tails))
+
+
+def _block_norm(rows, layout, q, work):
+    """_norm_and_tail, warning once at the caller's line when under-resolved."""
+    norm, tail = _norm_and_tail(rows, layout, q, work)
+    _warn_if_under_resolved(tail, layout.grid)
+    return norm, tail
 
 
 def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
@@ -228,19 +238,25 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
 
     The rows are held in one layout for the whole solve, chosen once from
     f: the half spectra of a real field, else the full sorted axis.
-    du carries the frequency derivative of the current iterate u. Each
-    iteration transforms only the update u_new - u, whose norm is the
-    convergence measure, and adds it to du for the guard norm of u_new:
-    the derivative is linear, so this is one derivative transform per
-    iteration instead of two. The guard norm differs from a fresh one by
-    rounding only, and is only compared with 10x the linear norm.
+    Each iteration transforms only the update u_new - u, whose norm is the
+    convergence measure. The guard and the tail warning need the norm and
+    tail of u_new itself, and the triangle inequality bounds them by those
+    of u plus those of the update: starting from the exact values of u0,
+    each iteration adds the update's. Only when a bound comes within
+    _BOUND_SLACK of the guard or of tail_tol does the iteration evaluate
+    u_new's norm and tail afresh (one more derivative transform), compare
+    those, and carry them on as the bounds. So a converging solve makes
+    one derivative transform per iteration, and Divergence reports an
+    exact norm.
 
     The stacks and the chunk scratch come from work (a funcspace
-    _Workspace; a new one when None): u0 and its multipliers, du, the
-    step multipliers and two iterate stacks that trade places, each
+    _Workspace; a new one when None): u0 and its multipliers, the step
+    multipliers and two iterate stacks that trade places, each
     iteration's integrand becoming its Duhamel sum and then its new
-    iterate in the stack the iterate before last held. The stack that
-    ends as the solution's rows is handed over to it.
+    iterate in the stack the iterate before last held. u0's multipliers
+    are needed only until u0 is formed, so a solve on mapped stacks holds
+    four at a time. The stack that ends as the solution's rows is handed
+    over to it.
     """
     work = _Workspace() if work is None else work
     layout = _layout_of(f.fhat, f.grid)
@@ -248,30 +264,27 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
     u0 = _linear_rows(f, kernel, layout, elapsed, work)
     guard = params.norm_guard
     if guard is not None:
-        f_norm = _block_norm(u0[:1], layout, kernel.q, work)
+        f_norm, _ = _block_norm(u0[:1], layout, kernel.q, work)
         if not f_norm <= guard:
             raise Divergence(0, f_norm, guard)
-    du = work.stack("deriv", u0.shape)
-    linear_norm = _block_norm(u0, layout, kernel.q, work, du)
+    norm_bound, tail_bound = _block_norm(u0, layout, kernel.q, work)
     if guard is None:
-        guard = 10.0 * linear_norm
+        guard = 10.0 * norm_bound
     if not coeffs:
         return _solution(work, layout, times, f.fhat, u0, 1, 0.0)
+    norm_room = (1.0 - _BOUND_SLACK) * guard
+    tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
     emult = _step_multipliers(kernel, layout, elapsed, work)
     u, spare = u0, None
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
-    new_norms = np.empty(u0.shape[0])
-    tails = np.empty(u0.shape[0])
+    step_tails = np.empty(u0.shape[0])
 
     def update(c):
-        # the norm of the update and, through du, of u_new on chunk c
+        # the norm and tail of the update on chunk c
         step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
         dstep = layout.deriv(step, work.scratch(1, step.shape), work)
-        _, step_tail = layout.norm(step, dstep, kernel.q, step_norms[c], work)
-        du[c] += dstep
-        _, new_tail = layout.norm(u_new[c], du[c], kernel.q, new_norms[c], work)
-        tails[c] = np.maximum(step_tail, new_tail)  # NaN wins
+        _, step_tails[c] = layout.norm(step, dstep, kernel.q, step_norms[c], work)
 
     for it in range(1, params.picard_max + 1):
         if spare is None:
@@ -280,11 +293,15 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
         _duhamel_rows(u_new, emult, h, work)
         u_new += u0
         _run_chunks(update, _chunks(*u0.shape))
-        _warn_if_under_resolved(np.max(tails), layout.grid)
         delta = float(np.max(step_norms))
-        bnorm = float(np.max(new_norms))
-        if not bnorm <= guard:  # a NaN norm fails too
-            raise Divergence(it, bnorm, guard)
+        step_tail = float(np.max(step_tails))
+        norm_bound += delta
+        tail_bound += step_tail
+        if not (norm_bound <= norm_room and tail_bound <= tail_room):  # NaN fails
+            norm_bound, tail_bound = _norm_and_tail(u_new, layout, kernel.q, work)
+        _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
+        if not norm_bound <= guard:
+            raise Divergence(it, norm_bound, guard)
         spare = None if u is u0 else u
         u = u_new
         if delta < params.picard_tol:

@@ -678,7 +678,11 @@ class _Workspace:
     given out again for its role, unless it was handed over (hand_over) to
     a solution that still lives: a solution's rows are never written while
     anyone holds it. A mapped stack is made afresh each time and not kept,
-    so one solve's resident memory stays the stacks it holds.
+    so one solve's resident memory stays the stacks it holds. A Picard
+    solve (blocksolver._picard_rows) asks for five roles: u0 ("linear")
+    and its multipliers ("evolve"), needed only until u0 is formed, the
+    step multipliers ("steps") and two iterates ("iterate1", "iterate2");
+    on mapped stacks it holds four at a time.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each of the _WORKERS threads that

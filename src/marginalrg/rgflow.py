@@ -34,7 +34,9 @@ from .marginal import (
 )
 from .timechange import TimeChange
 
-# split residual allowed in grid max norm, and mass allowed at omega = 0
+# split residual allowed in grid max norm, and mass allowed at omega = 0,
+# per unit of the amplitude scale max(1, |A|) (_split_bound): the split
+# adds terms of size |A|, so its rounding grows with |A|
 SPLIT_TOL = 1e-9
 MASS_TOL = 1e-10
 
@@ -175,21 +177,28 @@ def _split_drift(f, amplitude, reference, remainder):
     return float(np.max(np.abs(gap)))
 
 
+def _split_bound(tol, amplitude):
+    return tol * max(1.0, abs(amplitude))
+
+
 def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=None):
     """Advance the split one block: solve, correct, rescale.
 
     The amplitude absorbs the zero-frequency mass of the nonlinear
     correction; the remainder keeps everything else and stays
     mass-free.  Raises DecompositionDrift when the split residual or
-    the remainder mass leaves tolerance, and propagates solver errors.
+    the remainder mass leaves tolerance (SPLIT_TOL, MASS_TOL times the
+    amplitude scale max(1, |A|), with A_n entering the level and A_{n+1}
+    leaving it), and propagates solver errors.
     workspace is the solver's working memory, passed on to solve_block.
     """
     grid = f.grid
     here = linear_profile(kernel, tc, n, L, grid)
     drift_in = _split_drift(f, amplitude, here, remainder)
-    if drift_in > SPLIT_TOL:
+    bound = _split_bound(SPLIT_TOL, amplitude)
+    if drift_in > bound:
         raise DecompositionDrift(
-            f"split residual {drift_in:.3e} exceeds {SPLIT_TOL:.1e} "
+            f"split residual {drift_in:.3e} exceeds {bound:.1e} "
             f"entering level {n}"
         )
     sol = solve_block(f, kernel, tc, nl, n, L, params, workspace)
@@ -207,15 +216,17 @@ def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=Non
         - up * mass_shift
     )
     mass = abs(fs.eval_at_zero(g_next))
-    if mass > MASS_TOL:
+    bound = _split_bound(MASS_TOL, a_next)
+    if mass > bound:
         raise DecompositionDrift(
-            f"remainder mass {mass:.3e} exceeds {MASS_TOL:.1e} "
+            f"remainder mass {mass:.3e} exceeds {bound:.1e} "
             f"leaving level {n}"
         )
     drift_out = _split_drift(f_next, a_next, up, g_next)
-    if drift_out > SPLIT_TOL:
+    bound = _split_bound(SPLIT_TOL, a_next)
+    if drift_out > bound:
         raise DecompositionDrift(
-            f"split residual {drift_out:.3e} exceeds {SPLIT_TOL:.1e} "
+            f"split residual {drift_out:.3e} exceeds {bound:.1e} "
             f"leaving level {n}"
         )
     diag = StepDiagnostics(

@@ -47,7 +47,8 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
 
 def block_norm(sol, q=2):
     """sup over the time nodes of sol of the weighted norm of the slice."""
-    return blocksolver._block_norm(sol._rows, sol._layout, q, fs._Workspace())
+    norm, _ = blocksolver._block_norm(sol._rows, sol._layout, q, fs._Workspace())
+    return norm
 
 
 class FullRealLayout(fs._Layout):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +237,8 @@ def test_divergence_guard():
         solve_block(profile(), KERNEL, TC, wild, 0, 2.0, SolverParams(m=16))
     assert info.value.iteration >= 1
     assert info.value.norm > info.value.guard
-    # the guard norm is taken with the running derivative stack: it matches
-    # a fresh evaluation of the same first iterate up to rounding
+    # once the norm bound nears the guard, the guard compares the norm of
+    # the iterate itself, evaluated afresh: here that of the first iterate
     loose = SolverParams(m=16, picard_max=1, picard_tol=1e300, norm_guard=1e300)
     fresh = block_norm(solve_block(profile(), KERNEL, TC, wild, 0, 2.0, loose), 2)
     with pytest.raises(Divergence) as info:
@@ -255,6 +256,60 @@ def test_divergence_guard():
         solve_block(huge, KERNEL, TC, NL, 0, 2.0, SolverParams())
     assert info.value.iteration == 1
     assert math.isnan(info.value.norm)
+
+
+def record_exact_norms(monkeypatch):
+    """(rows, (norm, tail)) of every exact stack evaluation, in order."""
+    seen = []
+    exact = blocksolver._norm_and_tail
+
+    def recorded(rows, layout, q, work):
+        seen.append((rows.copy(), exact(rows, layout, q, work)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(blocksolver, "_norm_and_tail", recorded)
+    return seen
+
+
+def test_converging_solve_bounds_the_guard_norm(monkeypatch):
+    # ||u_new|| <= ||u|| + ||u_new - u||: from the linear norm on, the
+    # guard and tail checks of a converging solve run on the bounds alone
+    seen = record_exact_norms(monkeypatch)
+    sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
+    assert sol.iterations >= 3
+    assert len(seen) == 1
+
+
+def test_guard_crossed_by_the_bound_only_keeps_solving(monkeypatch):
+    # every iterate keeps row 0, the input, whose norm is the linear norm
+    # here: with the guard at that norm each bound crosses it and each exact
+    # norm meets it, so the solve runs on to the unguarded bits
+    free = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
+    guard = block_norm(linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=16)), 2)
+    seen = record_exact_norms(monkeypatch)
+    sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16, norm_guard=guard))
+    assert len(seen) == 2 + sol.iterations  # the input row, u0, each iterate
+    assert all(norm == guard for _, (norm, _) in seen)
+    assert (sol.iterations, sol.final_delta) == (free.iterations, free.final_delta)
+    for a, b in zip(sol.slices, free.slices):
+        assert np.array_equal(a.fhat, b.fhat)
+
+
+def test_divergence_reports_the_exact_norm(monkeypatch):
+    # the bound trips at the iteration the running guard norm did (3 at
+    # mu = -10), and the norm reported is the iterate's, not the bound
+    wild = Nonlinearity(mu=-10.0)
+    seen = record_exact_norms(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        with pytest.raises(Divergence) as info:
+            solve_block(profile(), KERNEL, TC, wild, 0, 2.0, SolverParams(m=16))
+        assert info.value.iteration == 3
+        assert info.value.norm > info.value.guard
+        times, _ = blocksolver._block_nodes(TC, 0, 2.0, 16)
+        layout = fs._layout_of(profile().fhat, GRID)
+        iterate = BlockSolution(layout, times, profile().fhat, seen[-1][0], 3, math.nan)
+        assert info.value.norm == block_norm(iterate, 2)
 
 
 def test_errstate_applies_on_every_thread(monkeypatch):
@@ -301,8 +356,8 @@ def test_threads_change_no_bit(monkeypatch):
 
     def run():
         work = fs._Workspace()
-        deriv = np.empty_like(held)
-        norm = blocksolver._block_norm(held, half, 2, work, deriv)
+        deriv = half.deriv(held, work=work)
+        norm, _ = blocksolver._block_norm(held, half, 2, work)
         sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
         return (
             half.power(held, coeffs, work=work),
@@ -356,12 +411,12 @@ def check_stacked_rows(m, work):
     for row, got in zip(held, half_integrand):
         assert np.array_equal(got, half.power(row, coeffs))
     assert np.array_equal(half.expand(half_integrand), integrand)
-    deriv = np.empty_like(rows)
-    norm = blocksolver._block_norm(rows, full, 2, work, deriv)
+    deriv = full.deriv(rows, work=work)
+    norm, _ = blocksolver._block_norm(rows, full, 2, work)
     assert np.array_equal(deriv, np.array([deriv_rows(r, GRID) for r in rows]))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
-    half_deriv = np.empty_like(held)
-    assert blocksolver._block_norm(held, half, 2, work, half_deriv) == norm
+    half_deriv = half.deriv(held, work=work)
+    assert blocksolver._block_norm(held, half, 2, work)[0] == norm
     assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
     # a field that is not real keeps the full layout and complex transforms
     odd = 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
@@ -371,8 +426,8 @@ def check_stacked_rows(m, work):
     skew_integrand = plain.power(skew, coeffs, np.empty_like(skew), work)
     for row, got in zip(skew, skew_integrand):
         assert np.array_equal(got, plain.power(row, coeffs))
-    skew_deriv = np.empty_like(skew)
-    skew_norm = blocksolver._block_norm(skew, plain, 2, work, skew_deriv)
+    skew_deriv = plain.deriv(skew, work=work)
+    skew_norm, _ = blocksolver._block_norm(skew, plain, 2, work)
     assert np.array_equal(skew_deriv, np.array([deriv_rows(r, GRID) for r in skew]))
     assert skew_norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in skew)
 
@@ -441,8 +496,8 @@ def test_duhamel_sums_in_place():
 
 
 def test_solve_allocates_its_stacks_once(monkeypatch):
-    # six stacks whatever the iteration count: u0 and its multipliers, du,
-    # the step multipliers and two iterate stacks that trade places; mapped
+    # five stacks whatever the iteration count: u0 and its multipliers, the
+    # step multipliers and two iterate stacks that trade places; mapped
     # stacks hold the same numbers as heap ones
     params = SolverParams(m=16)
     heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
@@ -457,10 +512,33 @@ def test_solve_allocates_its_stacks_once(monkeypatch):
     monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
-    assert len(shapes) == 6
+    assert len(shapes) == 5
     assert mapped.iterations == heap.iterations
     for a, b in zip(mapped.slices, heap.slices):
         assert np.array_equal(a.fhat, b.fhat)
+
+
+def test_solve_holds_four_stacks_at_a_time(monkeypatch):
+    # u0's multipliers go once u0 is formed: u0, the step multipliers and
+    # the two iterates are all a mapped solve holds at its peak
+    live, peak = set(), []
+    make = fs._empty_stack
+
+    def counted(shape, dtype=np.complex128):
+        stack = make(shape, dtype)
+        # views of a mapped stack keep its frombuffer base alive, not it
+        key = id(stack.base)
+        live.add(key)
+        peak.append(len(live))
+        weakref.finalize(stack.base, live.discard, key)
+        return stack
+
+    monkeypatch.setattr(fs, "_empty_stack", counted)
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
+    assert sol.iterations >= 3
+    assert len(peak) == 5
+    assert max(peak) == 4
 
 
 def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):

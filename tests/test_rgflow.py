@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from marginalrg import funcspace as fs
 from marginalrg import rgflow as rg
 from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
-from marginalrg.errors import ConfigError, DecompositionDrift
+from marginalrg.errors import ConfigError, DecompositionDrift, UnderResolvedWarning
 from marginalrg.funcspace import GridSpec, SpectralFunction
 from marginalrg.kernel import heat_kernel, fixed_point_profile
 from marginalrg.timechange import TimeChange
@@ -121,6 +122,40 @@ def test_rg_step_rejects_bad_split():
     f0, a0, g0 = rg.initial_state(cfg)
     with pytest.raises(DecompositionDrift):
         rg.rg_step(f0, a0 + 1e-3, g0, HEAT, TC0, CANONICAL_NL, 0, 2.0, cfg.solver)
+
+
+def test_split_corrupted_below_unit_amplitude_still_raises():
+    # at |A| <= 1 the amplitude scale is 1: the bounds are SPLIT_TOL and
+    # MASS_TOL themselves
+    cfg = make_config()
+    f0, a0, g0 = rg.initial_state(cfg)
+    fhat = f0.fhat.copy()
+    fhat[GRID.n_points // 2] += 2e-9
+    with pytest.raises(DecompositionDrift, match="2.000e-09 exceeds 1.0e-09 entering level 0"):
+        rg.rg_step(
+            SpectralFunction(GRID, fhat), a0, g0, HEAT, TC0, CANONICAL_NL, 0, 2.0, cfg.solver
+        )
+
+
+def test_linear_flow_at_large_amplitude_completes():
+    # the split of an exact linear step carries rounding relative to A: at
+    # A0 = 1e8 its residual (4.5e-8 leaving level 0) is inside 1e-9 |A|,
+    # where an absolute bound stopped the flow
+    cfg = make_config(
+        nonlinearity=Nonlinearity(0.0, 0.0),
+        grid=GridSpec(1024, 40.0),
+        g0_kind="zero",
+        g0_eps=0.0,
+        n_steps=3,
+        A0=1e8,
+    )
+    with warnings.catch_warnings():
+        # tail_tol is absolute too; its warning at large A0 is a separate matter
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        tr = rg.run_flow(cfg)
+    assert tr.completed
+    assert len(tr.amplitude) == 4
+    assert all(a == pytest.approx(1e8, rel=1e-12) for a in tr.amplitude)
 
 
 def test_rg_step_canonical_first_block():
