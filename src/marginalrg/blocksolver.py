@@ -121,20 +121,35 @@ class BlockSolution:
 
     The rows stay in the solver's layout (the half spectra of a real
     field); a slice on the sorted axis is built only when asked for, and
-    the first slice is the input spectrum as given.
+    the first slice is the input spectrum as given. elapsed holds the
+    elapsed times s_n(t_j) of the nodes, and correction_bound bounds the norm and the
+    tail (_Layout.norm) of u - u0, the Picard correction to the linear
+    evolution u0. A solve of the next block may start from that
+    correction (solve_block's start), which spends the rows: no slice
+    can be read after.
     """
 
-    def __init__(self, layout, times, first, rows, iterations, final_delta):
+    def __init__(
+        self, layout, times, first, rows, iterations, final_delta,
+        elapsed=None, correction_bound=(math.inf, math.inf),
+    ):
         self.grid = layout.grid
         self.times = np.asarray(times, dtype=np.float64)
+        self.elapsed = elapsed
+        self.correction_bound = correction_bound
         self._layout = layout
         self._first = first
         self._rows = rows
         self.iterations = iterations
         self.final_delta = final_delta
 
+    def _live_rows(self):
+        if self._rows is None:
+            raise DomainError("this block's rows were spent as a Picard start")
+        return self._rows
+
     def _slice(self, i):
-        row = self._first if i == 0 else self._layout.expand(self._rows[i])
+        row = self._first if i == 0 else self._layout.expand(self._live_rows()[i])
         return SpectralFunction(self.grid, row)
 
     @property
@@ -226,6 +241,17 @@ def _norm_and_tail(rows, layout, q, work):
     return float(np.max(norms)), float(np.max(tails))
 
 
+def _tail(rows, layout, work):
+    """The stack's tail alone (_Layout.tail): no derivative transform."""
+    tails = np.empty(rows.shape[0])
+
+    def body(c):
+        tails[c] = layout.tail(rows[c], work)
+
+    _run_chunks(body, _chunks(*rows.shape))
+    return float(np.max(tails))
+
+
 def _block_norm(rows, layout, q, work):
     """_norm_and_tail, warning once at the caller's line when under-resolved."""
     norm, tail = _norm_and_tail(rows, layout, q, work)
@@ -233,21 +259,54 @@ def _block_norm(rows, layout, q, work):
     return norm, tail
 
 
-def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
+def _start_rows(start, u0, kernel, layout, work):
+    """u0 + (u - u0 of start), formed in the rows of start, which it spends.
+
+    start is the BlockSolution of the block before, on the same nodes.
+    Its u0 is its first row times the multipliers of its elapsed times,
+    evaluated into the "steps" stack before the step multipliers are. Its
+    stack is given back to work, where it may be the next iterate stack
+    asked for: each chunk is read before it is written.
+    """
+    rows = start._live_rows()
+    if rows.shape != u0.shape:
+        raise DomainError("a Picard start must come from a block on the same grid and nodes")
+    start._rows = None
+    work.hand_over(rows, None)
+    first = rows[0]  # the start's input row, read by every chunk: written last
+    prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "steps")
+
+    def body(c):
+        r = slice(max(c.start, 1), c.stop)
+        old = np.multiply(first, prev[r.start - 1 : r.stop - 1], out=work.scratch(0, rows[r].shape))
+        np.subtract(rows[r], old, out=rows[r])
+        rows[r] += u0[r]
+
+    _run_chunks(body, _chunks(*rows.shape))
+    rows[0] = u0[0]
+    return rows
+
+
+def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=None):
     """Shared Picard core; returns the BlockSolution on the nodes.
 
     The rows are held in one layout for the whole solve, chosen once from
     f: the half spectra of a real field, else the full sorted axis.
-    Each iteration transforms only the update u_new - u, whose norm is the
-    convergence measure. The guard and the tail warning need the norm and
-    tail of u_new itself, and the triangle inequality bounds them by those
-    of u plus those of the update: starting from the exact values of u0,
-    each iteration adds the update's. Only when a bound comes within
-    _BOUND_SLACK of the guard or of tail_tol does the iteration evaluate
-    u_new's norm and tail afresh (one more derivative transform), compare
-    those, and carry them on as the bounds. So a converging solve makes
+    The iteration starts from u0, or, given start (the BlockSolution of
+    the block before), from u0 plus that block's correction u - u0
+    (_start_rows). Each iteration transforms only the update u_new - u,
+    whose norm is the convergence measure. The guard and the tail warning
+    need the norm and tail of u_new itself, and the triangle inequality
+    bounds them by those of u plus those of the update: starting from the
+    exact values of u0 plus the start's correction_bound, each iteration
+    adds the update's. When the norm bound comes within _BOUND_SLACK of
+    the guard, the iteration evaluates u_new's norm and tail afresh (one
+    more derivative transform), compares those, and carries them on as
+    the bounds; when only the tail bound comes within _BOUND_SLACK of
+    tail_tol, it evaluates the tail alone. So a converging solve makes
     one derivative transform per iteration, and Divergence reports an
-    exact norm.
+    exact norm. The sums of the update bounds, or the iterate's bounds
+    plus u0's where smaller, bound the solution's correction.
 
     The stacks and the chunk scratch come from work (a funcspace
     _Workspace; a new one when None): u0 and its multipliers, the step
@@ -255,8 +314,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
     iteration's integrand becoming its Duhamel sum and then its new
     iterate in the stack the iterate before last held. u0's multipliers
     are needed only until u0 is formed, so a solve on mapped stacks holds
-    four at a time. The stack that ends as the solution's rows is handed
-    over to it.
+    four at a time; a start's rows become one of the two iterates. The
+    stack that ends as the solution's rows is handed over to it.
     """
     work = _Workspace() if work is None else work
     layout = _layout_of(f.fhat, f.grid)
@@ -267,15 +326,24 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
         f_norm, _ = _block_norm(u0[:1], layout, kernel.q, work)
         if not f_norm <= guard:
             raise Divergence(0, f_norm, guard)
-    norm_bound, tail_bound = _block_norm(u0, layout, kernel.q, work)
+    u0_norm, u0_tail = _block_norm(u0, layout, kernel.q, work)
     if guard is None:
-        guard = 10.0 * norm_bound
+        guard = 10.0 * u0_norm
     if not coeffs:
-        return _solution(work, layout, times, f.fhat, u0, 1, 0.0)
+        return _solution(work, layout, times, elapsed, f.fhat, u0, 1, 0.0, (0.0, 0.0))
     norm_room = (1.0 - _BOUND_SLACK) * guard
     tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
+    if start is None:
+        u, spare = u0, None
+        corr_norm, corr_tail = 0.0, 0.0
+    else:
+        u = _start_rows(start, u0, kernel, layout, work)
+        spare = work.stack("iterate1", u0.shape)
+        if spare is u:  # the start's rows held that role
+            spare = work.stack("iterate2", u0.shape)
+        corr_norm, corr_tail = start.correction_bound
+    norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
     emult = _step_multipliers(kernel, layout, elapsed, work)
-    u, spare = u0, None
     delta = math.inf
     step_norms = np.empty(u0.shape[0])
     step_tails = np.empty(u0.shape[0])
@@ -297,25 +365,30 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None):
         step_tail = float(np.max(step_tails))
         norm_bound += delta
         tail_bound += step_tail
-        if not (norm_bound <= norm_room and tail_bound <= tail_room):  # NaN fails
+        corr_norm += delta
+        corr_tail += step_tail
+        if not norm_bound <= norm_room:  # NaN fails
             norm_bound, tail_bound = _norm_and_tail(u_new, layout, kernel.q, work)
+        elif not tail_bound <= tail_room:
+            tail_bound = _tail(u_new, layout, work)
         _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
         if not norm_bound <= guard:
             raise Divergence(it, norm_bound, guard)
         spare = None if u is u0 else u
         u = u_new
         if delta < params.picard_tol:
-            return _solution(work, layout, times, f.fhat, u, it, delta)
+            bound = (min(corr_norm, norm_bound + u0_norm), min(corr_tail, tail_bound + u0_tail))
+            return _solution(work, layout, times, elapsed, f.fhat, u, it, delta, bound)
     raise NoConvergence(params.picard_max, delta, params.picard_tol)
 
 
-def _solution(work, layout, times, first, rows, iterations, final_delta):
-    sol = BlockSolution(layout, times, first, rows, iterations, final_delta)
+def _solution(work, layout, times, elapsed, first, rows, iterations, final_delta, bound):
+    sol = BlockSolution(layout, times, first, rows, iterations, final_delta, elapsed, bound)
     work.hand_over(rows, sol)
     return sol
 
 
-def solve_block(f, kernel, tc, nl, n, L, params, workspace=None):
+def solve_block(f, kernel, tc, nl, n, L, params, workspace=None, start=None):
     """Picard-solve the block-n equation starting from the linear evolution.
 
     Iterates u <- u0 + Duhamel(F-terms of u) until the block norm of the
@@ -324,10 +397,13 @@ def solve_block(f, kernel, tc, nl, n, L, params, workspace=None):
     (default: 10x the linear block norm) or is NaN. workspace is the
     working memory a caller solving many blocks passes to each
     (funcspace._Workspace); without one the solve allocates its own.
+    start, the solution of the block before on the same grid and m, makes
+    the iteration start from u0 plus that block's correction u - u0
+    instead of from u0, and spends it (BlockSolution).
     """
     times, elapsed = _block_nodes(tc, n, L, params.m)
     coeffs = nl.combined_coefficients(n, L, tc.p, kernel.d)
-    return _picard_rows(f, kernel, times, elapsed, coeffs, params, workspace)
+    return _picard_rows(f, kernel, times, elapsed, coeffs, params, workspace, start)
 
 
 def block_to_csv(sol, path, times=None):

@@ -371,14 +371,22 @@ class _Layout:
         """
         if q < 0:
             raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
-        grid = self.grid
         work = _Workspace() if work is None else work
         size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
-        band = slice(grid.n_points // 8, None) if self.real else _outer_band(grid)
-        tail = float(np.max(size[..., band]))
+        tail = float(np.max(size[..., self._outer_octaves()]))
         total = np.add(size, np.abs(deriv, out=work.scratch(3, rows.shape, np.float64)), out=size)
         weight = 1.0 + self.abs_omega_pow(q)
         return np.max(np.multiply(weight, total, out=total), axis=-1, out=out), tail
+
+    def tail(self, rows, work=None):
+        """The tail of norm alone, which needs no derivative rows."""
+        work = _Workspace() if work is None else work
+        band = rows[..., self._outer_octaves()]
+        return float(np.max(np.abs(band, out=work.scratch(2, band.shape, np.float64))))
+
+    def _outer_octaves(self):
+        # the nodes of the outer octaves (_outer_band) in this layout
+        return slice(self.grid.n_points // 8, None) if self.real else _outer_band(self.grid)
 
 
 def _warn_if_under_resolved(tail, grid):
@@ -682,7 +690,10 @@ class _Workspace:
     solve (blocksolver._picard_rows) asks for five roles: u0 ("linear")
     and its multipliers ("evolve"), needed only until u0 is formed, the
     step multipliers ("steps") and two iterates ("iterate1", "iterate2");
-    on mapped stacks it holds four at a time.
+    on mapped stacks it holds four at a time. A solve that starts from the
+    solution of the block before spends that solution's rows: it gives
+    their stack back (hand_over with owner None) and keeps it as an
+    iterate.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each of the _WORKERS threads that
@@ -692,9 +703,9 @@ class _Workspace:
     _CHUNK_BYTES per slot, as one set did on one thread; past that each
     set holds a whole row, so the scratch grows with _WORKERS. On a real
     field _Layout.power uses slots 0-2 and _Layout.deriv slot 2;
-    _Layout.norm uses slots 2 and 3 on any field. So a caller may keep
-    its own chunk in slots 0 and 1 across deriv and norm (the Picard
-    update and its derivative), but not across power.
+    _Layout.norm uses slots 2 and 3 on any field, _Layout.tail slot 2.
+    So a caller may keep its own chunk in slots 0 and 1 across deriv and
+    norm (the Picard update and its derivative), but not across power.
     blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
 
     A flow creates one for all its blocks; a lone solve, and a layout call
@@ -724,10 +735,11 @@ class _Workspace:
         return arr
 
     def hand_over(self, stack, owner):
-        """Keep stack from reuse for as long as owner lives."""
+        """Keep stack from reuse for as long as owner lives; None gives it back."""
+        ref = None if owner is None else weakref.ref(owner)
         for role, (held, _) in self._stacks.items():
             if held is stack:
-                self._stacks[role] = (held, weakref.ref(owner))
+                self._stacks[role] = (held, ref)
 
     def scratch(self, slot, shape, dtype=np.complex128):
         """Slot's buffer in the running thread's set, viewed as an

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import funcspace as fs
 from ._version import __version__
-from .blocksolver import Nonlinearity, SolverParams, solve_block
+from .blocksolver import BlockSolution, Nonlinearity, SolverParams, solve_block
 from .errors import (
     ConfigError,
     DecompositionDrift,
@@ -162,7 +162,11 @@ def initial_state(config):
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Byproducts of one RG step, kept for trace rows and invariants."""
+    """Byproducts of one RG step, kept for trace rows and invariants.
+
+    solution is the block's solve, which the next step's solve starts from
+    and spends (BlockSolution).
+    """
 
     correction: SpectralFunction
     correction_at_zero: float
@@ -170,6 +174,7 @@ class StepDiagnostics:
     picard_delta: float
     drift_in: float
     drift_out: float
+    solution: BlockSolution
 
 
 def _split_drift(f, amplitude, reference, remainder):
@@ -181,7 +186,7 @@ def _split_bound(tol, amplitude):
     return tol * max(1.0, abs(amplitude))
 
 
-def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=None):
+def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=None, start=None):
     """Advance the split one block: solve, correct, rescale.
 
     The amplitude absorbs the zero-frequency mass of the nonlinear
@@ -190,7 +195,10 @@ def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=Non
     the remainder mass leaves tolerance (SPLIT_TOL, MASS_TOL times the
     amplitude scale max(1, |A|), with A_n entering the level and A_{n+1}
     leaving it), and propagates solver errors.
-    workspace is the solver's working memory, passed on to solve_block.
+    workspace is the solver's working memory and start the solution of
+    the level before (its diag.solution), both passed on to solve_block:
+    with a start, the Picard iteration starts from the linear evolution
+    plus that level's correction.
     """
     grid = f.grid
     here = linear_profile(kernel, tc, n, L, grid)
@@ -201,7 +209,7 @@ def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=Non
             f"split residual {drift_in:.3e} exceeds {bound:.1e} "
             f"entering level {n}"
         )
-    sol = solve_block(f, kernel, tc, nl, n, L, params, workspace)
+    sol = solve_block(f, kernel, tc, nl, n, L, params, workspace, start)
     block_end = sol.final
     linear_end = fs.apply_multiplier(f, kernel, tc.block_elapsed(n, L, L))
     correction = block_end - linear_end
@@ -236,6 +244,7 @@ def rg_step(f, amplitude, remainder, kernel, tc, nl, n, L, params, workspace=Non
         picard_delta=sol.final_delta,
         drift_in=drift_in,
         drift_out=drift_out,
+        solution=sol,
     )
     return f_next, a_next, g_next, diag
 
@@ -294,7 +303,9 @@ def run_flow(config):
     the failure message attached so callers can still write it out.
     Every block's solve works in one workspace (funcspace._Workspace),
     so blocks after the first allocate no stacks or scratch; it is
-    dropped when the run returns.
+    dropped when the run returns. Each block after the first starts its
+    Picard iteration from the correction of the block before (solve_block's
+    start): successive blocks of a marginal flow are nearly self-similar.
     """
     kernel, tc, nl = config.kernel, config.tc, config.nonlinearity
     grid, params, L = config.grid, config.solver, config.L
@@ -324,12 +335,13 @@ def run_flow(config):
     record_state(0)
     workspace = fs._Workspace()
     response = None
+    start = None
     for n in range(config.n_steps):
         previous_amp = amp
         try:
             if response is None or not tc.vanishes:
                 response = marginal_response(n, kernel, tc, L, grid, m_tau=params.m)
-            f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace)
+            f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace, start)
         except (SolverError, DecompositionDrift, TailTooLarge, UnderResolved) as exc:
             trace.failure = f"level {n}: {exc}"
             return trace
@@ -339,6 +351,7 @@ def run_flow(config):
         trace.decay_coeff.append(decay_coeff)
         trace.w_norm.append(fs.weighted_norm(residual, q))
         trace.picard_iters.append(diag.picard_iters)
+        start = diag.solution
         record_state(n + 1)
         if not math.isfinite(amp):
             trace.failure = f"amplitude became non-finite after level {n}"

@@ -571,6 +571,72 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
         assert np.array_equal(a.fhat, b)
 
 
+def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
+    # a solve started from the block before evaluates that block's
+    # multipliers where its step multipliers go and takes its rows as an
+    # iterate: like a cold solve it allocates five stacks and holds four
+    live, peak = set(), []
+    make = fs._empty_stack
+
+    def counted(shape, dtype=np.complex128):
+        stack = make(shape, dtype)
+        key = id(stack.base)
+        live.add(key)
+        peak.append(len(live))
+        weakref.finalize(stack.base, live.discard, key)
+        return stack
+
+    params = SolverParams(m=16)
+    monkeypatch.setattr(fs, "_empty_stack", counted)
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    before = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    f1 = fs.dilate(before.final, 2.0)  # the next block's input, L^((p+1)/d) = 2
+    cold = solve_block(f1, KERNEL, TC, NL, 1, 2.0, params)
+    cold_iterations, cold_final = cold.iterations, cold.final.fhat
+    del cold
+    peak.clear()
+    warm = solve_block(f1, KERNEL, TC, NL, 1, 2.0, params, start=before)
+    assert len(peak) == 5
+    assert max(peak) == 4  # the start's rows among them, as an iterate
+    assert warm.iterations < cold_iterations
+    assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
+
+
+def test_a_start_is_spent_once():
+    params = SolverParams(m=16)
+    before = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    with pytest.raises(DomainError, match="same grid and nodes"):
+        solve_block(profile(), KERNEL, TC, NL, 1, 2.0, SolverParams(m=32), start=before)
+    solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params, start=before)
+    with pytest.raises(DomainError, match="spent"):
+        before.final
+    with pytest.raises(DomainError, match="spent"):
+        solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params, start=before)
+
+
+def test_tail_only_bound_crossing_takes_no_derivative(monkeypatch):
+    # an under-resolved input crosses tail_tol at every iterate, its norm
+    # bound never nears the guard: each iterate's tail is evaluated alone,
+    # so the derivative rows are u0's and one stack per update, whatever
+    # the number of chunks
+    slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
+    rows = [0]
+    deriv = fs._Layout.deriv
+
+    def counted(self, chunk, out=None, work=None):
+        rows[0] += chunk.shape[0]
+        return deriv(self, chunk, out, work)
+
+    monkeypatch.setattr(fs._Layout, "deriv", counted)
+    params = SolverParams(m=16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_block(slow, KERNEL, TC, NL, 0, 2.0, params)
+    assert [w.category for w in caught] == [UnderResolvedWarning] * (1 + sol.iterations)
+    assert sol.iterations >= 2
+    assert rows[0] == (params.m + 1) * (1 + sol.iterations)
+
+
 def test_solve_block_warns_when_under_resolved():
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
     assert not slow.is_resolved()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
@@ -10,6 +11,7 @@ import pytest
 
 import marginalrg.funcspace as fs
 from marginalrg.cli import main
+from marginalrg.errors import UnderResolvedWarning
 from marginalrg.funcspace import GridSpec, SpectralFunction
 from marginalrg.rgflow import TRACE_COLUMNS
 
@@ -101,6 +103,31 @@ def test_flow_solver_failure_writes_partial_trace(tmp_path, capsys):
     assert code == 3
     assert "divergence at iteration 1" in capsys.readouterr().err
     assert len((tmp_path / "big_trace.csv").read_text().splitlines()) == 2
+
+
+def test_flow_divergence_after_level_zero_exits_3(tmp_path, capsys):
+    # the amplitude of a mu < 0 flow grows until the level-4 solve leaves
+    # the guard: exit 3 with the four completed levels and the fifth state
+    cfg = write_config(
+        tmp_path,
+        """
+        time: {p: 1.0}
+        grid: {n_points: 1024, x_max: 40.0}
+        solver: {m: 16}
+        nonlinearity: {mu: -1.0}
+        flow: {L: 2.0, A0: 1.0}
+        """,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        code = run_cli(
+            "flow", "--config", cfg, "--out", str(tmp_path), "--label", "grow", "--allow-negative-mu"
+        )
+    assert code == 3
+    assert "divergence at iteration" in capsys.readouterr().err
+    assert len((tmp_path / "grow_trace.csv").read_text().splitlines()) == 1 + 5
+    manifest = json.loads((tmp_path / "grow_manifest.json").read_text())
+    assert manifest["failure"].startswith("level 4: divergence at iteration")
 
 
 def test_exit_2_names_the_violated_condition(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from marginalrg import funcspace as fs
 from marginalrg import rgflow as rg
 from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
-from marginalrg.errors import ConfigError, DecompositionDrift, UnderResolvedWarning
+from marginalrg.errors import ConfigError, DecompositionDrift, Divergence, UnderResolvedWarning
 from marginalrg.funcspace import GridSpec, SpectralFunction
 from marginalrg.kernel import heat_kernel, fixed_point_profile
 from marginalrg.timechange import TimeChange
@@ -237,6 +237,77 @@ def test_partial_trace_on_divergence():
     assert len(tr.level) == 1 and len(tr.mass_shift) == 0
 
 
+def run_solves(monkeypatch, cfg, warm=True):
+    """run_flow(cfg) with each block's solve warm or cold, and the
+    exceptions the solves raised."""
+    raised = []
+
+    def solve(*args):
+        try:
+            return solve_block(*args) if warm else solve_block(*args[:8])
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rg, "solve_block", solve)
+        return rg.run_flow(cfg), raised
+
+
+def test_warm_start_saves_iterations_and_keeps_the_trace(monkeypatch, tmp_path):
+    # each block after the first starts from the correction of the block
+    # before; the flow agrees with the one solved cold block by block.
+    # Measured gaps (1024 points, m = 16, 6 blocks): A_n 4.9e-13 and g_norm 1.4e-9 relative, theorem gap
+    # 4.8e-13 absolute, w_norm 9.6e-7 relative; each bound is 7-20x that.
+    # g_norm and w_norm are small differences of the solution, so they
+    # carry the Picard tolerance at a larger relative size.
+    cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=6)
+    warm, _ = run_solves(monkeypatch, cfg)
+    cold, _ = run_solves(monkeypatch, cfg, warm=False)
+    assert warm.completed and cold.completed
+    assert sum(warm.picard_iters) < sum(cold.picard_iters)
+    assert warm.picard_iters[0] == cold.picard_iters[0]
+
+    def rel(a, b):
+        return max(abs(x - y) / abs(y) for x, y in zip(a, b))
+
+    gaps = [abs(x - y) for x, y in zip(warm.theorem_gap, cold.theorem_gap) if not math.isnan(y)]
+    assert rel(warm.amplitude, cold.amplitude) <= 1e-11
+    assert rel(warm.g_norm[1:], cold.g_norm[1:]) <= 1e-8
+    assert max(gaps) <= 1e-11
+    assert rel(warm.w_norm, cold.w_norm) <= 1e-5
+    again = rg.run_flow(cfg)
+    paths = [tmp_path / "warm.csv", tmp_path / "again.csv"]
+    rg.write_trace_csv(warm, paths[0])
+    rg.write_trace_csv(again, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    for a, b in zip(warm.profiles + [warm.final_remainder], again.profiles + [again.final_remainder]):
+        assert np.array_equal(a.fhat, b.fhat)
+
+
+@pytest.mark.parametrize("warm", [True, False])
+def test_divergence_after_level_zero_leaves_a_partial_trace(monkeypatch, warm):
+    # mu < 0 grows the amplitude block by block until a Picard solve
+    # leaves the guard, at level 4 whether or not the blocks start warm
+    cfg = make_config(
+        nonlinearity=Nonlinearity(-1.0),
+        grid=GridSpec(1024, 40.0),
+        solver=SolverParams(m=16),
+        A0=1.0,
+        g0_kind="zero",
+        g0_eps=0.0,
+        allow_negative_mu=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        trace, raised = run_solves(monkeypatch, cfg, warm)
+    assert not trace.completed
+    assert [type(exc) for exc in raised] == [Divergence]
+    assert raised[0].norm > raised[0].guard
+    assert trace.failure == f"level 4: {raised[0]}"
+    assert trace.level == [0, 1, 2, 3, 4] and len(trace.picard_iters) == 4
+
+
 @pytest.mark.parametrize("g0_kind", ["even-bump", "odd-bump"])
 def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
     # every block input and every dilation output is exactly the transform
@@ -315,8 +386,9 @@ def test_flow_reuses_its_working_memory(monkeypatch, tmp_path):
     assert shared.completed and len(allocs) == 4
     assert allocs[0] > 0 and allocs[1:] == [0, 0, 0]
     with monkeypatch.context() as patch:
-        # the same solves, each in a workspace of its own
-        patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7]))
+        # the same solves, each in a workspace of its own, each but the
+        # first started from the solution of the block before
+        patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7], start=args[8]))
         fresh = rg.run_flow(cfg)
     assert write(shared, "shared.csv") == write(fresh, "fresh.csv")
     for a, b in zip(shared.profiles + [shared.final_remainder], fresh.profiles + [fresh.final_remainder]):
