@@ -175,9 +175,11 @@ def _block_nodes(tc, n, L, m):
 
 
 def _multiplier_stack(kernel, layout, t, work, role):
+    # evaluated only when role's stack does not hold them already
     abs_pow = layout.abs_omega_pow(kernel.d)
-    out = work.stack(role, (t.shape[0], abs_pow.shape[-1]), np.float64)
-    return kernel._multiplier_rows(abs_pow, t, out=out)
+    key = (kernel, layout.grid, layout.real, t.tobytes())
+    shape = (t.shape[0], abs_pow.shape[-1])
+    return work.computed(role, key, shape, lambda out: kernel._multiplier_rows(abs_pow, t, out=out))
 
 
 def _step_multipliers(kernel, layout, elapsed, work):
@@ -264,9 +266,11 @@ def _start_rows(start, u0, kernel, layout, work):
 
     start is the BlockSolution of the block before, on the same nodes.
     Its u0 is its first row times the multipliers of its elapsed times,
-    evaluated into the "steps" stack before the step multipliers are. Its
-    stack is given back to work, where it may be the next iterate stack
-    asked for: each chunk is read before it is written.
+    taken in the "evolve" role once this block's u0 is formed: without a
+    time-change remainder both blocks have the same elapsed times, and
+    the stack holds them already. Its stack is given back to work, where
+    it may be the next iterate stack asked for: each chunk is read before
+    it is written.
     """
     rows = start._live_rows()
     if rows.shape != u0.shape:
@@ -274,7 +278,7 @@ def _start_rows(start, u0, kernel, layout, work):
     start._rows = None
     work.hand_over(rows, None)
     first = rows[0]  # the start's input row, read by every chunk: written last
-    prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "steps")
+    prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
 
     def body(c):
         r = slice(max(c.start, 1), c.stop)
@@ -315,7 +319,9 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     iterate in the stack the iterate before last held. u0's multipliers
     are needed only until u0 is formed, so a solve on mapped stacks holds
     four at a time; a start's rows become one of the two iterates. The
-    stack that ends as the solution's rows is handed over to it.
+    multiplier stacks are evaluated only where work does not hold them
+    for the same kernel, grid, layout and times (_Workspace.computed).
+    The stack that ends as the solution's rows is handed over to it.
     """
     work = _Workspace() if work is None else work
     layout = _layout_of(f.fhat, f.grid)

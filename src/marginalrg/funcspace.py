@@ -686,14 +686,18 @@ class _Workspace:
     given out again for its role, unless it was handed over (hand_over) to
     a solution that still lives: a solution's rows are never written while
     anyone holds it. A mapped stack is made afresh each time and not kept,
-    so one solve's resident memory stays the stacks it holds. A Picard
-    solve (blocksolver._picard_rows) asks for five roles: u0 ("linear")
-    and its multipliers ("evolve"), needed only until u0 is formed, the
-    step multipliers ("steps") and two iterates ("iterate1", "iterate2");
-    on mapped stacks it holds four at a time. A solve that starts from the
-    solution of the block before spends that solution's rows: it gives
-    their stack back (hand_over with owner None) and keeps it as an
-    iterate.
+    so one solve's resident memory stays the stacks it holds. A kept stack
+    may also keep the key of what it was filled with (computed), and is
+    then given back unwritten for an equal key. A Picard solve
+    (blocksolver._picard_rows) asks for five roles: u0 ("linear") and its
+    multipliers ("evolve"), needed only until u0 is formed, the step
+    multipliers ("steps") and two iterates ("iterate1", "iterate2"); on
+    mapped stacks it holds four at a time. Both multiplier roles are
+    computed, keyed by the kernel, grid, layout and times: the blocks of a
+    flow without a time-change remainder share their nodes, so only the
+    first block evaluates them. A solve that starts from the solution of
+    the block before spends that solution's rows: it gives their stack
+    back (hand_over with owner None) and keeps it as an iterate.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each of the _WORKERS threads that
@@ -716,30 +720,48 @@ class _Workspace:
     __slots__ = ("_stacks", "_scratch")
 
     def __init__(self):
-        self._stacks = {}  # role -> (stack, weakref to its owner or None)
+        self._stacks = {}  # role -> (stack, weakref to its owner or None, key or None)
         self._scratch = [[None] * 4 for _ in range(_WORKERS)]  # per thread
 
     def stack(self, role, shape, dtype=np.complex128):
         """An uninitialised row stack for role (_empty_stack when new)."""
         dtype = np.dtype(dtype)
-        held, owner = self._stacks.get(role, (None, None))
+        held, owner, _ = self._stacks.get(role, (None, None, None))
         if held is not None and held.shape == shape and held.dtype == dtype:
             if owner is None or owner() is None:
-                self._stacks[role] = (held, None)
+                self._stacks[role] = (held, None, None)
                 return held
         arr = _empty_stack(shape, dtype)
         if arr.nbytes < _MAPPED_STACK_BYTES:
-            self._stacks[role] = (arr, None)
+            self._stacks[role] = (arr, None, None)
         else:
             self._stacks.pop(role, None)
+        return arr
+
+    def computed(self, role, key, shape, fill):
+        """role's float64 stack as fill(stack) writes it, filled only when needed.
+
+        key must fix what fill writes, and shape. The stack last filled
+        for role is given back unwritten when its key equals key;
+        otherwise the role's stack is filled afresh, and a kept
+        (heap-sized) one keeps key. Asking for the role through stack
+        drops the key.
+        """
+        held, _, held_key = self._stacks.get(role, (None, None, None))
+        if held_key is not None and held_key == key:
+            return held
+        arr = self.stack(role, shape, np.float64)
+        fill(arr)
+        if role in self._stacks:
+            self._stacks[role] = (arr, None, key)
         return arr
 
     def hand_over(self, stack, owner):
         """Keep stack from reuse for as long as owner lives; None gives it back."""
         ref = None if owner is None else weakref.ref(owner)
-        for role, (held, _) in self._stacks.items():
+        for role, (held, _, _) in self._stacks.items():
             if held is stack:
-                self._stacks[role] = (held, ref)
+                self._stacks[role] = (held, ref, None)
 
     def scratch(self, slot, shape, dtype=np.complex128):
         """Slot's buffer in the running thread's set, viewed as an

@@ -23,6 +23,15 @@ __all__ = [
     "fixed_point_profile",
 ]
 
+# Below this argument IEEE exp is exactly +0.0 (it rounds to zero below
+# about -745.13), and numpy's SIMD exp takes a slow path for every element
+# whose result underflows.
+_EXP_FLOOR = -746.0
+# The floor's mask is made for row blocks of about this many bytes: one
+# for a whole stack (1.5 MiB on the direct oracle's) stays resident on the
+# heap once freed and raises the peak RSS of a solve.
+_MASK_BYTES = 64 << 10
+
 
 @dataclasses.dataclass(frozen=True)
 class ScalingKernel:
@@ -66,7 +75,9 @@ class ScalingKernel:
     def _multiplier_rows(self, abs_omega_pow, t, out=None):
         """exp(-kappa t |omega|^d) on the nodes of a given |omega|^d row.
 
-        out, if given, receives the rows (one per time).
+        out, if given, receives the rows (one per time). exp is evaluated
+        only where its argument is at least _EXP_FLOOR; elsewhere the
+        result is the +0.0 that exp would give, and a NaN stays NaN.
         """
         t = np.asarray(t, dtype=np.float64)
         if t.ndim > 1:
@@ -80,7 +91,14 @@ class ScalingKernel:
                 f"kernel time must be positive and finite, got {where}{float(t.flat[bad[0]])!r}"
             )
         out = np.multiply.outer(-self.kappa * t, abs_omega_pow, out=out)
-        return np.exp(out, out=out)
+        rows = out if out.ndim == 2 else out[np.newaxis]
+        step = max(1, _MASK_BYTES // rows.shape[1])
+        for r in range(0, rows.shape[0], step):
+            block = rows[r : r + step]
+            np.exp(block, out=block, where=block >= _EXP_FLOOR)
+        # the arguments left in place are below the floor, or NaN: clamping
+        # at 0 gives +0.0 and keeps a NaN, and leaves every exp unchanged
+        return np.maximum(out, 0.0, out=out)
 
 
 def heat_kernel(q=2):

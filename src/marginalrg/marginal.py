@@ -27,6 +27,7 @@ __all__ = [
     "overlap_constant",
     "linear_profile",
     "marginal_response",
+    "marginal_responses",
     "decay_coefficient",
     "decay_coefficient_routes",
     "decay_limit",
@@ -171,6 +172,22 @@ def marginal_response(n, kernel, tc, L, grid, m_tau=64):
     return SpectralFunction(grid, layout.expand(acc))
 
 
+def marginal_responses(levels, kernel, tc, L, grid=None, m_tau=64):
+    """Yield marginal_response at each of levels, in order.
+
+    Without a time-change remainder (tc.vanishes) the rescaled block, and
+    so the response, is the same at every level: it is computed at the
+    first level and given again for the others. grid None is GridSpec().
+    A level's response is computed only when the caller asks for it.
+    """
+    grid = GridSpec() if grid is None else grid
+    response = None
+    for n in levels:
+        if response is None or not tc.vanishes:
+            response = marginal_response(n, kernel, tc, L, grid, m_tau)
+        yield response
+
+
 def _evolve(rows, kernel, layout, t):
     # each row times its multiplier, in place; a time of exactly 0 is the
     # identity, and zeros sit only at the ends (tau = 0 or L - 1), so the
@@ -308,12 +325,15 @@ def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
     """
     overlap = overlap_constant(kernel, critical_exponent(tc.p, kernel.d))
     lo, hi = decay_bracket(kernel, tc.p, L)
-    table = []
-    for n in range(0, n_max + 1):
-        direct, closed, _ = decay_coefficient_routes(
-            n, kernel, tc, L, grid=grid, m_tau=m_tau
-        )
-        table.append({"n": n, "direct": direct, "closed_form": closed})
+    responses = marginal_responses(range(n_max + 1), kernel, tc, L, grid, m_tau)
+    table = [
+        {
+            "n": n,
+            "direct": response.at_zero.real,
+            "closed_form": decay_coefficient(n, kernel, tc, L, route="closed_form"),
+        }
+        for n, response in enumerate(responses)
+    ]
     return {
         "R_direct": overlap.direct,
         "R_oracle": overlap.oracle,

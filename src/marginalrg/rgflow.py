@@ -30,7 +30,7 @@ from .marginal import (
     amplitude_prefactor,
     critical_exponent,
     linear_profile,
-    marginal_response,
+    marginal_responses,
 )
 from .timechange import TimeChange
 
@@ -302,8 +302,10 @@ def run_flow(config):
     Solver failures abort the run; the partial trace is returned with
     the failure message attached so callers can still write it out.
     Every block's solve works in one workspace (funcspace._Workspace),
-    so blocks after the first allocate no stacks or scratch; it is
-    dropped when the run returns. Each block after the first starts its
+    so blocks after the first allocate no stacks or scratch and, without
+    a time-change remainder, evaluate no kernel multipliers and take the
+    first block's marginal response (marginal_responses); it is dropped
+    when the run returns. Each block after the first starts its
     Picard iteration from the correction of the block before (solve_block's
     start): successive blocks of a marginal flow are nearly self-similar.
     """
@@ -334,13 +336,12 @@ def run_flow(config):
 
     record_state(0)
     workspace = fs._Workspace()
-    response = None
+    responses = marginal_responses(range(config.n_steps), kernel, tc, L, grid, params.m)
     start = None
     for n in range(config.n_steps):
         previous_amp = amp
         try:
-            if response is None or not tc.vanishes:
-                response = marginal_response(n, kernel, tc, L, grid, m_tau=params.m)
+            response = next(responses)
             f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace, start)
         except (SolverError, DecompositionDrift, TailTooLarge, UnderResolved) as exc:
             trace.failure = f"level {n}: {exc}"

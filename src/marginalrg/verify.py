@@ -29,6 +29,7 @@ from .marginal import (
     decay_convergence,
     decay_limit,
     linear_profile,
+    marginal_responses,
     overlap_constant,
 )
 from .rgflow import initial_state, linear_rg_step, run_flow, theorem_trend
@@ -388,8 +389,8 @@ def _beta_constant_body(config):
         for n in range(0, 21)
     ]
     direct = [
-        decay_coefficient(n, kern, tc, L, config.grid, config.solver.m, route="direct")
-        for n in (0, 10, 20)
+        response.at_zero.real
+        for response in marginal_responses((0, 10, 20), kern, tc, L, config.grid, config.solver.m)
     ]
     lo, hi = decay_bracket(kern, tc.p, L)
     gap = max(abs(b - limit) for b in closed + direct)

@@ -27,7 +27,7 @@ from marginalrg.blocksolver import (
     solve_block,
 )
 from marginalrg.errors import Divergence, DomainError, NoConvergence, UnderResolvedWarning
-from marginalrg.kernel import fixed_point_profile, heat_kernel
+from marginalrg.kernel import ScalingKernel, fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
 GRID = fs.GridSpec(n_points=1024, x_max=40.0)
@@ -600,6 +600,55 @@ def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
     assert max(peak) == 4  # the start's rows among them, as an iterate
     assert warm.iterations < cold_iterations
     assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
+
+
+def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch):
+    # a kept multiplier stack is given back unwritten for the same kernel,
+    # grid, layout and times, and evaluated afresh for any other, or after
+    # its role was given out as a plain stack; a mapped one is never kept
+    evaluations = [0]
+    rows = ScalingKernel._multiplier_rows
+
+    def counted(self, *args, **kwargs):
+        evaluations[0] += 1
+        return rows(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalingKernel, "_multiplier_rows", counted)
+    _, elapsed = blocksolver._block_nodes(TC, 0, 2.0, 16)
+    t = elapsed[1:]
+    half = fs._Layout(GRID, True)
+    work = fs._Workspace()
+
+    def stack(kernel=KERNEL, layout=half, times=t):
+        before = evaluations[0]
+        got = blocksolver._multiplier_stack(kernel, layout, times, work, "evolve")
+        want = kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), times)
+        assert np.array_equal(got, want)
+        return got, evaluations[0] - before - 1
+
+    first, evaluated = stack()
+    assert evaluated == 1
+    again, evaluated = stack(heat_kernel(), fs._Layout(GRID, True), t.copy())
+    assert again is first and evaluated == 0
+    for changed in (
+        dict(kernel=ScalingKernel(kappa=0.5)),
+        dict(layout=fs._Layout(fs.GridSpec(1024, 20.0), True)),
+        dict(layout=fs._Layout(GRID, False)),
+        dict(times=np.nextafter(t, np.inf)),
+        dict(),
+    ):
+        _, evaluated = stack(**changed)
+        assert evaluated == 1, changed
+    _, evaluated = stack()
+    assert evaluated == 0
+    work.stack("evolve", first.shape, np.float64)  # given out for other use
+    _, evaluated = stack()
+    assert evaluated == 1
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    work = fs._Workspace()
+    for _ in range(2):
+        _, evaluated = stack()
+        assert evaluated == 1 and "evolve" not in work._stacks
 
 
 def test_a_start_is_spent_once():

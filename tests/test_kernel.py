@@ -1,13 +1,18 @@
 """Stable kernel identities and constants."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marginalrg import funcspace as fs
+from marginalrg import verify
+from marginalrg.blocksolver import _block_nodes
+from marginalrg.config import load_config
 from marginalrg.errors import DomainError
 from marginalrg.kernel import (
+    _EXP_FLOOR,
     ScalingKernel,
     fixed_point_profile,
     heat_kernel,
@@ -16,6 +21,7 @@ from marginalrg.kernel import (
 )
 
 GRID = fs.GridSpec()
+CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "canonical.yaml"
 
 
 def test_parameter_validation():
@@ -80,6 +86,64 @@ def test_multiplier_error_names_the_first_bad_time():
         heat_kernel().multiplier(GRID, 0.0)
     with pytest.raises(DomainError, match=r"shape \(1, 1\)"):
         heat_kernel().multiplier(GRID, np.array([[1.0]]))
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _solver_node_sets():
+    # (grid, elapsed times) of a canonical block and of the direct oracle
+    flow = load_config(str(CANONICAL)).flow
+    _, block = _block_nodes(flow.tc, 0, flow.L, flow.solver.m)
+    t_end = flow.L**3
+    wide = verify.widened_grid(flow.grid, verify.direct_widening(flow, t_end))
+    # at L^3 direct_integrate spans three octaves of m nodes each
+    _, direct = verify._composite_nodes(flow.tc, flow.L, t_end, flow.solver.m)
+    return [(flow.grid, block), (wide, direct)]
+
+
+@pytest.mark.parametrize("d", [2.0, 4.0])
+@pytest.mark.parametrize("kappa", [1.0, 0.5])
+def test_multiplier_rows_skip_exp_only_where_it_is_zero(d, kappa):
+    # exp below _EXP_FLOOR is not evaluated: the stacks the solver uses
+    # (u0's multipliers at the elapsed times, the step multipliers) are
+    # bitwise those of a plain exp, subnormal band and zeros included
+    kernel = ScalingKernel(d=d, kappa=kappa)
+    seen_subnormal = seen_zero = False
+    for grid, elapsed in _solver_node_sets():
+        for t in (elapsed[1:], np.diff(elapsed)):
+            for half in (True, False):
+                abs_pow = fs._abs_omega_pow(grid, kernel.d, half)
+                want = np.exp(np.multiply.outer(-kernel.kappa * t, abs_pow))
+                assert _bitwise_equal(kernel._multiplier_rows(abs_pow, t), want)
+                out = np.full(want.shape, np.nan)
+                assert kernel._multiplier_rows(abs_pow, t, out=out) is out
+                assert _bitwise_equal(out, want)
+                for i in (0, t.shape[0] // 2, -1):  # one time: one row
+                    assert _bitwise_equal(kernel._multiplier_rows(abs_pow, t[i]), want[i])
+                seen_subnormal |= bool(np.any((want > 0.0) & (want < np.finfo(float).tiny)))
+                seen_zero |= bool(np.any(want == 0.0))
+    assert seen_subnormal and seen_zero
+    # arguments on either side of the floor, and a NaN one, kept NaN
+    x = -_EXP_FLOOR / kernel.kappa
+    edge = np.array(
+        [0.0, 700.0, 745.0, 745.2, np.nextafter(x, 0.0), x, np.nextafter(x, np.inf), 2 * x, np.inf, np.nan]
+    )
+    want = np.exp(np.multiply.outer(-kernel.kappa * np.array([1.0]), edge))
+    got = kernel._multiplier_rows(edge, np.array([1.0]))
+    assert _bitwise_equal(got, want) and np.isnan(got[0, -1])
+
+
+def test_exp_is_exactly_zero_below_the_floor():
+    # the premise of _multiplier_rows: a platform whose exp gives anything
+    # but +0.0 below the floor fails here
+    steps = [_EXP_FLOOR]
+    for _ in range(10000):
+        steps.append(np.nextafter(steps[-1], -np.inf))
+    x = np.concatenate([steps, np.linspace(_EXP_FLOOR, -1e6, 200001), [-np.inf]])
+    y = np.exp(x)
+    assert np.all(y == 0.0) and not np.any(np.signbit(y))
 
 
 def test_evenness():

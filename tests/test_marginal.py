@@ -264,6 +264,48 @@ def test_marginal_constants_mapping():
         assert out["beta_star_lo"] < row["closed_form"] < out["beta_star_hi"]
 
 
+def _count_responses(monkeypatch):
+    calls = []
+
+    def response(n, *args, _response=mg.marginal_response, **kwargs):
+        calls.append(n)
+        return _response(n, *args, **kwargs)
+
+    monkeypatch.setattr(mg, "marginal_response", response)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "tc, responses", [(TC0, 1), (TimeChange(p=1.0, delta=0.5, coeff=0.3), 11)]
+)
+def test_marginal_constants_compute_one_response_without_a_remainder(monkeypatch, tc, responses):
+    # without a remainder the response does not depend on n: the table is
+    # read off one response, bitwise equal to the per-n routes
+    calls = _count_responses(monkeypatch)
+    out = mg.marginal_constants(HEAT, tc, 2.0, 0.05, grid=GRID)
+    assert len(calls) == responses
+    calls.clear()
+    for n, row in enumerate(out["beta_n_table"]):
+        direct, closed, _ = mg.decay_coefficient_routes(n, HEAT, tc, 2.0, grid=GRID)
+        assert row["n"] == n
+        assert np.float64(row["direct"]).tobytes() == np.float64(direct).tobytes()
+        assert np.float64(row["closed_form"]).tobytes() == np.float64(closed).tobytes()
+    assert calls == list(range(11))
+
+
+def test_marginal_responses_default_grid_and_laziness(monkeypatch):
+    calls = _count_responses(monkeypatch)
+    small = fs.GridSpec(256, 10.0)
+    tcp = TimeChange(p=1.0, delta=0.5, coeff=0.3)
+    responses = mg.marginal_responses(range(5), HEAT, tcp, 2.0, small, m_tau=16)
+    assert calls == []  # nothing is computed before it is asked for
+    assert next(responses).grid is small and calls == [0]
+    assert next(responses).grid is small and calls == [0, 1]
+    calls.clear()
+    (only,) = mg.marginal_responses([3], HEAT, TC0, 2.0, m_tau=16)
+    assert only.grid == fs.GridSpec() and calls == [3]
+
+
 def test_one_overlap_constant_per_kernel():
     # for alpha_c = 4 R is the spectral oracle; the constants that
     # marginalrg beta prints and the prefactor the flow uses read the same

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from marginalrg import funcspace as fs
+from marginalrg import marginal as mg
 from marginalrg import rgflow as rg
 from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
 from marginalrg.errors import ConfigError, DecompositionDrift, Divergence, UnderResolvedWarning
 from marginalrg.funcspace import GridSpec, SpectralFunction
-from marginalrg.kernel import heat_kernel, fixed_point_profile
+from marginalrg.kernel import ScalingKernel, fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
 GRID = GridSpec(4096, 40.0)
@@ -428,16 +429,63 @@ def test_initial_remainders_are_real_fields(kind, n_points):
     assert fs._is_real_field(g.fhat)
 
 
+def _trace_bytes(trace, path):
+    rg.write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("tc", [TC0, TimeChange(p=1.0, delta=0.5, coeff=0.3)], ids=["zero", "power"])
+def test_flow_evaluates_block_multipliers_once_without_a_remainder(monkeypatch, tmp_path, tc):
+    # the solver's multiplier stacks (u0's, the start's u0's and the step
+    # multipliers) are evaluated in block 0 only when the blocks share
+    # their nodes; with a remainder every block evaluates them, and either
+    # way the trace is bitwise that of a flow whose every block has a
+    # workspace of its own. One marginal response per flow, or per block.
+    cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=4, tc=tc)
+    stacks, responses = [], [0]
+    rows = ScalingKernel._multiplier_rows
+
+    def counted_rows(self, abs_omega_pow, t, out=None):
+        if out is not None:  # a solver stack; marginal_response passes none
+            stacks[-1] += 1
+        return rows(self, abs_omega_pow, t, out)
+
+    def counted_response(*args, _response=mg.marginal_response, **kwargs):
+        responses[0] += 1
+        return _response(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        stacks.append(0)
+        return solve_block(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScalingKernel, "_multiplier_rows", counted_rows)
+        patch.setattr(mg, "marginal_response", counted_response)
+        patch.setattr(rg, "solve_block", solve)
+        shared = rg.run_flow(cfg)
+    assert shared.completed
+    if tc.vanishes:
+        assert stacks == [2, 0, 0, 0] and responses[0] == 1
+    else:
+        assert stacks == [2, 3, 3, 3] and responses[0] == 4
+    with monkeypatch.context() as patch:
+        patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7], start=args[8]))
+        fresh = rg.run_flow(cfg)
+    assert _trace_bytes(shared, tmp_path / "shared.csv") == _trace_bytes(fresh, tmp_path / "fresh.csv")
+    for a, b in zip(shared.profiles, fresh.profiles):
+        assert np.array_equal(a.fhat, b.fhat)
+
+
 def test_vanishing_power_remainder_flows_as_the_zero_model(monkeypatch, tmp_path):
     # a power remainder with coeff = 0 is the zero remainder: the flow reuses
     # its level-0 response and writes the zero model's trace byte for byte
     calls = [0]
 
-    def response(*args, _response=rg.marginal_response, **kwargs):
+    def response(*args, _response=mg.marginal_response, **kwargs):
         calls[0] += 1
         return _response(*args, **kwargs)
 
-    monkeypatch.setattr(rg, "marginal_response", response)
+    monkeypatch.setattr(mg, "marginal_response", response)
     traces = {}
     for name, tc in (
         ("zero", TC0),

@@ -14,6 +14,7 @@ from marginalrg.kernel import ScalingKernel, fixed_point_profile
 from marginalrg.marginal import amplitude_prefactor
 from marginalrg.rgflow import FlowConfig, initial_state, run_flow
 from marginalrg.timechange import TimeChange
+from marginalrg import marginal as mg
 from marginalrg import verify
 
 HEAT = ScalingKernel(d=2.0, kappa=1.0, q=2)
@@ -234,6 +235,22 @@ def test_report_sanitizes_and_renders():
     text = report.as_text()
     assert "[FAIL] demo" in text
     assert text.endswith("overall: FAIL")
+
+
+def test_beta_constant_computes_one_response(monkeypatch):
+    # without a remainder beta_0, beta_10 and beta_20 read one response
+    calls = []
+
+    def response(n, *args, _response=mg.marginal_response, **kwargs):
+        calls.append(n)
+        return _response(n, *args, **kwargs)
+
+    monkeypatch.setattr(mg, "marginal_response", response)
+    cfg = make_config(solver=SolverParams(m=32), n_steps=1)
+    _, measured = verify._beta_constant_body(cfg)
+    assert calls == [0]
+    direct = mg.decay_coefficient(20, cfg.kernel, cfg.tc, cfg.L, cfg.grid, 32)
+    assert measured["worst_gap"] == abs(direct - measured["limit"])
 
 
 def test_beta_constant_checks_the_flow_m():
