@@ -27,9 +27,9 @@ from .errors import Divergence, DomainError, NoConvergence
 from .funcspace import (  # noqa: F401
     SpectralFunction,
     weighted_norm,  # unused, kept bound: benchmarks/test_benchmark.py traces it here
+    _Layout,
     _Workspace,
     _chunks,
-    _layout_of,
     _run_chunks,
     _warn_if_under_resolved,
 )
@@ -175,11 +175,14 @@ def _block_nodes(tc, n, L, m):
 
 
 def _multiplier_stack(kernel, layout, t, work, role):
-    # evaluated only when role's stack does not hold them already
+    # evaluated only when role's stack does not hold them already; the key
+    # holds the row width, since computed does not check a held shape
     abs_pow = layout.abs_omega_pow(kernel.d)
-    key = (kernel, layout.grid, layout.real, t.tobytes())
-    shape = (t.shape[0], abs_pow.shape[-1])
-    return work.computed(role, key, shape, lambda out: kernel._multiplier_rows(abs_pow, t, out=out))
+    width = abs_pow.shape[-1]
+    key = (kernel, layout.grid, width, t.tobytes())
+    return work.computed(
+        role, key, (t.shape[0], width), lambda out: kernel._multiplier_rows(abs_pow, t, out=out)
+    )
 
 
 def _step_multipliers(kernel, layout, elapsed, work):
@@ -294,8 +297,7 @@ def _start_rows(start, u0, kernel, layout, work):
 def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=None):
     """Shared Picard core; returns the BlockSolution on the nodes.
 
-    The rows are held in one layout for the whole solve, chosen once from
-    f: the half spectra of a real field, else the full sorted axis.
+    The rows are held as half spectra (_Layout) for the whole solve.
     The iteration starts from u0, or, given start (the BlockSolution of
     the block before), from u0 plus that block's correction u - u0
     (_start_rows). Each iteration transforms only the update u_new - u,
@@ -320,11 +322,11 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     are needed only until u0 is formed, so a solve on mapped stacks holds
     four at a time; a start's rows become one of the two iterates. The
     multiplier stacks are evaluated only where work does not hold them
-    for the same kernel, grid, layout and times (_Workspace.computed).
+    for the same kernel, grid, row width and times (_Workspace.computed).
     The stack that ends as the solution's rows is handed over to it.
     """
     work = _Workspace() if work is None else work
-    layout = _layout_of(f.fhat, f.grid)
+    layout = _Layout(f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
     u0 = _linear_rows(f, kernel, layout, elapsed, work)
     guard = params.norm_guard

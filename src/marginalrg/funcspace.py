@@ -6,13 +6,13 @@ sampled at omega_k = (k - N/2) * pi / x_max in ascending order. The inverse
 carries the 1/(2pi) factor. All grid operations in the package go through
 this module so the conventions live in exactly one place.
 
-A spectrum that is exactly Hermitian (the transform of a real function) is
-transformed with half-length real FFTs inside the power and the norm; any
-other spectrum takes the complex ones. Stacks of such spectra are held in
-the half layout (_Layout): only the N/2+1 nodes omega >= 0 and
--omega_max, with the full sorted axis built when a caller needs it. A
-stack's rows are transformed and normed in chunks that run on every CPU
-the process may use (_run_chunks), with the same bits as on one.
+Every function is real, so every spectrum is exactly Hermitian:
+SpectralFunction refuses any other. The power and the norm transform with
+half-length real FFTs, on stacks of rows held in the half layout
+(_Layout): only the N/2+1 nodes omega >= 0 and -omega_max, with the full
+sorted axis built when a caller needs it. A stack's rows are transformed
+and normed in chunks that run on every CPU the process may use
+(_run_chunks), with the same bits as on one.
 """
 
 import contextvars
@@ -152,15 +152,6 @@ def _abs_omega_pow(grid, d, half=False):
     return w
 
 
-@functools.lru_cache(maxsize=32)
-def _outer_band(grid):
-    # the two outermost octaves |omega| >= omega_max / 4, where is_resolved
-    # and the norm's warning look
-    band = np.abs(_omega_nodes(grid)) >= 0.25 * grid.omega_max
-    band.flags.writeable = False
-    return band
-
-
 def _forward_raw(values, dx):
     # fhat(m dw) = dx (-1)^m FFT[f]_m with x_0 = -x_max; the alternating sign
     # carries the e^{i m pi} boundary phase. Requires len/2 even. Transforms
@@ -188,8 +179,7 @@ def _is_real_field(fhat):
 
     That is fhat(-omega) == conj(fhat(omega)) node for node, with fhat real
     at omega = 0 and at the unpaired node -omega_max. The test is exact, with
-    no tolerance: a spectrum that passes goes through the half-length real
-    transforms, any other through the complex ones.
+    no tolerance; a NaN fails it.
     """
     h = fhat.shape[-1] // 2
     pos = fhat[..., h + 1 :]
@@ -200,6 +190,15 @@ def _is_real_field(fhat):
         and np.array_equal(pos.real, neg.real)
         and np.array_equal(pos.imag, -neg.imag)
     )
+
+
+def _first_asymmetry(grid, fhat):
+    # the first sorted node where _is_real_field fails, and its omega: node
+    # k pairs with node N - k, and the nodes 0 (-omega_max) and N/2
+    # (omega = 0) with themselves
+    n = grid.n_points
+    k = int(np.argmax(fhat != np.conj(fhat[-np.arange(n) % n])))
+    return f"node {k} (omega = {float(grid.omega[k])!r})"
 
 
 def _to_half(fhat):
@@ -264,51 +263,47 @@ def _forward_half(phys, n, dx, out, spec):
 
 
 class _Layout:
-    """How a stack of spectral rows on one grid is held and transformed.
+    """How a stack of real fields' spectral rows on one grid is held and
+    transformed.
 
-    real: every row is the transform of a real field (_is_real_field), so
-    rows hold the half layout of _to_half, the negative half being the
+    Rows hold the half layout of _to_half, the negative half being the
     conjugate of the positive one, and powers and derivatives take
-    half-length real FFTs. Otherwise rows hold the N sorted nodes and take
-    complex FFTs. Every element-wise step maps the half of a Hermitian
-    input to the half of its Hermitian output, so the half rows hold the
-    numbers the sorted axis would.
+    half-length real FFTs. Every element-wise step maps the half of a
+    Hermitian input to the half of its Hermitian output, so the half rows
+    hold the numbers the sorted axis would.
 
     power, deriv and norm write into out when given, else into a new
     array, and take their scratch from work (a _Workspace), else from a
     new one.
     """
 
-    __slots__ = ("grid", "real")
+    __slots__ = ("grid",)
 
-    def __init__(self, grid, real):
+    def __init__(self, grid):
         self.grid = grid
-        self.real = real
 
     def rows(self, fhat):
         """Sorted spectra held in this layout."""
-        return _to_half(fhat) if self.real else fhat
+        return _to_half(fhat)
 
     def expand(self, rows):
         """Sorted spectra of rows held in this layout, in a new array."""
-        return _from_half(rows) if self.real else rows.copy()
+        return _from_half(rows)
 
     def abs_omega_pow(self, d):
         """|omega|**d on this layout's nodes, cached per (grid, d)."""
-        return _abs_omega_pow(self.grid, float(d), self.real)
+        return _abs_omega_pow(self.grid, float(d), True)
 
     def power(self, rows, coeffs, out=None, work=None):
         """Transform of sum_p c_p u^p for one row or each row of a stack.
 
         Each spectrum is embedded centered in a grid with _pad_factor * N
         points and the same x_max (finer physical sampling, same frequency
-        spacing), and restricted to the original band after the products.
-        Real fields take one irfft, the sum formed in physical space and
-        one rfft; any other spectrum takes one complex transform per
-        power, with the coefficients applied on the band. A stack runs in
-        _chunks of its padded width, shared out by _run_chunks; a chunk is
-        read before its output is written, so out may be rows itself. The
-        scratch comes from each thread's slots 0-2 of work.
+        spacing), and restricted to the original band after the products:
+        one irfft, the sum formed in physical space and one rfft. A stack
+        runs in _chunks of its padded width, shared out by _run_chunks; a
+        chunk is read before its output is written, so out may be rows
+        itself. The scratch comes from each thread's slots 0-2 of work.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
         work = _Workspace() if work is None else work
@@ -316,8 +311,6 @@ class _Layout:
         pad = _pad_factor(coeffs)
         m = pad * n
         dx_big = 2.0 * self.grid.x_max / m
-        band = slice(m // 2 - n // 2, m // 2 + n // 2)
-        powers = sorted(coeffs)
         width = rows.shape[-1]
         # a view for one row or a stack, so each chunk writes into out
         stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
@@ -325,21 +318,13 @@ class _Layout:
         def body(c):
             chunk, dst = stack[c], dest[c]
             k = len(chunk)
-            if self.real:
-                # slot 1 holds the padded field, then its rfft
-                spec = work.scratch(1, (k, m // 2 + 1))
-                phys = _inverse_half(
-                    chunk, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, chunk.shape)
-                )
-                total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
-                _forward_half(total, n, dx_big, dst, spec)
-                return
-            big = np.zeros((k, m), dtype=np.complex128)
-            big[:, band] = chunk
-            phys = _inverse_raw(big, dx_big)
-            np.multiply(_forward_raw(phys ** powers[0], dx_big)[:, band], coeffs[powers[0]], out=dst)
-            for p in powers[1:]:
-                dst += coeffs[p] * _forward_raw(phys**p, dx_big)[:, band]
+            # slot 1 holds the padded field, then its rfft
+            spec = work.scratch(1, (k, m // 2 + 1))
+            phys = _inverse_half(
+                chunk, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, chunk.shape)
+            )
+            total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
+            _forward_half(total, n, dx_big, dst, spec)
 
         _run_chunks(body, _chunks(len(stack), pad * width))
         return out
@@ -349,9 +334,6 @@ class _Layout:
         out = np.empty(rows.shape, np.complex128) if out is None else out
         grid = self.grid
         n, dx = grid.n_points, grid.dx
-        if not self.real:
-            out[...] = _forward_raw(-1j * grid.x * _inverse_raw(rows, dx), dx)
-            return out
         work = _Workspace() if work is None else work
         # x f is real, so its half spectrum expands; fhat' = -i times it
         phys = _inverse_half(rows, n, dx, work.scratch(2, rows.shape[:-1] + (n,), np.float64), out)
@@ -385,8 +367,9 @@ class _Layout:
         return float(np.max(np.abs(band, out=work.scratch(2, band.shape, np.float64))))
 
     def _outer_octaves(self):
-        # the nodes of the outer octaves (_outer_band) in this layout
-        return slice(self.grid.n_points // 8, None) if self.real else _outer_band(self.grid)
+        # the two outermost octaves |omega| >= omega_max / 4: the nodes N/8
+        # onward of the half layout, its -omega_max node last
+        return slice(self.grid.n_points // 8, None)
 
 
 def _warn_if_under_resolved(tail, grid):
@@ -404,17 +387,15 @@ def _warn_if_under_resolved(tail, grid):
         )
 
 
-def _layout_of(fhat, grid):
-    """The layout of rows from fhat: half rows for a real field."""
-    return _Layout(grid, _is_real_field(fhat))
-
-
 class SpectralFunction:
-    """A function represented by its transform samples on a GridSpec.
+    """A real function represented by its transform samples on a GridSpec.
 
-    The samples are stored as complex128 on the sorted frequency axis. The
-    class is a thin value wrapper: arithmetic returns new instances and
-    never mutates operands.
+    The samples are stored as complex128 on the sorted frequency axis and
+    are exactly Hermitian (_is_real_field): a spectrum that is not raises
+    DomainError, naming the first node that breaks the symmetry. The class
+    is a thin value wrapper: arithmetic returns new instances and never
+    mutates operands, and sums, differences and real multiples of real
+    fields stay real node for node.
     """
 
     __slots__ = ("grid", "fhat")
@@ -424,6 +405,11 @@ class SpectralFunction:
         if fhat.shape != (grid.n_points,):
             raise DomainError(
                 f"fhat must have shape ({grid.n_points},), got {fhat.shape}"
+            )
+        if not _is_real_field(fhat):
+            raise DomainError(
+                "fhat is not the transform of a real function: fhat(-omega) != "
+                f"conj(fhat(omega)) at {_first_asymmetry(grid, fhat)}"
             )
         self.grid = grid
         self.fhat = fhat
@@ -438,10 +424,6 @@ class SpectralFunction:
 
     def to_physical(self):
         return self.grid.inverse(self.fhat)
-
-    def is_resolved(self):
-        """True when |fhat| on the two outermost octaves stays below tail_tol."""
-        return float(np.max(np.abs(self.fhat[_outer_band(self.grid)]))) <= self.grid.tail_tol
 
     def _check_same_grid(self, other):
         if not self.grid.compatible(other.grid):
@@ -488,7 +470,7 @@ def weighted_norm(f, q=2):
     still gets its norm, with an UnderResolvedWarning attached because the
     true supremum may then live off the grid.
     """
-    layout = _layout_of(f.fhat, f.grid)
+    layout = _Layout(f.grid)
     rows = layout.rows(f.fhat)[np.newaxis]
     norms, tail = layout.norm(rows, layout.deriv(rows), q)
     _warn_if_under_resolved(tail, f.grid)
@@ -503,7 +485,7 @@ def pointwise_power(f, k):
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"power must be an integer >= 2, got {k}")
-    layout = _layout_of(f.fhat, f.grid)
+    layout = _Layout(f.grid)
     return SpectralFunction(f.grid, layout.expand(layout.power(layout.rows(f.fhat), {k: 1.0})))
 
 
@@ -693,8 +675,8 @@ class _Workspace:
     multipliers ("evolve"), needed only until u0 is formed, the step
     multipliers ("steps") and two iterates ("iterate1", "iterate2"); on
     mapped stacks it holds four at a time. Both multiplier roles are
-    computed, keyed by the kernel, grid, layout and times: the blocks of a
-    flow without a time-change remainder share their nodes, so only the
+    computed, keyed by the kernel, grid, row width and times: the blocks of
+    a flow without a time-change remainder share their nodes, so only the
     first block evaluates them. A solve that starts from the solution of
     the block before spends that solution's rows: it gives their stack
     back (hand_over with owner None) and keeps it as an iterate.
@@ -705,11 +687,11 @@ class _Workspace:
     for a request larger than it (_empty_scratch). While a row fits
     _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold about
     _CHUNK_BYTES per slot, as one set did on one thread; past that each
-    set holds a whole row, so the scratch grows with _WORKERS. On a real
-    field _Layout.power uses slots 0-2 and _Layout.deriv slot 2;
-    _Layout.norm uses slots 2 and 3 on any field, _Layout.tail slot 2.
-    So a caller may keep its own chunk in slots 0 and 1 across deriv and
-    norm (the Picard update and its derivative), but not across power.
+    set holds a whole row, so the scratch grows with _WORKERS.
+    _Layout.power uses slots 0-2, _Layout.deriv slot 2, _Layout.norm slots
+    2 and 3 and _Layout.tail slot 2. So a caller may keep its own chunk in
+    slots 0 and 1 across deriv and norm (the Picard update and its
+    derivative), but not across power.
     blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
 
     A flow creates one for all its blocks; a lone solve, and a layout call
@@ -886,11 +868,9 @@ def dilate(f, a):
     out[grid.n_points // 2] = f.fhat[grid.n_points // 2]
     if a < 1.0:
         out[np.abs(grid.omega) > a * grid.omega_max] = 0.0
-    if _is_real_field(f.fhat):
-        # the chirp rounding leaves the image of a real field Hermitian only
-        # to ~1e-16; rebuild it from its non-negative half
-        out = _from_half(_to_half(out))
-    return SpectralFunction(grid, out)
+    # the chirp rounding leaves the image Hermitian only to ~1e-16; rebuild
+    # it from its non-negative half
+    return SpectralFunction(grid, _from_half(_to_half(out)))
 
 
 def eval_at_zero(f):

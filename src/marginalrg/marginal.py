@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TailTooLarge
-from .funcspace import GridSpec, SpectralFunction, _layout_of, from_profile, pointwise_power
+from .funcspace import GridSpec, SpectralFunction, _Layout, from_profile, pointwise_power
 
 __all__ = [
     "critical_exponent",
@@ -160,7 +160,7 @@ def marginal_response(n, kernel, tc, L, grid, m_tau=64):
     taus = np.linspace(0.0, L - 1.0, m_tau + 1)
     dtau = taus[1] - taus[0]
     s_in = tc.block_elapsed(n, L, L - taus)
-    layout = _layout_of(h.fhat, grid)
+    layout = _Layout(grid)
     rows = np.repeat(layout.rows(h.fhat)[np.newaxis], m_tau + 1, axis=0)
     _evolve(rows, kernel, layout, s_in)
     layout.power(rows, {alpha_c: 1.0}, rows)

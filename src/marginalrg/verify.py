@@ -183,19 +183,21 @@ class ContractionRow:
 
 
 def contraction_samples(grid, seed, count=4):
-    """Mass-free single-mode bumps: omega^j exp(-sigma omega^2).
+    """Mass-free single-mode bumps: (i omega)^j exp(-sigma omega^2).
 
-    Widths stay in [0.7, 1.0]: mixing modes of very different widths
-    would let different samples dominate at different L and inflate
-    the measured spread for reasons unrelated to the contraction rate.
+    The factor i^j makes each the transform of a real function (the j-th
+    derivative of a Gaussian). Widths stay in [0.7, 1.0]: mixing modes of
+    very different widths would let different samples dominate at
+    different L and inflate the measured spread for reasons unrelated to
+    the contraction rate.
     """
     rng = np.random.default_rng(seed)
     w = grid.omega
-    samples = [SpectralFunction(grid, w * np.exp(-(w**2)))]
+    samples = [SpectralFunction(grid, 1j * w * np.exp(-(w**2)))]
     for i in range(count):
         j = 1 + i % 2
         sigma = rng.uniform(0.7, 1.0)
-        samples.append(SpectralFunction(grid, w**j * np.exp(-sigma * w**2)))
+        samples.append(SpectralFunction(grid, (1j * w) ** j * np.exp(-sigma * w**2)))
     return samples
 
 

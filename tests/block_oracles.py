@@ -22,7 +22,7 @@ from marginalrg.errors import DomainError
 def linear_block(f, kernel, tc, n, L, params):
     """Evolve f through the block by the kernel alone, no nonlinearity."""
     times, elapsed = blocksolver._block_nodes(tc, n, L, params.m)
-    layout = fs._layout_of(f.fhat, f.grid)
+    layout = fs._Layout(f.grid)
     rows = blocksolver._linear_rows(f, kernel, layout, elapsed, fs._Workspace())
     return blocksolver.BlockSolution(layout, times, f.fhat, rows, iterations=0, final_delta=0.0)
 
@@ -54,15 +54,12 @@ def block_norm(sol, q=2):
 class FullRealLayout(fs._Layout):
     """A real field's rows held on the N sorted nodes.
 
-    Each real-field step converts to the half rows at its boundary, so this
-    layout holds the numbers of the half one expanded; the norm is the
-    complex layout's on the whole axis.
+    Each step converts to the half rows at its boundary, so this layout
+    holds the numbers of the half one expanded; the norm is written out on
+    the whole axis.
     """
 
     __slots__ = ()
-
-    def __init__(self, grid):
-        super().__init__(grid, True)
 
     def rows(self, fhat):
         return fhat
@@ -89,13 +86,18 @@ class FullRealLayout(fs._Layout):
         return np.multiply(-1j, out, out=out)
 
     def norm(self, rows, deriv, q, out=None, work=None):
-        return fs._Layout(self.grid, False).norm(rows, deriv, q, out, work)
+        # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the
+        # largest |fhat| of any row on the outer octaves |omega| >= omega_max/4
+        grid = self.grid
+        size = np.abs(rows)
+        tail = float(np.max(size[..., np.abs(grid.omega) >= 0.25 * grid.omega_max]))
+        weight = 1.0 + grid.abs_omega_pow(q)
+        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), tail
 
 
 def deriv_rows(fhat, grid):
-    """Frequency derivative fhat' of each row on the sorted axis."""
-    layout = FullRealLayout(grid) if fs._is_real_field(fhat) else fs._Layout(grid, False)
-    return layout.deriv(fhat)
+    """Frequency derivative fhat' of each real field's row on the sorted axis."""
+    return FullRealLayout(grid).deriv(fhat)
 
 
 def damping_term(sol, nl, kernel, tc, n, L, t_index):

@@ -156,18 +156,6 @@ def test_against_spectral_ode_oracle():
     assert np.max(np.abs(sol.final.fhat - ode_oracle_final(f))) < 1e-6
 
 
-def test_non_real_field_keeps_the_full_layout():
-    # a real odd part in the spectrum makes the field complex: the solve
-    # holds full rows with complex transforms, matches the same oracle, and
-    # its final slice is not forced into Hermitian symmetry
-    f = profile() + fs.from_profile(GRID, lambda w: 1e-3 * w * np.exp(-(w**2)))
-    assert not fs._is_real_field(f.fhat)
-    sol = solve_block(f, KERNEL, TC, NL, 0, 2.0, SolverParams(m=256))
-    assert sol._rows.shape[-1] == GRID.n_points
-    assert not fs._is_real_field(sol.final.fhat)
-    assert np.max(np.abs(sol.final.fhat - ode_oracle_final(f))) < 1e-6
-
-
 def test_trapezoid_order_of_accuracy():
     f = profile()
     finals = {}
@@ -307,7 +295,7 @@ def test_divergence_reports_the_exact_norm(monkeypatch):
         assert info.value.iteration == 3
         assert info.value.norm > info.value.guard
         times, _ = blocksolver._block_nodes(TC, 0, 2.0, 16)
-        layout = fs._layout_of(profile().fhat, GRID)
+        layout = fs._Layout(GRID)
         iterate = BlockSolution(layout, times, profile().fhat, seen[-1][0], 3, math.nan)
         assert info.value.norm == block_norm(iterate, 2)
 
@@ -349,10 +337,8 @@ def test_threads_change_no_bit(monkeypatch):
     params = SolverParams(m=76)
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     rows = np.array([s.fhat for s in linear_block(profile(), KERNEL, TC, 0, 2.0, params).slices])
-    half = fs._Layout(GRID, True)
+    half = fs._Layout(GRID)
     held = half.rows(rows)
-    plain = fs._Layout(GRID, False)
-    skew = rows + 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
 
     def run():
         work = fs._Workspace()
@@ -361,7 +347,6 @@ def test_threads_change_no_bit(monkeypatch):
         sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
         return (
             half.power(held, coeffs, work=work),
-            plain.power(skew, coeffs, work=work),
             deriv,
             norm,
             [s.fhat for s in sol.slices],
@@ -379,7 +364,7 @@ def test_threads_change_no_bit(monkeypatch):
 
 def test_stacked_integrand_and_norm_match_rows():
     # 77 and 65 rows: more than one chunk of the padded (2N) and the plain
-    # (N) full-layout transforms and of the padded half-layout ones. One
+    # (N) full-width transforms and of the padded half-layout ones. One
     # workspace serves every stacked call, so its scratch is reused across
     # chunk shapes and layouts.
     work = fs._Workspace()
@@ -395,7 +380,7 @@ def check_stacked_rows(m, work):
         assert len(fs._chunks(rows.shape[0], width)) > 1
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     full = FullRealLayout(GRID)
-    half = fs._Layout(GRID, True)
+    half = fs._Layout(GRID)
     integrand = full.power(rows, coeffs, np.empty_like(rows), work)
     for row, got in zip(rows, integrand):
         # bitwise: a stacked chunk gives what the same transform gives one row
@@ -418,18 +403,6 @@ def check_stacked_rows(m, work):
     half_deriv = half.deriv(held, work=work)
     assert blocksolver._block_norm(held, half, 2, work)[0] == norm
     assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
-    # a field that is not real keeps the full layout and complex transforms
-    odd = 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
-    skew = rows + odd
-    assert not any(fs._is_real_field(r) for r in skew)
-    plain = fs._Layout(GRID, False)
-    skew_integrand = plain.power(skew, coeffs, np.empty_like(skew), work)
-    for row, got in zip(skew, skew_integrand):
-        assert np.array_equal(got, plain.power(row, coeffs))
-    skew_deriv = plain.deriv(skew, work=work)
-    skew_norm, _ = blocksolver._block_norm(skew, plain, 2, work)
-    assert np.array_equal(skew_deriv, np.array([deriv_rows(r, GRID) for r in skew]))
-    assert skew_norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in skew)
 
 
 def real_input():
@@ -444,7 +417,7 @@ def solve_in_layouts(monkeypatch, solve):
     assert fs._is_real_field(f.fhat)
     half = solve(f)
     with monkeypatch.context() as patch:
-        patch.setattr(blocksolver, "_layout_of", lambda fhat, grid: FullRealLayout(grid))
+        patch.setattr(blocksolver, "_Layout", FullRealLayout)
         full = solve(f)
     assert half._rows.shape[-1] == GRID.n_points // 2 + 1
     assert full._rows.shape[-1] == GRID.n_points
@@ -604,8 +577,9 @@ def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
 
 def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch):
     # a kept multiplier stack is given back unwritten for the same kernel,
-    # grid, layout and times, and evaluated afresh for any other, or after
-    # its role was given out as a plain stack; a mapped one is never kept
+    # grid, row width and times, and evaluated afresh for any other, or
+    # after its role was given out as a plain stack; a mapped one is never
+    # kept
     evaluations = [0]
     rows = ScalingKernel._multiplier_rows
 
@@ -616,7 +590,7 @@ def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch)
     monkeypatch.setattr(ScalingKernel, "_multiplier_rows", counted)
     _, elapsed = blocksolver._block_nodes(TC, 0, 2.0, 16)
     t = elapsed[1:]
-    half = fs._Layout(GRID, True)
+    half = fs._Layout(GRID)
     work = fs._Workspace()
 
     def stack(kernel=KERNEL, layout=half, times=t):
@@ -628,12 +602,12 @@ def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch)
 
     first, evaluated = stack()
     assert evaluated == 1
-    again, evaluated = stack(heat_kernel(), fs._Layout(GRID, True), t.copy())
+    again, evaluated = stack(heat_kernel(), fs._Layout(GRID), t.copy())
     assert again is first and evaluated == 0
     for changed in (
         dict(kernel=ScalingKernel(kappa=0.5)),
-        dict(layout=fs._Layout(fs.GridSpec(1024, 20.0), True)),
-        dict(layout=fs._Layout(GRID, False)),
+        dict(layout=fs._Layout(fs.GridSpec(1024, 20.0))),
+        dict(layout=FullRealLayout(GRID)),
         dict(times=np.nextafter(t, np.inf)),
         dict(),
     ):
@@ -688,7 +662,6 @@ def test_tail_only_bound_crossing_takes_no_derivative(monkeypatch):
 
 def test_solve_block_warns_when_under_resolved():
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
-    assert not slow.is_resolved()
     with pytest.warns(UnderResolvedWarning):
         sol = solve_block(slow, KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     assert sol.final_delta < 1e-10

@@ -299,16 +299,25 @@ def test_norm_roundtrip(tmp_path, capsys):
 def test_norm_of_a_non_real_field(tmp_path, capsys):
     import numpy as np
 
-    # an odd real spectrum (an imaginary field) goes through the complex
-    # transforms; its norm is the complex-transform formula
+    # an odd real spectrum is the transform of an imaginary field: the CSV
+    # is refused with exit 2, naming the first node that breaks the symmetry
     grid = GridSpec(1024, 40.0)
-    f = fs.from_profile(grid, lambda w: w * np.exp(-(w**2)))
+    fhat = np.exp(-(grid.omega**2)) + 1e-3 * grid.omega * np.exp(-(grid.omega**2))
     path = tmp_path / "odd.csv"
-    fs.to_csv(f, path)
-    assert run_cli("norm", str(path)) == 0
-    deriv = grid.forward(-1j * grid.x * grid.inverse(f.fhat))
-    want = np.max((1.0 + grid.omega**2) * (np.abs(f.fhat) + np.abs(deriv)))
-    assert json.loads(capsys.readouterr().out)["bq_norm"] == pytest.approx(want, rel=1e-12)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("omega,re_fhat,im_fhat\n")
+        for w, v in zip(grid.omega, fhat):
+            fh.write(f"{float(w)!r},{float(v)!r},0.0\n")
+    assert run_cli("norm", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not the transform of a real function" in captured.err
+    # node k pairs with node N - k; the first unequal pair holds the first
+    # node whose odd part does not underflow
+    mirror = np.append(fhat[:1], fhat[:0:-1])
+    first = int(np.flatnonzero(fhat != mirror)[0])
+    assert first < grid.n_points // 2
+    assert f"at node {first} (omega = " in captured.err
 
 
 def test_module_entry_point():

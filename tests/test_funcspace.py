@@ -3,6 +3,7 @@
 import math
 import mmap
 import os
+import re
 import signal
 import sys
 import threading
@@ -14,11 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from block_oracles import FullRealLayout, deriv_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginalrg import config
 from marginalrg import funcspace as fs
+from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
 from marginalrg.errors import DomainError, UnderResolved, UnderResolvedWarning
 from marginalrg.kernel import heat_kernel
+from marginalrg.timechange import TimeChange
 
 GRID = fs.GridSpec()
 
@@ -81,7 +86,6 @@ def test_norm_gaussian_value():
 
 def test_norm_warns_when_under_resolved():
     slow = fs.from_profile(GRID, lambda w: 1.0 / (1.0 + w**2))
-    assert not slow.is_resolved()
     with pytest.warns(UnderResolvedWarning):
         fs.weighted_norm(slow, 2)
     with warnings.catch_warnings():
@@ -131,15 +135,12 @@ def chunked_norms(layout, rows, q, work):
 
 
 def test_stacked_norm_matches_rows():
-    # 65 rows: not a multiple of the half-layout (31) or the full-layout (16)
+    # 65 rows: not a multiple of the half-layout (31) or the full-width (16)
     # chunk, so the chunked norms end on a partial chunk
     rows = stack(65)
     assert fs._is_real_field(rows)
     full = FullRealLayout(GRID)
-    half = fs._Layout(GRID, True)
-    plain = fs._Layout(GRID, False)
-    skew = rows + 1e-3 * GRID.omega * np.exp(-(GRID.omega**2))
-    assert not any(fs._is_real_field(r) for r in skew)
+    half = fs._Layout(GRID)
     work = fs._Workspace()
     held = half.rows(rows)
     assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
@@ -162,14 +163,8 @@ def test_stacked_norm_matches_rows():
         assert np.array_equal(half.norm(held, half.deriv(held), q)[0], stacked)
         assert np.array_equal(chunked_norms(half, held, q, work), stacked)
         assert np.array_equal(chunked_norms(full, rows, q, work), stacked)
-        # a field that is not real: complex transforms on the full axis
-        skewed, _ = plain.norm(skew, plain.deriv(skew), q)
-        assert np.array_equal(
-            skewed, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in skew]
-        )
-        assert np.array_equal(chunked_norms(plain, skew, q, work), skewed)
-    # the half layout's outer octaves are its nodes [N/8:]
-    band = np.flatnonzero(fs._to_half(fs._outer_band(GRID)))
+    # the half layout's outer octaves |omega| >= omega_max / 4 are its nodes [N/8:]
+    band = np.flatnonzero(fs._to_half(np.abs(GRID.omega) >= 0.25 * GRID.omega_max))
     assert np.array_equal(band, np.arange(GRID.n_points // 8, GRID.n_points // 2 + 1))
     # a tail on the first node of the band warns in both layouts, one node
     # further in does not; the norm returns the tail, its caller warns
@@ -190,7 +185,7 @@ def test_stacked_norm_matches_rows():
     with pytest.warns(UnderResolvedWarning):
         fs._warn_if_under_resolved(half.norm(held, half.deriv(held), 2)[1], GRID)
     with pytest.raises(DomainError):
-        full.norm(rows, rows, -1)
+        half.norm(held, held, -1)
 
 
 def test_chunks_are_balanced_and_share_out_evenly(monkeypatch):
@@ -222,7 +217,7 @@ class WeakWorkspace(fs._Workspace):
 def test_threaded_calls_keep_no_reference(threads):
     # a helper drops the task (the body's closure over the arrays and the
     # workspace) before it waits for the next one
-    layout = fs._Layout(GRID, True)
+    layout = fs._Layout(GRID)
     held = layout.rows(gauss().fhat)[np.newaxis].repeat(37, axis=0)
     assert len(fs._chunks(len(held), 2 * held.shape[-1])) > 1
     work, out = WeakWorkspace(), np.empty_like(held)
@@ -280,7 +275,7 @@ def test_every_chunk_runs_once_under_contention(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helpers(threads):
     # the child of a fork has none of its parent's helper threads
-    layout = fs._Layout(GRID, True)
+    layout = fs._Layout(GRID)
     held = layout.rows(gauss().fhat)[np.newaxis].repeat(8, axis=0)
     want = layout.power(held, {2: 1.0})
     pid = os.fork()
@@ -309,7 +304,7 @@ def test_one_chunk_calls_start_no_thread(threads, monkeypatch):
     # FlowConfig's set-up takes the weighted norm of g0, one row
     config.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "canonical.yaml"))
     with pytest.raises(AssertionError, match="shared out"):
-        layout = fs._Layout(GRID, True)
+        layout = fs._Layout(GRID)
         layout.power(layout.rows(gauss().fhat)[np.newaxis].repeat(2, axis=0), {2: 1.0})
 
 
@@ -376,13 +371,50 @@ def test_real_field_predicate_is_exact():
     assert fs._is_real_field(f)
     assert fs._is_real_field(np.array([f, 2.0 * f]))
     h = GRID.n_points // 2
-    # one ulp off the mirror, or a subnormal imaginary part at either real node
+    # one ulp off the mirror, or a subnormal imaginary part at either real
+    # node; the constructor refuses each, naming the first sorted node of
+    # the broken pair
     ulp = np.spacing(f[h + 7].real)
-    for node, delta in ((h + 7, ulp), (h - 7, 1e-300j), (h, 1e-300j), (0, 1e-300j)):
+    cases = ((h + 7, ulp, h - 7), (h - 7, 1e-300j, h - 7), (h, 1e-300j, h), (0, 1e-300j, 0))
+    for node, delta, first in cases:
         g = f.copy()
         g[node] += delta
         assert not fs._is_real_field(g)
         assert not fs._is_real_field(np.array([f, g]))
+        omega = float(GRID.omega[first])
+        with pytest.raises(DomainError, match=re.escape(f"at node {first} (omega = {omega!r})")):
+            fs.SpectralFunction(GRID, g)
+
+
+PROPERTY_GRID = fs.GridSpec(1024, 40.0)
+
+
+@st.composite
+def real_fields(draw):
+    # an even real part plus an odd imaginary part, with the unpaired node
+    # -omega_max kept real
+    w = PROPERTY_GRID.omega
+    amp = st.floats(-1.0, 1.0, allow_subnormal=False)
+    width = st.floats(0.5, 3.0)
+    even = draw(amp) * np.exp(-draw(width) * w**2)
+    fhat = even + 1j * draw(amp) * w * np.exp(-draw(width) * w**2)
+    fhat[0] = fhat[0].real
+    return fs.SpectralFunction(PROPERTY_GRID, fhat)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(real_fields(), real_fields(), st.floats(-3.0, 3.0), st.floats(0.0, 2.0))
+def test_operations_keep_fields_real(f, g, c, t):
+    # each result passes the constructor's exact guard; assert it again on
+    # the spectrum itself
+    kernel = heat_kernel()
+    nl = Nonlinearity(mu=0.05, lam=0.01, terms=((3, 1.0),))
+    sol = solve_block(f, kernel, TimeChange(p=1.0), nl, 0, 2.0, SolverParams(m=8))
+    results = [f + g, f - g, f * c, c * f, fs.apply_multiplier(f, kernel, t)]
+    results += [fs.pointwise_power(f, k) for k in (2, 3, 4)]
+    results += [fs.dilate(f, a) for a in (2.0, 0.6)]  # L^((p+1)/d) of the canonical block
+    results += sol.slices
+    assert all(fs._is_real_field(r.fhat) for r in results)
 
 
 def test_power_of_real_field_is_exactly_hermitian():
@@ -408,42 +440,16 @@ def test_power_of_real_field_is_exactly_hermitian():
     assert_hermitian(fs.dilate(gauss(), 0.6).fhat)
 
 
-def complex_power(fhat, k, grid=GRID):
-    # the complex-transform dealiased power, written out
-    n = grid.n_points
-    m = ((k + 2) // 2) * n
-    band = slice(m // 2 - n // 2, m // 2 + n // 2)
-    signs = 1.0 - 2.0 * (np.arange(m) % 2)
-    big = np.zeros(m, dtype=np.complex128)
-    big[band] = fhat
-    dx = 2.0 * grid.x_max / m
-    phys = np.fft.ifft(np.fft.ifftshift(signs * big)) / dx
-    out = (dx * signs * np.fft.fftshift(np.fft.fft(phys**k)))[band]
-    out *= 1.0
-    return out
-
-
-def complex_norm(fhat, q, grid=GRID):
-    deriv = grid.forward(-1j * grid.x * grid.inverse(fhat))
-    return np.max((1.0 + np.abs(grid.omega) ** q) * (np.abs(fhat) + np.abs(deriv)))
-
-
-def test_non_real_fields_take_the_complex_transforms():
-    # an odd real spectrum is the transform of an imaginary field: no half
-    # transform applies, and every operation matches the complex formulas
-    # bit for bit
-    f = fs.from_profile(GRID, lambda w: w * np.exp(-(w**2)))
-    assert not fs._is_real_field(f.fhat)
-    for k in (2, 3):
-        assert np.array_equal(fs.pointwise_power(f, k).fhat, complex_power(f.fhat, k))
-    for q in (2, 4):
-        assert fs.weighted_norm(f, q) == complex_norm(f.fhat, q)
-    for a in (1.7, 0.6):
-        want = fs._resample_trig(GRID.inverse(f.fhat), GRID.x_max, a)
-        want[GRID.n_points // 2] = f.fhat[GRID.n_points // 2]
-        if a < 1.0:
-            want[np.abs(GRID.omega) > a * GRID.omega_max] = 0.0
-        assert np.array_equal(fs.dilate(f, a).fhat, want)
+def test_non_real_spectra_are_refused():
+    # an odd real spectrum is the transform of an imaginary field, and an
+    # imaginary multiple of a real field is one too
+    with pytest.raises(DomainError, match="not the transform of a real function"):
+        fs.from_profile(GRID, lambda w: w * np.exp(-(w**2)))
+    f = gauss()
+    with pytest.raises(DomainError):
+        f * 1j
+    with pytest.raises(DomainError):
+        fs.SpectralFunction(GRID, np.full(GRID.n_points, np.nan))
 
 
 def test_apply_multiplier_identity_and_semigroup():
@@ -514,7 +520,7 @@ def test_real_functions_stay_real():
 
 def test_eval_at_zero():
     assert fs.eval_at_zero(fs.zero_function(GRID)) == 0.0
-    odd = fs.from_profile(GRID, lambda w: w * np.exp(-(w**2)))
+    odd = fs.from_profile(GRID, lambda w: 1j * w * np.exp(-(w**2)))
     assert fs.eval_at_zero(odd) == 0.0
 
 
