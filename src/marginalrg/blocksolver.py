@@ -15,7 +15,9 @@ exploits the multiplier semigroup: with E_i the one-substep multiplier,
 
 which reproduces the trapezoid sum exactly while evaluating O(m)
 multipliers instead of O(m^2), and preserves the omega = 0 mass identity
-exactly since E_i(0) = 1.
+exactly since E_i(0) = 1. The linear evolution u0 obeys the same
+semigroup, so the recurrence started from the block's input row instead
+of D_0 = 0 gives u0 + D itself: each Picard iterate is one recurrence.
 """
 
 import dataclasses
@@ -192,30 +194,29 @@ def _step_multipliers(kernel, layout, elapsed, work):
     return _multiplier_stack(kernel, layout, steps, work, "steps")
 
 
-def _linear_rows(f, kernel, layout, elapsed, work):
-    row = layout.rows(f.fhat)
-    rows = work.stack("linear", (elapsed.shape[0], row.shape[-1]))
-    rows[0] = row
+def _linear_rows(first, kernel, layout, elapsed, work, out):
+    """u0, the linear evolution of the input row first, written into out."""
+    out[0] = first
     mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
-    np.multiply(row, mult, out=rows[1:])
-    return rows
+    np.multiply(first, mult, out=out[1:])
+    return out
 
 
-def _duhamel_rows(integrand, emult, h, work):
-    """Trapezoid Duhamel sums D_i via the semigroup recurrence, in place.
+def _duhamel_rows(integrand, emult, h, work, first):
+    """Trapezoid Duhamel recurrence from the row first, in place.
 
-    The integrand rows are overwritten by D; two scratch rows hold the
-    integrand row the next step still needs and the sum being formed. h
-    holds the per-interval time steps, so non-uniform node sets (stacked
-    sub-blocks) accumulate with the same exact algebra.
+    The integrand rows I_i become U_0 = first, U_i = E_i (U_{i-1} + (h/2)
+    I_{i-1}) + (h/2) I_i: the sums D_i from a zero row, u0 + D from u0's
+    first row. Two scratch rows hold the integrand row still needed and the
+    sum being formed; h holds the per-interval steps, which may differ.
     """
     half = 0.5 * np.asarray(h, dtype=np.float64)
     prev = work.scratch(0, integrand.shape[1:])
     d = work.scratch(1, integrand.shape[1:])
     prev[:] = integrand[0]
-    integrand[0] = 0.0
+    integrand[0] = first
     for i in range(1, integrand.shape[0]):
-        # D_i = E_i (D_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
+        # U_i = E_i (U_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
         np.multiply(half[i - 1], prev, out=d)
         np.add(integrand[i - 1], d, out=d)
         np.multiply(emult[i - 1], d, out=d)
@@ -247,14 +248,8 @@ def _norm_and_tail(rows, layout, q, work):
 
 
 def _tail(rows, layout, work):
-    """The stack's tail alone (_Layout.tail): no derivative transform."""
-    tails = np.empty(rows.shape[0])
-
-    def body(c):
-        tails[c] = layout.tail(rows[c], work)
-
-    _run_chunks(body, _chunks(*rows.shape))
-    return float(np.max(tails))
+    """The stack's tail alone (_Layout.tail), chunk by chunk: no derivative transform."""
+    return float(np.max([layout.tail(rows[c], work) for c in _chunks(*rows.shape)]))
 
 
 def _block_norm(rows, layout, q, work):
@@ -264,22 +259,15 @@ def _block_norm(rows, layout, q, work):
     return norm, tail
 
 
-def _start_rows(start, u0, kernel, layout, work):
-    """u0 + (u - u0 of start), formed in the rows of start, which it spends.
+def _start_rows(start, rows, u0, kernel, layout, work):
+    """u0 + (u - u0 of start), formed in rows, the start's spent rows.
 
     start is the BlockSolution of the block before, on the same nodes.
     Its u0 is its first row times the multipliers of its elapsed times,
     taken in the "evolve" role once this block's u0 is formed: without a
     time-change remainder both blocks have the same elapsed times, and
-    the stack holds them already. Its stack is given back to work, where
-    it may be the next iterate stack asked for: each chunk is read before
-    it is written.
+    the stack holds them already.
     """
-    rows = start._live_rows()
-    if rows.shape != u0.shape:
-        raise DomainError("a Picard start must come from a block on the same grid and nodes")
-    start._rows = None
-    work.hand_over(rows, None)
     first = rows[0]  # the start's input row, read by every chunk: written last
     prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
 
@@ -300,7 +288,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     The rows are held as half spectra (_Layout) for the whole solve.
     The iteration starts from u0, or, given start (the BlockSolution of
     the block before), from u0 plus that block's correction u - u0
-    (_start_rows). Each iteration transforms only the update u_new - u,
+    (_start_rows). Each iteration forms u_new as one Duhamel recurrence
+    from the input row and transforms only the update u_new - u,
     whose norm is the convergence measure. The guard and the tail warning
     need the norm and tail of u_new itself, and the triangle inequality
     bounds them by those of u plus those of the update: starting from the
@@ -315,20 +304,32 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     plus u0's where smaller, bound the solution's correction.
 
     The stacks and the chunk scratch come from work (a funcspace
-    _Workspace; a new one when None): u0 and its multipliers, the step
-    multipliers and two iterate stacks that trade places, each
-    iteration's integrand becoming its Duhamel sum and then its new
-    iterate in the stack the iterate before last held. u0's multipliers
-    are needed only until u0 is formed, so a solve on mapped stacks holds
-    four at a time; a start's rows become one of the two iterates. The
-    multiplier stacks are evaluated only where work does not hold them
-    for the same kernel, grid, row width and times (_Workspace.computed).
-    The stack that ends as the solution's rows is handed over to it.
+    _Workspace; a new one when None): u0's multipliers, needed only until
+    u0 is formed, the step multipliers and two iterate stacks that trade
+    places, each iteration's integrand becoming its new iterate in the
+    stack the iterate before last held. u0 is formed in one iterate; a
+    start, in its spent rows as the other. So a solve on mapped stacks
+    holds three at a time. The multiplier stacks are evaluated only where
+    work does not hold them for the same kernel, grid, row width and
+    times (_Workspace.computed). The stack that ends as the solution's
+    rows is handed over to it.
     """
     work = _Workspace() if work is None else work
     layout = _Layout(f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
-    u0 = _linear_rows(f, kernel, layout, elapsed, work)
+    first = layout.rows(f.fhat)
+    shape = (elapsed.shape[0], first.shape[-1])
+    spent = None
+    if start is not None:
+        spent = start._live_rows()
+        if spent.shape != shape:
+            raise DomainError("a Picard start must come from a block on the same grid and nodes")
+        start._rows = None
+        work.hand_over(spent, None)
+    u0 = work.stack("iterate1", shape)
+    if u0 is spent:  # the start's rows held that role
+        u0 = work.stack("iterate2", shape)
+    _linear_rows(first, kernel, layout, elapsed, work, u0)
     guard = params.norm_guard
     if guard is not None:
         f_norm, _ = _block_norm(u0[:1], layout, kernel.q, work)
@@ -342,33 +343,27 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     norm_room = (1.0 - _BOUND_SLACK) * guard
     tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
     if start is None:
-        u, spare = u0, None
+        u, spare = u0, work.stack("iterate2", shape)
         corr_norm, corr_tail = 0.0, 0.0
     else:
-        u = _start_rows(start, u0, kernel, layout, work)
-        spare = work.stack("iterate1", u0.shape)
-        if spare is u:  # the start's rows held that role
-            spare = work.stack("iterate2", u0.shape)
+        u, spare = _start_rows(start, spent, u0, kernel, layout, work), u0
         corr_norm, corr_tail = start.correction_bound
     norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
     emult = _step_multipliers(kernel, layout, elapsed, work)
     delta = math.inf
-    step_norms = np.empty(u0.shape[0])
-    step_tails = np.empty(u0.shape[0])
+    step_norms = np.empty(shape[0])
+    step_tails = np.empty(shape[0])
 
     def update(c):
         # the norm and tail of the update on chunk c
-        step = np.subtract(u_new[c], u[c], out=work.scratch(0, u0[c].shape))
+        step = np.subtract(u_new[c], u[c], out=work.scratch(0, u[c].shape))
         dstep = layout.deriv(step, work.scratch(1, step.shape), work)
         _, step_tails[c] = layout.norm(step, dstep, kernel.q, step_norms[c], work)
 
     for it in range(1, params.picard_max + 1):
-        if spare is None:
-            spare = work.stack(f"iterate{it}", u0.shape)
         u_new = layout.power(u, coeffs, spare, work)
-        _duhamel_rows(u_new, emult, h, work)
-        u_new += u0
-        _run_chunks(update, _chunks(*u0.shape))
+        _duhamel_rows(u_new, emult, h, work, first)
+        _run_chunks(update, _chunks(*shape))
         delta = float(np.max(step_norms))
         step_tail = float(np.max(step_tails))
         norm_bound += delta
@@ -382,8 +377,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
         _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
         if not norm_bound <= guard:
             raise Divergence(it, norm_bound, guard)
-        spare = None if u is u0 else u
-        u = u_new
+        spare, u = u, u_new
         if delta < params.picard_tol:
             bound = (min(corr_norm, norm_bound + u0_norm), min(corr_tail, tail_bound + u0_tail))
             return _solution(work, layout, times, elapsed, f.fhat, u, it, delta, bound)

@@ -1,7 +1,7 @@
 """Command-line front end: flows, constants, verification, and oracles.
 
 Exit codes: 0 success, 1 verification found a failing check, 2 invalid
-configuration, 3 the solver failed (a partial trace is still written).
+configuration or input, 3 solver failure (a partial trace is written).
 """
 
 import argparse
@@ -115,7 +115,11 @@ def cmd_direct(args):
 
 
 def cmd_norm(args):
-    f = from_csv(args.path)
+    try:
+        f = from_csv(args.path)
+    except DomainError as exc:  # the data file is at fault, not the config
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     q = 2
     if args.config is not None:
         q = _load(args).flow.kernel.q

@@ -671,10 +671,10 @@ class _Workspace:
     so one solve's resident memory stays the stacks it holds. A kept stack
     may also keep the key of what it was filled with (computed), and is
     then given back unwritten for an equal key. A Picard solve
-    (blocksolver._picard_rows) asks for five roles: u0 ("linear") and its
-    multipliers ("evolve"), needed only until u0 is formed, the step
+    (blocksolver._picard_rows) asks for four roles: u0's multipliers
+    ("evolve"), needed only until u0 is formed in an iterate, the step
     multipliers ("steps") and two iterates ("iterate1", "iterate2"); on
-    mapped stacks it holds four at a time. Both multiplier roles are
+    mapped stacks it holds three at a time. Both multiplier roles are
     computed, keyed by the kernel, grid, row width and times: the blocks of
     a flow without a time-change remainder share their nodes, so only the
     first block evaluates them. A solve that starts from the solution of

@@ -23,7 +23,9 @@ def linear_block(f, kernel, tc, n, L, params):
     """Evolve f through the block by the kernel alone, no nonlinearity."""
     times, elapsed = blocksolver._block_nodes(tc, n, L, params.m)
     layout = fs._Layout(f.grid)
-    rows = blocksolver._linear_rows(f, kernel, layout, elapsed, fs._Workspace())
+    first = layout.rows(f.fhat)
+    rows = np.empty((elapsed.shape[0], first.shape[-1]), dtype=np.complex128)
+    blocksolver._linear_rows(first, kernel, layout, elapsed, fs._Workspace(), rows)
     return blocksolver.BlockSolution(layout, times, f.fhat, rows, iterations=0, final_delta=0.0)
 
 
@@ -41,7 +43,7 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
     integrand = layout.power(rows, coeffs, np.empty_like(rows), work)
     emult = blocksolver._step_multipliers(kernel, layout, elapsed[: t_index + 1], work)
     h = np.diff(sol.times[: t_index + 1])
-    d = blocksolver._duhamel_rows(integrand, emult, h, work)
+    d = blocksolver._duhamel_rows(integrand, emult, h, work, np.zeros_like(integrand[0]))
     return fs.SpectralFunction(grid, layout.expand(d[t_index]))
 
 
@@ -55,8 +57,8 @@ class FullRealLayout(fs._Layout):
     """A real field's rows held on the N sorted nodes.
 
     Each step converts to the half rows at its boundary, so this layout
-    holds the numbers of the half one expanded; the norm is written out on
-    the whole axis.
+    holds the numbers of the half one expanded; the norm and its tail are
+    written out on the whole axis.
     """
 
     __slots__ = ()
@@ -86,13 +88,15 @@ class FullRealLayout(fs._Layout):
         return np.multiply(-1j, out, out=out)
 
     def norm(self, rows, deriv, q, out=None, work=None):
-        # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the
-        # largest |fhat| of any row on the outer octaves |omega| >= omega_max/4
-        grid = self.grid
+        # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the tail
         size = np.abs(rows)
-        tail = float(np.max(size[..., np.abs(grid.omega) >= 0.25 * grid.omega_max]))
-        weight = 1.0 + grid.abs_omega_pow(q)
-        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), tail
+        weight = 1.0 + self.grid.abs_omega_pow(q)
+        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), self.tail(rows)
+
+    def tail(self, rows, work=None):
+        # the largest |fhat| of any row on the outer octaves |omega| >= omega_max/4
+        grid = self.grid
+        return float(np.max(np.abs(rows[..., np.abs(grid.omega) >= 0.25 * grid.omega_max])))
 
 
 def deriv_rows(fhat, grid):

@@ -411,9 +411,9 @@ def real_input():
     return profile() * 0.5 + fs.SpectralFunction(GRID, 2e-3j * w * np.exp(-(w**2)))
 
 
-def solve_in_layouts(monkeypatch, solve):
+def solve_in_layouts(monkeypatch, solve, f=None):
     """solve() once in the half layout and once in the full one."""
-    f = real_input()
+    f = real_input() if f is None else f
     assert fs._is_real_field(f.fhat)
     half = solve(f)
     with monkeypatch.context() as patch:
@@ -428,6 +428,7 @@ def solve_in_layouts(monkeypatch, solve):
         assert np.array_equal(a.fhat, b.fhat)
     assert block_norm(half, 2) == block_norm(full, 2)
     assert (half.iterations, half.final_delta) == (full.iterations, full.final_delta)
+    assert half.correction_bound == full.correction_bound
     return half, full
 
 
@@ -450,28 +451,74 @@ def test_layouts_agree_bitwise(monkeypatch):
         monkeypatch,
         lambda f: blocksolver._picard_rows(f, KERNEL, times, elapsed, coeffs, params),
     )
+    # an under-resolved input: its tail crosses tail_tol at every iterate,
+    # so the solve evaluates the iterates' tails alone (blocksolver._tail)
+    slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        solve_in_layouts(
+            monkeypatch,
+            lambda f: solve_block(f, KERNEL, TC, NL, 0, 2.0, SolverParams(m=16)),
+            slow,
+        )
+
+
+def test_full_layout_tail_is_the_outer_octaves():
+    # the sorted rows' tail is read on the nodes |omega| >= omega_max/4,
+    # the nodes the half rows' tail reads
+    w = GRID.omega
+    rows = np.array([np.exp(-(w**2) / s) for s in (1.0, 40.0, 400.0)], dtype=np.complex128)
+    half = fs._Layout(GRID)
+    assert FullRealLayout(GRID).tail(rows) == half.tail(half.rows(rows))
 
 
 def test_duhamel_sums_in_place():
-    # the integrand stack becomes the Duhamel sums of the two-row recurrence
+    # the integrand stack becomes the two-row recurrence started from the
+    # given first row
     rng = np.random.default_rng(3)
     integrand = rng.normal(size=(9, 17)) + 1j * rng.normal(size=(9, 17))
     emult = rng.uniform(0.5, 1.0, size=(8, 17))
     h = rng.uniform(0.1, 0.3, size=8)
-    want = np.zeros_like(integrand)
+    first = rng.normal(size=17) + 1j * rng.normal(size=17)
+    want = np.empty_like(integrand)
+    want[0] = first
     for i in range(1, 9):
         want[i] = emult[i - 1] * (want[i - 1] + 0.5 * h[i - 1] * integrand[i - 1]) + (
             0.5 * h[i - 1]
         ) * integrand[i]
     sums = integrand.copy()
-    assert blocksolver._duhamel_rows(sums, emult, h, fs._Workspace()) is sums
+    assert blocksolver._duhamel_rows(sums, emult, h, fs._Workspace(), first) is sums
     assert np.array_equal(sums, want)
 
 
+def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
+    # with a zero integrand the recurrence multiplies the input row by the
+    # step multipliers, the linear evolution by the semigroup: it matches
+    # u0 to rounding, and exactly at omega = 0 where every multiplier is 1.
+    # exp(-s |omega|^d) carries the rounding of its exponent, a relative
+    # error of s |omega|^d eps, so each node's bound scales with it; a
+    # subnormal u0 has no relative precision to compare
+    params = SolverParams(m=64)
+    lin = linear_block(profile(), KERNEL, TC, 0, 2.0, params)
+    _, elapsed = blocksolver._block_nodes(TC, 0, 2.0, params.m)
+    layout = fs._Layout(GRID)
+    work = fs._Workspace()
+    emult = blocksolver._step_multipliers(KERNEL, layout, elapsed, work)
+    h = np.diff(lin.times)
+    rows = np.zeros_like(lin._rows)
+    blocksolver._duhamel_rows(rows, emult, h, work, layout.rows(profile().fhat))
+    size = np.abs(lin._rows)
+    condition = 1.0 + elapsed[:, None] * layout.abs_omega_pow(KERNEL.d)
+    normal = size >= np.finfo(float).tiny
+    gap = np.abs(rows - lin._rows)
+    assert np.all((gap <= 64 * np.finfo(float).eps * condition * size)[normal])
+    assert np.array_equal(rows[:, 0], lin._rows[:, 0])
+
+
 def test_solve_allocates_its_stacks_once(monkeypatch):
-    # five stacks whatever the iteration count: u0 and its multipliers, the
-    # step multipliers and two iterate stacks that trade places; mapped
-    # stacks hold the same numbers as heap ones
+    # four stacks whatever the iteration count: u0's multipliers, the step
+    # multipliers and two iterate stacks that trade places, u0 formed in
+    # one of them; mapped stacks hold the same numbers as heap ones
     params = SolverParams(m=16)
     heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert heap.iterations >= 3
@@ -485,15 +532,16 @@ def test_solve_allocates_its_stacks_once(monkeypatch):
     monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
-    assert len(shapes) == 5
+    assert len(shapes) == 4
     assert mapped.iterations == heap.iterations
     for a, b in zip(mapped.slices, heap.slices):
         assert np.array_equal(a.fhat, b.fhat)
 
 
-def test_solve_holds_four_stacks_at_a_time(monkeypatch):
-    # u0's multipliers go once u0 is formed: u0, the step multipliers and
-    # the two iterates are all a mapped solve holds at its peak
+def test_solve_holds_three_stacks_at_a_time(monkeypatch):
+    # u0's multipliers go once u0 is formed in an iterate stack: the step
+    # multipliers and the two iterates are all a mapped solve holds at its
+    # peak
     live, peak = set(), []
     make = fs._empty_stack
 
@@ -510,8 +558,8 @@ def test_solve_holds_four_stacks_at_a_time(monkeypatch):
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     assert sol.iterations >= 3
-    assert len(peak) == 5
-    assert max(peak) == 4
+    assert len(peak) == 4
+    assert max(peak) == 3
 
 
 def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
@@ -547,7 +595,7 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
 def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
     # a solve started from the block before evaluates that block's
     # multipliers where its step multipliers go and takes its rows as an
-    # iterate: like a cold solve it allocates five stacks and holds four
+    # iterate: like a cold solve it allocates four stacks and holds three
     live, peak = set(), []
     make = fs._empty_stack
 
@@ -569,8 +617,8 @@ def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
     del cold
     peak.clear()
     warm = solve_block(f1, KERNEL, TC, NL, 1, 2.0, params, start=before)
-    assert len(peak) == 5
-    assert max(peak) == 4  # the start's rows among them, as an iterate
+    assert len(peak) == 4
+    assert max(peak) == 3  # the start's rows among them, as an iterate
     assert warm.iterations < cold_iterations
     assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
 

@@ -148,19 +148,19 @@ def test_exit_2_names_the_violated_condition(tmp_path, capsys):
     assert run_cli("flow", "--out", str(tmp_path)) == 2
     assert "--config" in capsys.readouterr().err
 
-    # a DomainError from the numerics takes the same exit: a CSV whose
-    # frequency axis is not uniform
+    # a data file that norm cannot read is an input error with the same
+    # exit: a CSV whose frequency axis is not uniform
     path = tmp_path / "skewed.csv"
     path.write_text("omega,re_fhat,im_fhat\n-2,0,0\n-1,1,0\n0,1,0\n2,0,0\n")
     assert run_cli("norm", str(path)) == 2
-    assert "config error: frequency axis" in capsys.readouterr().err
+    assert "input error: frequency axis" in capsys.readouterr().err
 
     # a CSV with a non-numeric field names the file, not a raw traceback
     path = tmp_path / "text.csv"
     path.write_text("omega,re_fhat,im_fhat\n0.0,1.0,abc\n")
     assert run_cli("norm", str(path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "text.csv is not a numeric CSV" in err
+    assert err.startswith("input error: ") and "text.csv is not a numeric CSV" in err
 
     # dealiasing always uses the smallest exact padding; there is no knob
     cfg = write_config(tmp_path, "time: {p: 1.0}\ngrid: {pad_factor: 2}\n", name="pad.yaml")
@@ -311,6 +311,7 @@ def test_norm_of_a_non_real_field(tmp_path, capsys):
     assert run_cli("norm", str(path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("input error: ")
     assert "not the transform of a real function" in captured.err
     # node k pairs with node N - k; the first unequal pair holds the first
     # node whose odd part does not underflow
