@@ -18,10 +18,18 @@ multipliers instead of O(m^2), and preserves the omega = 0 mass identity
 exactly since E_i(0) = 1. The linear evolution u0 obeys the same
 semigroup, so the recurrence started from the block's input row instead
 of D_0 = 0 gives u0 + D itself: each Picard iterate is one recurrence.
+Row i of the recurrence reads only the rows up to i, and the update
+u_new - u is row-local, so an iteration is one sweep over chunks of rows
+that rewrites the iterate in place: the integrand and the update's norm
+of different chunks run on different threads, and the recurrence runs
+chunk after chunk in row order, carrying its last two rows across.
 """
 
+import collections.abc
+import contextlib
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -122,9 +130,10 @@ class BlockSolution:
     """Solution slices u(., t_j) on the block's time nodes.
 
     The rows stay in the solver's layout (the half spectra of a real
-    field); a slice on the sorted axis is built only when asked for, and
-    the first slice is the input spectrum as given. elapsed holds the
-    elapsed times s_n(t_j) of the nodes, and correction_bound bounds the norm and the
+    field); a slice on the sorted axis is built only when asked for
+    (slices builds one per index or iteration step), and the first slice
+    is the input spectrum as given. elapsed holds the elapsed times
+    s_n(t_j) of the nodes, and correction_bound bounds the norm and the
     tail (_Layout.norm) of u - u0, the Picard correction to the linear
     evolution u0. A solve of the next block may start from that
     correction (solve_block's start), which spends the rows: no slice
@@ -156,7 +165,8 @@ class BlockSolution:
 
     @property
     def slices(self):
-        return [self._slice(i) for i in range(self.times.shape[0])]
+        """The slices as a read-only sequence, each built when indexed."""
+        return _Slices(self)
 
     @property
     def final(self):
@@ -167,6 +177,26 @@ class BlockSolution:
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise DomainError(f"no time node at t = {t}; nearest is {self.times[i]}")
         return self._slice(i)
+
+
+class _Slices(collections.abc.Sequence):
+    """BlockSolution.slices: one slice per time node, built on each access
+    and not kept, so iterating holds one sorted slice at a time."""
+
+    __slots__ = ("_sol",)
+
+    def __init__(self, sol):
+        self._sol = sol
+
+    def __len__(self):
+        return self._sol.times.shape[0]
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"slice index {i} out of range for {n} time nodes")
+        return self._sol._slice(i % n)
 
 
 def _block_nodes(tc, n, L, m):
@@ -194,36 +224,58 @@ def _step_multipliers(kernel, layout, elapsed, work):
     return _multiplier_stack(kernel, layout, steps, work, "steps")
 
 
-def _linear_rows(first, kernel, layout, elapsed, work, out):
-    """u0, the linear evolution of the input row first, written into out."""
-    out[0] = first
-    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
-    np.multiply(first, mult, out=out[1:])
+def _linear_chunk(first, mult, c, out):
+    """u0 on the rows c of a stack, into out: the input row first on row 0,
+    first times the "evolve" multipliers mult of the elapsed times after."""
+    lo = max(c.start, 1)
+    out[: lo - c.start] = first
+    np.multiply(first, mult[lo - 1 : c.stop - 1], out=out[lo - c.start :])
     return out
 
 
-def _duhamel_rows(integrand, emult, h, work, first):
-    """Trapezoid Duhamel recurrence from the row first, in place.
+def _linear_rows(first, kernel, layout, elapsed, work, out):
+    """u0, the linear evolution of the input row first, written into out."""
+    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
+    return _linear_chunk(first, mult, slice(0, out.shape[0]), out)
+
+
+def _duhamel_rows(rows, start, emult, h, carry, first, work, turn=contextlib.nullcontext()):
+    """Trapezoid Duhamel recurrence on the rows start.. of a stack, in place.
 
     The integrand rows I_i become U_0 = first, U_i = E_i (U_{i-1} + (h/2)
     I_{i-1}) + (h/2) I_i: the sums D_i from a zero row, u0 + D from u0's
-    first row. Two scratch rows hold the integrand row still needed and the
-    sum being formed; h holds the per-interval steps, which may differ.
+    first row. emult and h hold the whole stack's step multipliers and
+    per-interval steps, which may differ. Both halves of each interval's
+    weight, (h/2) I_{i-1} and (h/2) I_i, are formed for the whole chunk
+    first, in work's slots 0 and 1; only the sum runs row after row, in
+    the context turn (a _run_chunks turn, so that chunks run it in row
+    order). carry, two rows, holds (h/2) I and U of the row before the
+    first (unread when start is 0) and is left holding those of the last,
+    so consecutive chunks give the whole stack's recurrence, bit for bit.
     """
-    half = 0.5 * np.asarray(h, dtype=np.float64)
-    prev = work.scratch(0, integrand.shape[1:])
-    d = work.scratch(1, integrand.shape[1:])
-    prev[:] = integrand[0]
-    integrand[0] = first
-    for i in range(1, integrand.shape[0]):
-        # U_i = E_i (U_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
-        np.multiply(half[i - 1], prev, out=d)
-        np.add(integrand[i - 1], d, out=d)
-        np.multiply(emult[i - 1], d, out=d)
-        d += np.multiply(half[i - 1], integrand[i], out=prev)
-        prev[:] = integrand[i]
-        integrand[i] = d
-    return integrand
+    k, last = rows.shape[0], h.shape[0]  # last: the stack's last row
+    # complex weights, as numpy makes of a real scalar factor: the same
+    # bits, without casting a real column element by element
+    half = (0.5 * h[max(start - 1, 0) : start + k]).astype(np.complex128)[:, np.newaxis]
+    # fore[j]: the row's half of the interval after it, aft[j]: of the one before
+    fore = work.scratch(0, rows.shape)[: min(k, last - start)]
+    np.multiply(half[start > 0 :][: len(fore)], rows[: len(fore)], out=fore)
+    lo = 1 if start == 0 else 0
+    aft = work.scratch(1, rows.shape)
+    np.multiply(half[: k - lo], rows[lo:], out=aft[lo:])
+    with turn:
+        if start == 0:
+            rows[0] = first
+        for j in range(lo, k):
+            u, p = (rows[j - 1], fore[j - 1]) if j else (carry[1], carry[0])
+            # U_i = E_i (U_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
+            np.add(u, p, out=rows[j])
+            np.multiply(emult[start + j - 1], rows[j], out=rows[j])
+            rows[j] += aft[j]
+        carry[1] = rows[-1]
+        if len(fore) == k:
+            carry[0] = fore[-1]
+    return rows
 
 
 # Relative margin by which a Picard bound must stay below its limit (the
@@ -259,111 +311,137 @@ def _block_norm(rows, layout, q, work):
     return norm, tail
 
 
-def _start_rows(start, rows, u0, kernel, layout, work):
+def _start_rows(start, rows, first, kernel, layout, elapsed, q, work):
     """u0 + (u - u0 of start), formed in rows, the start's spent rows.
 
-    start is the BlockSolution of the block before, on the same nodes.
-    Its u0 is its first row times the multipliers of its elapsed times,
-    taken in the "evolve" role once this block's u0 is formed: without a
-    time-change remainder both blocks have the same elapsed times, and
-    the stack holds them already.
+    start is the BlockSolution of the block before, on the same nodes; its
+    u0 is its first row times the multipliers of its elapsed times. Each
+    chunk of this block's u0 is formed in scratch, where its norm and tail
+    are taken, and added to the chunk's rows once start's u0 is taken
+    off. Without a time-change remainder the two blocks' elapsed times are
+    equal and one multiplier stack serves both; otherwise a pass before
+    takes start's u0 off with its own, so that the two multiplier stacks
+    are never held together. Returns u0's norm and tail, warning once at
+    the caller's line when under-resolved (_block_norm).
     """
-    first = rows[0]  # the start's input row, read by every chunk: written last
-    prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
+    old_first = rows[0]  # start's input row, read by every chunk: written last
+    chunks = _chunks(*rows.shape)
+    norms = np.empty(rows.shape[0])
+    tails = np.empty(rows.shape[0])
+
+    def take_off(c, prev):
+        r = slice(max(c.start, 1), c.stop)
+        old = np.multiply(old_first, prev[r.start - 1 : r.stop - 1], out=work.scratch(1, rows[r].shape))
+        np.subtract(rows[r], old, out=rows[r])
+
+    same = np.array_equal(start.elapsed, elapsed)
+    if not same:
+        prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
+        _run_chunks(lambda c: take_off(c, prev), chunks)
+        del prev
+    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
 
     def body(c):
-        r = slice(max(c.start, 1), c.stop)
-        old = np.multiply(first, prev[r.start - 1 : r.stop - 1], out=work.scratch(0, rows[r].shape))
-        np.subtract(rows[r], old, out=rows[r])
-        rows[r] += u0[r]
+        u0 = _linear_chunk(first, mult, c, work.scratch(0, rows[c].shape))
+        d = layout.deriv(u0, work.scratch(1, u0.shape), work)
+        _, tails[c] = layout.norm(u0, d, q, norms[c], work)
+        if same:
+            take_off(c, mult)
+        lo = max(c.start, 1)
+        rows[lo : c.stop] += u0[lo - c.start :]
 
-    _run_chunks(body, _chunks(*rows.shape))
-    rows[0] = u0[0]
-    return rows
+    _run_chunks(body, chunks)
+    rows[0] = first
+    tail = float(np.max(tails))
+    _warn_if_under_resolved(tail, layout.grid)
+    return float(np.max(norms)), tail
 
 
 def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=None):
     """Shared Picard core; returns the BlockSolution on the nodes.
 
-    The rows are held as half spectra (_Layout) for the whole solve.
-    The iteration starts from u0, or, given start (the BlockSolution of
-    the block before), from u0 plus that block's correction u - u0
-    (_start_rows). Each iteration forms u_new as one Duhamel recurrence
-    from the input row and transforms only the update u_new - u,
-    whose norm is the convergence measure. The guard and the tail warning
-    need the norm and tail of u_new itself, and the triangle inequality
-    bounds them by those of u plus those of the update: starting from the
-    exact values of u0 plus the start's correction_bound, each iteration
-    adds the update's. When the norm bound comes within _BOUND_SLACK of
-    the guard, the iteration evaluates u_new's norm and tail afresh (one
-    more derivative transform), compares those, and carries them on as
-    the bounds; when only the tail bound comes within _BOUND_SLACK of
-    tail_tol, it evaluates the tail alone. So a converging solve makes
-    one derivative transform per iteration, and Divergence reports an
-    exact norm. The sums of the update bounds, or the iterate's bounds
-    plus u0's where smaller, bound the solution's correction.
+    The rows are held as half spectra (_Layout) in one iterate stack for
+    the whole solve. The iteration starts from u0, or, given start (the
+    BlockSolution of the block before), from u0 plus that block's
+    correction u - u0, formed in its spent rows (_start_rows). Each
+    iteration is one ordered sweep over the stack's chunks
+    (_run_chunks): a chunk's integrand is formed in scratch, becomes its
+    rows of u_new by the Duhamel recurrence from the input row, carried
+    across chunks in row order, and only the update u_new - u is
+    transformed, against the old rows, before u_new is written over them.
+    The update's norm is the convergence measure. The guard and the tail
+    warning need the norm and tail of u_new itself, and the triangle
+    inequality bounds them by those of u plus those of the update:
+    starting from the exact values of u0 plus the start's
+    correction_bound, each iteration adds the update's. When the norm
+    bound comes within _BOUND_SLACK of the guard, the iteration evaluates
+    u_new's norm and tail afresh (one more derivative transform),
+    compares those, and carries them on as the bounds; when only the tail
+    bound comes within _BOUND_SLACK of tail_tol, it evaluates the tail
+    alone. So a converging solve makes one derivative transform per
+    iteration, and Divergence reports an exact norm. The sums of the
+    update bounds, or the iterate's bounds plus u0's where smaller, bound
+    the solution's correction.
 
     The stacks and the chunk scratch come from work (a funcspace
-    _Workspace; a new one when None): u0's multipliers, needed only until
-    u0 is formed, the step multipliers and two iterate stacks that trade
-    places, each iteration's integrand becoming its new iterate in the
-    stack the iterate before last held. u0 is formed in one iterate; a
-    start, in its spent rows as the other. So a solve on mapped stacks
-    holds three at a time. The multiplier stacks are evaluated only where
-    work does not hold them for the same kernel, grid, row width and
-    times (_Workspace.computed). The stack that ends as the solution's
-    rows is handed over to it.
+    _Workspace; a new one when None): u0's multipliers ("evolve"), needed
+    only until u0 is formed, the step multipliers ("steps") and the
+    iterate ("iterate"), which a warm solve takes from the start's spent
+    rows instead. So a solve on mapped stacks holds two at a time. The
+    multiplier stacks are evaluated only where work does not hold them
+    for the same kernel, grid, row width and times (_Workspace.computed).
+    The iterate stack ends as the solution's rows and is handed over to
+    it.
     """
     work = _Workspace() if work is None else work
     layout = _Layout(f.grid)
     h = np.diff(np.asarray(times, dtype=np.float64))
     first = layout.rows(f.fhat)
     shape = (elapsed.shape[0], first.shape[-1])
-    spent = None
     if start is not None:
-        spent = start._live_rows()
-        if spent.shape != shape:
+        u = start._live_rows()
+        if u.shape != shape:
             raise DomainError("a Picard start must come from a block on the same grid and nodes")
         start._rows = None
-        work.hand_over(spent, None)
-    u0 = work.stack("iterate1", shape)
-    if u0 is spent:  # the start's rows held that role
-        u0 = work.stack("iterate2", shape)
-    _linear_rows(first, kernel, layout, elapsed, work, u0)
+        work.hand_over(u, None)
     guard = params.norm_guard
     if guard is not None:
-        f_norm, _ = _block_norm(u0[:1], layout, kernel.q, work)
+        f_norm, _ = _block_norm(first[np.newaxis], layout, kernel.q, work)
         if not f_norm <= guard:
             raise Divergence(0, f_norm, guard)
-    u0_norm, u0_tail = _block_norm(u0, layout, kernel.q, work)
+    if start is None or not coeffs:
+        u0 = work.stack("iterate", shape) if start is None else u
+        _linear_rows(first, kernel, layout, elapsed, work, u0)
+        u0_norm, u0_tail = _block_norm(u0, layout, kernel.q, work)
+        u, corr_norm, corr_tail = u0, 0.0, 0.0
+    else:
+        u0_norm, u0_tail = _start_rows(start, u, first, kernel, layout, elapsed, kernel.q, work)
+        corr_norm, corr_tail = start.correction_bound
     if guard is None:
         guard = 10.0 * u0_norm
     if not coeffs:
-        return _solution(work, layout, times, elapsed, f.fhat, u0, 1, 0.0, (0.0, 0.0))
+        return _solution(work, layout, times, elapsed, f.fhat, u, 1, 0.0, (0.0, 0.0))
     norm_room = (1.0 - _BOUND_SLACK) * guard
     tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
-    if start is None:
-        u, spare = u0, work.stack("iterate2", shape)
-        corr_norm, corr_tail = 0.0, 0.0
-    else:
-        u, spare = _start_rows(start, spent, u0, kernel, layout, work), u0
-        corr_norm, corr_tail = start.correction_bound
     norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
     emult = _step_multipliers(kernel, layout, elapsed, work)
+    carry = np.empty((2, shape[1]), np.complex128)
     delta = math.inf
     step_norms = np.empty(shape[0])
     step_tails = np.empty(shape[0])
 
-    def update(c):
-        # the norm and tail of the update on chunk c
-        step = np.subtract(u_new[c], u[c], out=work.scratch(0, u[c].shape))
+    def sweep(c, turn):
+        # slot 3 holds the chunk's integrand, then its rows of u_new; the
+        # update goes into slot 0, its derivative into slot 1
+        new = layout.power_chunk(u[c], coeffs, work.scratch(3, u[c].shape), work)
+        _duhamel_rows(new, c.start, emult, h, carry, first, work, turn)
+        step = np.subtract(new, u[c], out=work.scratch(0, new.shape))
+        u[c] = new
         dstep = layout.deriv(step, work.scratch(1, step.shape), work)
         _, step_tails[c] = layout.norm(step, dstep, kernel.q, step_norms[c], work)
 
     for it in range(1, params.picard_max + 1):
-        u_new = layout.power(u, coeffs, spare, work)
-        _duhamel_rows(u_new, emult, h, work, first)
-        _run_chunks(update, _chunks(*shape))
+        _run_chunks(sweep, _chunks(*shape), ordered=True)
         delta = float(np.max(step_norms))
         step_tail = float(np.max(step_tails))
         norm_bound += delta
@@ -371,13 +449,12 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
         corr_norm += delta
         corr_tail += step_tail
         if not norm_bound <= norm_room:  # NaN fails
-            norm_bound, tail_bound = _norm_and_tail(u_new, layout, kernel.q, work)
+            norm_bound, tail_bound = _norm_and_tail(u, layout, kernel.q, work)
         elif not tail_bound <= tail_room:
-            tail_bound = _tail(u_new, layout, work)
+            tail_bound = _tail(u, layout, work)
         _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
         if not norm_bound <= guard:
             raise Divergence(it, norm_bound, guard)
-        spare, u = u, u_new
         if delta < params.picard_tol:
             bound = (min(corr_norm, norm_bound + u0_norm), min(corr_tail, tail_bound + u0_tail))
             return _solution(work, layout, times, elapsed, f.fhat, u, it, delta, bound)

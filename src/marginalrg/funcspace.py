@@ -301,32 +301,41 @@ class _Layout:
         points and the same x_max (finer physical sampling, same frequency
         spacing), and restricted to the original band after the products:
         one irfft, the sum formed in physical space and one rfft. A stack
-        runs in _chunks of its padded width, shared out by _run_chunks; a
-        chunk is read before its output is written, so out may be rows
-        itself. The scratch comes from each thread's slots 0-2 of work.
+        runs in _chunks of its padded width, shared out by _run_chunks, each
+        chunk through power_chunk.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
         work = _Workspace() if work is None else work
+        width = rows.shape[-1]
+        # a view for one row or a stack, so each chunk writes into out
+        stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
+        chunks = _chunks(len(stack), _pad_factor(coeffs) * width)
+        _run_chunks(lambda c: self.power_chunk(stack[c], coeffs, dest[c], work), chunks)
+        return out
+
+    def power_chunk(self, chunk, coeffs, out, work):
+        """power of a chunk of rows into out, on the calling thread.
+
+        The rows go through the transforms a few at a time, as many as the
+        padded width's share of the budget (_rows_per_chunk), so the
+        scratch (slots 0-2 of work) never outgrows a slot. Each group is
+        read before its output is written, so out may be chunk itself.
+        """
         n = self.grid.n_points
         pad = _pad_factor(coeffs)
         m = pad * n
         dx_big = 2.0 * self.grid.x_max / m
-        width = rows.shape[-1]
-        # a view for one row or a stack, so each chunk writes into out
-        stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
-
-        def body(c):
-            chunk, dst = stack[c], dest[c]
-            k = len(chunk)
+        step = _rows_per_chunk(pad * chunk.shape[-1])
+        for lo in range(0, len(chunk), step):
+            rows, dst = chunk[lo : lo + step], out[lo : lo + step]
+            k = len(rows)
             # slot 1 holds the padded field, then its rfft
             spec = work.scratch(1, (k, m // 2 + 1))
             phys = _inverse_half(
-                chunk, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, chunk.shape)
+                rows, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, rows.shape)
             )
             total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
             _forward_half(total, n, dx_big, dst, spec)
-
-        _run_chunks(body, _chunks(len(stack), pad * width))
         return out
 
     def deriv(self, rows, out=None, work=None):
@@ -501,6 +510,11 @@ _WORKERS = (
 )
 
 
+def _rows_per_chunk(width):
+    # the rows of width complex values in one thread's share of the budget
+    return max(1, _CHUNK_BYTES // _WORKERS // (16 * width))
+
+
 def _chunks(n_rows, width):
     """Balanced row slices of a stack with rows of width complex values.
 
@@ -515,8 +529,7 @@ def _chunks(n_rows, width):
     batched transform matches the per-row one bit for bit, so the
     chunking never changes a result.
     """
-    per_chunk = max(1, _CHUNK_BYTES // _WORKERS // (16 * width))
-    count = -(-n_rows // per_chunk)
+    count = -(-n_rows // _rows_per_chunk(width))
     count = min(n_rows, -(-count // _WORKERS) * _WORKERS)
     return [slice(n_rows * i // count, n_rows * (i + 1) // count) for i in range(count)]
 
@@ -536,27 +549,70 @@ _helpers_lock = threading.Lock()
 class _Run:
     """One _run_chunks call: chunks that each thread claims one at a time."""
 
-    __slots__ = ("body", "chunks", "lock", "error", "done")
+    __slots__ = ("body", "chunks", "ordered", "lock", "turns", "turn", "error", "done")
 
-    def __init__(self, body, chunks):
+    def __init__(self, body, chunks, ordered):
         self.body = body
-        self.chunks = iter(chunks)
+        self.chunks = iter(enumerate(chunks))
+        self.ordered = ordered
         self.lock = threading.Lock()
+        self.turns = threading.Condition(self.lock)
+        self.turn = 0  # the chunk whose ordered stage runs next
         self.error = None
         self.done = queue.SimpleQueue()  # one item per finished helper task
 
     def work(self):
         while True:
             with self.lock:
-                c = None if self.error is not None else next(self.chunks, None)
-            if c is None:
+                claim = None if self.error is not None else next(self.chunks, None)
+            if claim is None:
                 return
+            index, c = claim
             try:
-                self.body(c)
+                if self.ordered:
+                    self.body(c, _Turn(self, index))
+                else:
+                    self.body(c)
             except BaseException as exc:  # the caller raises it
-                with self.lock:
-                    if self.error is None:
-                        self.error = exc
+                self.fail(exc)
+
+    def fail(self, exc):
+        # keep the first exception and release every thread waiting for a turn
+        with self.lock:
+            if self.error is None:
+                self.error = exc
+            self.turns.notify_all()
+
+
+class _Stop(Exception):
+    """Raised in a body waiting for its turn once another chunk has failed."""
+
+
+class _Turn:
+    """The ordered stage of one chunk (_run_chunks with ordered): a context
+    entered once every chunk before it has left its own."""
+
+    __slots__ = ("run", "index")
+
+    def __init__(self, run, index):
+        self.run, self.index = run, index
+
+    def __enter__(self):
+        run = self.run
+        with run.turns:
+            while run.error is None and run.turn != self.index:
+                run.turns.wait()
+            if run.error is not None:
+                raise _Stop
+
+    def __exit__(self, kind, exc, tb):
+        run = self.run
+        if kind is not None:  # the turn never passes: the chunks after wait for nothing
+            run.fail(exc)
+            return
+        with run.turns:
+            run.turn += 1
+            run.turns.notify_all()
 
 
 def _serve():
@@ -592,23 +648,34 @@ def _start_helpers():
             _helpers.append(helper)
 
 
-def _run_chunks(body, chunks):
+def _run_chunks(body, chunks, ordered=False):
     """Call body(c) for each chunk slice c of a stack, on _WORKERS threads.
 
     The calling thread and up to _WORKERS - 1 daemon helper threads, which
     start on the first call with two or more chunks, each claim the next
-    chunk until none is left. A body reads and writes only its chunk's
-    rows and its thread's scratch slots, and numpy releases the GIL in the
-    transforms and element-wise steps, so the chunks overlap and every
-    result is the serial one bit for bit. A helper runs its task in a copy
-    of the caller's context, so the caller's numpy errstate applies there.
-    The first exception a body raises is raised here once every thread
-    has stopped. Warnings meant for the caller are raised after this
-    returns (_Layout.norm returns its tail for that). A body must not
-    call _run_chunks itself.
+    chunk in order until none is left. A body reads and writes only its
+    chunk's rows and its thread's scratch slots, and numpy releases the
+    GIL in the transforms and element-wise steps, so the chunks overlap
+    and every result is the serial one bit for bit.
+
+    ordered adds a middle stage that runs in chunk order: the body is
+    called as body(c, turn) and enters the context turn exactly once;
+    the turn of chunk c comes once every chunk before it has left its own.
+    What a body does inside its turn may read what the turns before it
+    wrote (the Duhamel recurrence carried across chunks), and the rest of
+    each body overlaps the other threads' turns. A thread holds one chunk
+    at a time, and chunks are claimed in order, so a waiting turn's
+    predecessors are all held by running threads.
+
+    A helper runs its task in a copy of the caller's context, so the
+    caller's numpy errstate applies there. The first exception a body
+    raises, in any stage, releases every thread waiting for a turn and is
+    raised here once every thread has stopped. Warnings meant for the
+    caller are raised after this returns (_Layout.norm returns its tail
+    for that). A body must not call _run_chunks itself.
     """
     helpers = min(len(chunks), _WORKERS) - 1
-    run = _Run(body, chunks)
+    run = _Run(body, chunks, ordered)
     if helpers >= 1:
         _start_helpers()
         for lane in range(1, helpers + 1):
@@ -671,15 +738,16 @@ class _Workspace:
     so one solve's resident memory stays the stacks it holds. A kept stack
     may also keep the key of what it was filled with (computed), and is
     then given back unwritten for an equal key. A Picard solve
-    (blocksolver._picard_rows) asks for four roles: u0's multipliers
-    ("evolve"), needed only until u0 is formed in an iterate, the step
-    multipliers ("steps") and two iterates ("iterate1", "iterate2"); on
-    mapped stacks it holds three at a time. Both multiplier roles are
-    computed, keyed by the kernel, grid, row width and times: the blocks of
-    a flow without a time-change remainder share their nodes, so only the
-    first block evaluates them. A solve that starts from the solution of
-    the block before spends that solution's rows: it gives their stack
-    back (hand_over with owner None) and keeps it as an iterate.
+    (blocksolver._picard_rows) asks for three roles: u0's multipliers
+    ("evolve"), needed only until u0 is formed, the step multipliers
+    ("steps") and the iterate ("iterate"), which each iteration rewrites
+    in place; on mapped stacks it holds two at a time. Both multiplier
+    roles are computed, keyed by the kernel, grid, row width and times:
+    the blocks of a flow without a time-change remainder share their
+    nodes, so only the first block evaluates them. A solve that starts
+    from the solution of the block before spends that solution's rows: it
+    gives their stack back (hand_over with owner None) and keeps it as its
+    iterate, so it asks for no iterate role.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each of the _WORKERS threads that
@@ -688,11 +756,13 @@ class _Workspace:
     _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold about
     _CHUNK_BYTES per slot, as one set did on one thread; past that each
     set holds a whole row, so the scratch grows with _WORKERS.
-    _Layout.power uses slots 0-2, _Layout.deriv slot 2, _Layout.norm slots
-    2 and 3 and _Layout.tail slot 2. So a caller may keep its own chunk in
-    slots 0 and 1 across deriv and norm (the Picard update and its
-    derivative), but not across power.
-    blocksolver._duhamel_rows holds its two rows in slots 0 and 1.
+    _Layout.power_chunk uses slots 0-2, _Layout.deriv slot 2,
+    _Layout.norm slots 2 and 3, _Layout.tail slot 2 and
+    blocksolver._duhamel_rows slots 0 and 1. So a caller may keep its own
+    chunk in slots 0 and 1 across deriv and norm (the Picard update and
+    its derivative, u0's chunk in a warm start), and in slot 3 across
+    power_chunk and _duhamel_rows (a Picard sweep's integrand, which
+    becomes its new rows), but in no slot across all of them.
 
     A flow creates one for all its blocks; a lone solve, and a layout call
     given none (marginal_response's power, one-row calls), makes its own.

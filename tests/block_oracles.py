@@ -43,7 +43,8 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
     integrand = layout.power(rows, coeffs, np.empty_like(rows), work)
     emult = blocksolver._step_multipliers(kernel, layout, elapsed[: t_index + 1], work)
     h = np.diff(sol.times[: t_index + 1])
-    d = blocksolver._duhamel_rows(integrand, emult, h, work, np.zeros_like(integrand[0]))
+    carry = np.empty((2,) + integrand.shape[1:], np.complex128)
+    d = blocksolver._duhamel_rows(integrand, 0, emult, h, carry, np.zeros_like(integrand[0]), work)
     return fs.SpectralFunction(grid, layout.expand(d[t_index]))
 
 
@@ -72,8 +73,9 @@ class FullRealLayout(fs._Layout):
     def abs_omega_pow(self, d):
         return self.grid.abs_omega_pow(d)
 
-    def power(self, rows, coeffs, out=None, work=None):
-        return fs._from_half(super().power(fs._to_half(rows), coeffs, work=work), out)
+    def power_chunk(self, chunk, coeffs, out, work):
+        half = fs._to_half(chunk)
+        return fs._from_half(super().power_chunk(half, coeffs, np.empty_like(half), work), out)
 
     def deriv(self, rows, out=None, work=None):
         # x f is real: expand its half spectrum, then fhat' = -i times it.

@@ -332,8 +332,10 @@ def test_under_resolved_stacks_warn_once_at_the_solver_line(monkeypatch):
 
 
 def test_threads_change_no_bit(monkeypatch):
-    # no row's arithmetic depends on another row, so the chunks give the
-    # same bits on one thread as on several
+    # the transforms and norms of a row depend on that row alone, and the
+    # Duhamel recurrence runs in row order across chunks whatever thread
+    # holds them, so the chunks give the same bits on one thread as on
+    # several
     params = SolverParams(m=76)
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     rows = np.array([s.fhat for s in linear_block(profile(), KERNEL, TC, 0, 2.0, params).slices])
@@ -345,12 +347,17 @@ def test_threads_change_no_bit(monkeypatch):
         deriv = half.deriv(held, work=work)
         norm, _ = blocksolver._block_norm(held, half, 2, work)
         sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
+        slices = [s.fhat for s in sol.slices]
+        # a warm start forms u0 and takes its norm chunk by chunk
+        warm = solve_block(fs.dilate(sol.final, 2.0), KERNEL, TC, NL, 1, 2.0, params, start=sol)
         return (
             half.power(held, coeffs, work=work),
             deriv,
             norm,
-            [s.fhat for s in sol.slices],
+            slices,
             (sol.iterations, sol.final_delta),
+            [s.fhat for s in warm.slices],
+            (warm.iterations, warm.final_delta, *warm.correction_bound),
         )
 
     monkeypatch.setattr(fs, "_WORKERS", 1)
@@ -474,7 +481,8 @@ def test_full_layout_tail_is_the_outer_octaves():
 
 def test_duhamel_sums_in_place():
     # the integrand stack becomes the two-row recurrence started from the
-    # given first row
+    # given first row, whether in one chunk or in chunks of any sizes
+    # called in row order with the carried rows
     rng = np.random.default_rng(3)
     integrand = rng.normal(size=(9, 17)) + 1j * rng.normal(size=(9, 17))
     emult = rng.uniform(0.5, 1.0, size=(8, 17))
@@ -486,9 +494,18 @@ def test_duhamel_sums_in_place():
         want[i] = emult[i - 1] * (want[i - 1] + 0.5 * h[i - 1] * integrand[i - 1]) + (
             0.5 * h[i - 1]
         ) * integrand[i]
-    sums = integrand.copy()
-    assert blocksolver._duhamel_rows(sums, emult, h, fs._Workspace(), first) is sums
-    assert np.array_equal(sums, want)
+    work = fs._Workspace()
+    for sizes in ([9], [1] * 9, [2, 2, 2, 2, 1], [1, 4, 2, 2], [3, 1, 5]):
+        sums = integrand.copy()
+        carry = np.full((2, 17), np.nan, dtype=np.complex128)  # read only from row 1 on
+        start = 0
+        for size in sizes:
+            chunk = sums[start : start + size]
+            assert blocksolver._duhamel_rows(chunk, start, emult, h, carry, first, work) is chunk
+            start += size
+        assert start == 9
+        assert np.array_equal(sums, want), sizes
+        assert np.array_equal(carry[1], want[-1])
 
 
 def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
@@ -506,7 +523,8 @@ def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
     emult = blocksolver._step_multipliers(KERNEL, layout, elapsed, work)
     h = np.diff(lin.times)
     rows = np.zeros_like(lin._rows)
-    blocksolver._duhamel_rows(rows, emult, h, work, layout.rows(profile().fhat))
+    carry = np.empty((2, rows.shape[1]), np.complex128)
+    blocksolver._duhamel_rows(rows, 0, emult, h, carry, layout.rows(profile().fhat), work)
     size = np.abs(lin._rows)
     condition = 1.0 + elapsed[:, None] * layout.abs_omega_pow(KERNEL.d)
     normal = size >= np.finfo(float).tiny
@@ -516,9 +534,10 @@ def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
 
 
 def test_solve_allocates_its_stacks_once(monkeypatch):
-    # four stacks whatever the iteration count: u0's multipliers, the step
-    # multipliers and two iterate stacks that trade places, u0 formed in
-    # one of them; mapped stacks hold the same numbers as heap ones
+    # three stacks whatever the iteration count: u0's multipliers, the step
+    # multipliers and the one iterate stack, u0 formed in it and each
+    # iteration swept over it in place; mapped stacks hold the same
+    # numbers as heap ones
     params = SolverParams(m=16)
     heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert heap.iterations >= 3
@@ -532,16 +551,14 @@ def test_solve_allocates_its_stacks_once(monkeypatch):
     monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
-    assert len(shapes) == 4
+    assert len(shapes) == 3
     assert mapped.iterations == heap.iterations
     for a, b in zip(mapped.slices, heap.slices):
         assert np.array_equal(a.fhat, b.fhat)
 
 
-def test_solve_holds_three_stacks_at_a_time(monkeypatch):
-    # u0's multipliers go once u0 is formed in an iterate stack: the step
-    # multipliers and the two iterates are all a mapped solve holds at its
-    # peak
+def count_live_stacks(monkeypatch):
+    """Make every stack mapped; returns the live count after each allocation."""
     live, peak = set(), []
     make = fs._empty_stack
 
@@ -556,10 +573,16 @@ def test_solve_holds_three_stacks_at_a_time(monkeypatch):
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    return peak
+
+
+def test_solve_holds_two_stacks_at_a_time(monkeypatch):
+    # u0's multipliers go once u0 is formed in the iterate stack: the step
+    # multipliers and the iterate are all a mapped solve holds at its peak
+    peak = count_live_stacks(monkeypatch)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     assert sol.iterations >= 3
-    assert len(peak) == 4
-    assert max(peak) == 3
+    assert peak == [1, 2, 2]
 
 
 def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
@@ -593,34 +616,27 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
 
 
 def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
-    # a solve started from the block before evaluates that block's
-    # multipliers where its step multipliers go and takes its rows as an
-    # iterate: like a cold solve it allocates four stacks and holds three
-    live, peak = set(), []
-    make = fs._empty_stack
-
-    def counted(shape, dtype=np.complex128):
-        stack = make(shape, dtype)
-        key = id(stack.base)
-        live.add(key)
-        peak.append(len(live))
-        weakref.finalize(stack.base, live.discard, key)
-        return stack
-
+    # a solve started from the block before takes its rows as the iterate
+    # and forms u0 chunk by chunk in scratch. Without a remainder the two
+    # blocks share their multipliers, so it allocates two stacks; with one
+    # it takes the start's u0 off before it evaluates its own, so the two
+    # multiplier stacks are never held together. Either way it holds two
+    # at a time, the start's rows among them, as a cold solve does
     params = SolverParams(m=16)
-    monkeypatch.setattr(fs, "_empty_stack", counted)
-    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
-    before = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
-    f1 = fs.dilate(before.final, 2.0)  # the next block's input, L^((p+1)/d) = 2
-    cold = solve_block(f1, KERNEL, TC, NL, 1, 2.0, params)
-    cold_iterations, cold_final = cold.iterations, cold.final.fhat
-    del cold
-    peak.clear()
-    warm = solve_block(f1, KERNEL, TC, NL, 1, 2.0, params, start=before)
-    assert len(peak) == 4
-    assert max(peak) == 3  # the start's rows among them, as an iterate
-    assert warm.iterations < cold_iterations
-    assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
+    peak = count_live_stacks(monkeypatch)
+    for tc in (TC, TimeChange(p=1.0, delta=0.5, coeff=0.3)):
+        before = solve_block(profile(), KERNEL, tc, NL, 0, 2.0, params)
+        f1 = fs.dilate(before.final, 2.0)  # the next block's input, L^((p+1)/d) = 2
+        cold = solve_block(f1, KERNEL, tc, NL, 1, 2.0, params)
+        cold_iterations, cold_final = cold.iterations, cold.final.fhat
+        del cold
+        peak.clear()
+        warm = solve_block(f1, KERNEL, tc, NL, 1, 2.0, params, start=before)
+        assert peak == ([2, 2] if tc.vanishes else [2, 2, 2])
+        if tc.vanishes:  # with this remainder the start saves no iteration
+            assert warm.iterations < cold_iterations
+        assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
+        del warm
 
 
 def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch):
@@ -735,3 +751,53 @@ def test_slice_lookup_and_csv(tmp_path):
     assert data.shape == (GRID.n_points, 4)
     assert np.array_equal(data[:, 1], GRID.omega)
     assert np.max(np.abs(data[:, 2] + 1j * data[:, 3] - sol.final.fhat)) == 0.0
+
+
+def test_slices_are_built_on_demand(monkeypatch, tmp_path):
+    # a read-only sequence: it builds a slice for each index or iteration
+    # step and keeps none, so iterating holds one sorted slice at a time
+    params = SolverParams(m=16)
+    sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    built = [0]
+    expand = fs._Layout.expand
+
+    def counted(self, rows):
+        built[0] += 1
+        return expand(self, rows)
+
+    monkeypatch.setattr(fs._Layout, "expand", counted)
+    slices = sol.slices
+    assert len(slices) == params.m + 1 and built[0] == 0
+    counts, listed = [], []
+    for piece in slices:
+        counts.append(built[0])
+        listed.append(piece)
+    assert counts == list(range(params.m + 1))  # slice 0 is the input, built from no row
+    for t, piece in zip(sol.times, listed):
+        assert np.array_equal(piece.fhat, sol.slice_at(t).fhat)
+    assert np.array_equal(slices[-1].fhat, sol.final.fhat)
+    assert np.array_equal(slices[np.int64(3)].fhat, slices[3 - len(slices)].fhat)
+    assert slices[-len(slices)].fhat is slices[0].fhat
+    for bad in (len(slices), -len(slices) - 1):
+        with pytest.raises(IndexError):
+            slices[bad]
+    with pytest.raises(TypeError):
+        slices[1.0]
+    with pytest.raises(TypeError):
+        slices[0] = slices[1]
+    # the callers' idioms: +=, zip, comprehensions, indexing
+    listed = []
+    listed += sol.slices
+    assert len(listed) == len(slices)
+    assert len([s for s in sol.slices]) == len(slices)
+    for a, b in zip(listed, sol.slices):
+        assert np.array_equal(a.fhat, b.fhat)
+    assert np.array_equal(sol.slices[8].fhat, listed[8].fhat)
+    # the block CSV holds the slices' values
+    path = tmp_path / "block.csv"
+    block_to_csv(sol, path)
+    lines = ["t,omega,re_fhat,im_fhat"]
+    for t, s in zip(sol.times, listed):
+        for w, v in zip(sol.grid.omega, s.fhat):
+            lines.append(f"{float(t)!r},{float(w)!r},{float(v.real)!r},{float(v.imag)!r}")
+    assert path.read_text() == "\n".join(lines) + "\n"

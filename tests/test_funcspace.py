@@ -272,6 +272,75 @@ def test_every_chunk_runs_once_under_contention(monkeypatch):
     assert np.array_equal(seen, np.full(64, 100))
 
 
+def test_turns_run_in_chunk_order_under_contention(monkeypatch):
+    # the ordered stage of each chunk runs after every one before it, one
+    # at a time, while the stages around it overlap: a turn taken early,
+    # twice or together with another shows in the carried sequence
+    monkeypatch.setattr(fs, "_WORKERS", max(4, fs._WORKERS + 2))
+    chunks = [slice(i, i + 1) for i in range(64)]
+    carried, inside = [], [0]
+
+    def body(c, turn):
+        with turn:
+            inside[0] += 1
+            carried.append((c.start, inside[0]))
+            inside[0] -= 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            carried.clear()
+            fs._run_chunks(body, chunks, ordered=True)
+            assert carried == [(i, 1) for i in range(64)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["before its turn", "in its turn"])
+def test_a_failed_chunk_releases_the_turns_after_it(monkeypatch, where):
+    # chunk 0 fails while the other thread holds chunk 1 and waits for its
+    # turn: that thread is released, and the exception reaches the caller
+    # in bounded time; the helpers stay usable
+    monkeypatch.setattr(fs, "_WORKERS", 2)
+    chunks = [slice(i, i + 1) for i in range(8)]
+    second = threading.Event()
+
+    def body(c, turn):
+        if c.start == 1:
+            second.set()
+        elif c.start == 0:
+            assert second.wait(10)
+            time.sleep(0.05)  # chunk 1 is waiting for its turn by now
+            if where == "before its turn":
+                raise ValueError(f"raised {where}")
+        with turn:
+            if c.start == 0:
+                raise ValueError(f"raised {where}")
+
+    raised = []
+
+    def call():
+        try:
+            fs._run_chunks(body, chunks, ordered=True)
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(10)
+    assert not runner.is_alive()
+    assert raised == [f"raised {where}"]
+    order = []
+
+    def record(c, turn):
+        with turn:
+            order.append(c.start)
+
+    fs._run_chunks(record, chunks, ordered=True)
+    assert order == list(range(8))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helpers(threads):
     # the child of a fork has none of its parent's helper threads

@@ -427,7 +427,9 @@ def _trace_bytes(trace, path):
 def test_flow_evaluates_block_multipliers_once_without_a_remainder(monkeypatch, tmp_path, tc):
     # the solver's multiplier stacks (u0's, the start's u0's and the step
     # multipliers) are evaluated in block 0 only when the blocks share
-    # their nodes; with a remainder every block evaluates them, and either
+    # their nodes; with a remainder every block evaluates its own u0's and
+    # step multipliers, and takes the start's u0 off with the multipliers
+    # the block before left in the "evolve" role; either
     # way the trace is bitwise that of a flow whose every block has a
     # workspace of its own. One marginal response per flow, or per block.
     cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=4, tc=tc)
@@ -456,7 +458,7 @@ def test_flow_evaluates_block_multipliers_once_without_a_remainder(monkeypatch, 
     if tc.vanishes:
         assert stacks == [2, 0, 0, 0] and responses[0] == 1
     else:
-        assert stacks == [2, 3, 3, 3] and responses[0] == 4
+        assert stacks == [2, 2, 2, 2] and responses[0] == 4
     with monkeypatch.context() as patch:
         patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7], start=args[8]))
         fresh = rg.run_flow(cfg)
