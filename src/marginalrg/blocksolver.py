@@ -22,7 +22,9 @@ Row i of the recurrence reads only the rows up to i, and the update
 u_new - u is row-local, so an iteration is one sweep over chunks of rows
 that rewrites the iterate in place: the integrand and the update's norm
 of different chunks run on different threads, and the recurrence runs
-chunk after chunk in row order, carrying its last two rows across.
+chunk after chunk in row order, carrying its last two rows across. The
+iteration's start, u0 (plus the correction of the block before, in a warm
+start), is formed by one chunked pass too, which also takes u0's norm.
 """
 
 import collections.abc
@@ -34,9 +36,9 @@ import operator
 import numpy as np
 
 from .errors import Divergence, DomainError, NoConvergence
-from .funcspace import (  # noqa: F401
+from .funcspace import (
     SpectralFunction,
-    weighted_norm,  # unused, kept bound: benchmarks/test_benchmark.py traces it here
+    weighted_norm,
     _Layout,
     _Workspace,
     _chunks,
@@ -233,12 +235,6 @@ def _linear_chunk(first, mult, c, out):
     return out
 
 
-def _linear_rows(first, kernel, layout, elapsed, work, out):
-    """u0, the linear evolution of the input row first, written into out."""
-    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
-    return _linear_chunk(first, mult, slice(0, out.shape[0]), out)
-
-
 def _duhamel_rows(rows, start, emult, h, carry, first, work, turn=contextlib.nullcontext()):
     """Trapezoid Duhamel recurrence on the rows start.. of a stack, in place.
 
@@ -299,30 +295,20 @@ def _norm_and_tail(rows, layout, q, work):
     return float(np.max(norms)), float(np.max(tails))
 
 
-def _tail(rows, layout, work):
-    """The stack's tail alone (_Layout.tail), chunk by chunk: no derivative transform."""
-    return float(np.max([layout.tail(rows[c], work) for c in _chunks(*rows.shape)]))
+def _start_rows(rows, first, kernel, layout, elapsed, q, work, start=None):
+    """u0, the linear evolution of the input row first, formed in rows.
 
-
-def _block_norm(rows, layout, q, work):
-    """_norm_and_tail, warning once at the caller's line when under-resolved."""
-    norm, tail = _norm_and_tail(rows, layout, q, work)
-    _warn_if_under_resolved(tail, layout.grid)
-    return norm, tail
-
-
-def _start_rows(start, rows, first, kernel, layout, elapsed, q, work):
-    """u0 + (u - u0 of start), formed in rows, the start's spent rows.
-
-    start is the BlockSolution of the block before, on the same nodes; its
-    u0 is its first row times the multipliers of its elapsed times. Each
-    chunk of this block's u0 is formed in scratch, where its norm and tail
-    are taken, and added to the chunk's rows once start's u0 is taken
-    off. Without a time-change remainder the two blocks' elapsed times are
-    equal and one multiplier stack serves both; otherwise a pass before
-    takes start's u0 off with its own, so that the two multiplier stacks
-    are never held together. Returns u0's norm and tail, warning once at
-    the caller's line when under-resolved (_block_norm).
+    One chunked pass forms each chunk of u0 and takes its norm and tail;
+    returns u0's norm and tail, warning once at the caller's line when
+    under-resolved. Without start u0 is written into rows. start is the
+    BlockSolution of the block before, on the same nodes; rows are its
+    spent rows, and they become u0 + (u - u0 of start): each chunk of u0
+    is formed in scratch and added once start's u0, its first row times
+    the multipliers of its elapsed times, is taken off. Without a
+    time-change remainder the two blocks' elapsed times are equal and one
+    multiplier stack serves both; otherwise a pass before takes start's
+    u0 off with its own, so that the two multiplier stacks are never held
+    together.
     """
     old_first = rows[0]  # start's input row, read by every chunk: written last
     chunks = _chunks(*rows.shape)
@@ -334,7 +320,7 @@ def _start_rows(start, rows, first, kernel, layout, elapsed, q, work):
         old = np.multiply(old_first, prev[r.start - 1 : r.stop - 1], out=work.scratch(1, rows[r].shape))
         np.subtract(rows[r], old, out=rows[r])
 
-    same = np.array_equal(start.elapsed, elapsed)
+    same = start is None or np.array_equal(start.elapsed, elapsed)
     if not same:
         prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
         _run_chunks(lambda c: take_off(c, prev), chunks)
@@ -342,13 +328,15 @@ def _start_rows(start, rows, first, kernel, layout, elapsed, q, work):
     mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
 
     def body(c):
-        u0 = _linear_chunk(first, mult, c, work.scratch(0, rows[c].shape))
+        out = rows[c] if start is None else work.scratch(0, rows[c].shape)
+        u0 = _linear_chunk(first, mult, c, out)
         d = layout.deriv(u0, work.scratch(1, u0.shape), work)
         _, tails[c] = layout.norm(u0, d, q, norms[c], work)
-        if same:
-            take_off(c, mult)
-        lo = max(c.start, 1)
-        rows[lo : c.stop] += u0[lo - c.start :]
+        if start is not None:
+            if same:
+                take_off(c, mult)
+            lo = max(c.start, 1)
+            rows[lo : c.stop] += u0[lo - c.start :]
 
     _run_chunks(body, chunks)
     rows[0] = first
@@ -363,7 +351,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     The rows are held as half spectra (_Layout) in one iterate stack for
     the whole solve. The iteration starts from u0, or, given start (the
     BlockSolution of the block before), from u0 plus that block's
-    correction u - u0, formed in its spent rows (_start_rows). Each
+    correction u - u0, formed in its spent rows; either start is one
+    chunked pass that also takes u0's norm and tail (_start_rows). Each
     iteration is one ordered sweep over the stack's chunks
     (_run_chunks): a chunk's integrand is formed in scratch, becomes its
     rows of u_new by the Duhamel recurrence from the input row, carried
@@ -374,14 +363,13 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     inequality bounds them by those of u plus those of the update:
     starting from the exact values of u0 plus the start's
     correction_bound, each iteration adds the update's. When the norm
-    bound comes within _BOUND_SLACK of the guard, the iteration evaluates
-    u_new's norm and tail afresh (one more derivative transform),
-    compares those, and carries them on as the bounds; when only the tail
-    bound comes within _BOUND_SLACK of tail_tol, it evaluates the tail
-    alone. So a converging solve makes one derivative transform per
-    iteration, and Divergence reports an exact norm. The sums of the
-    update bounds, or the iterate's bounds plus u0's where smaller, bound
-    the solution's correction.
+    bound comes within _BOUND_SLACK of the guard, or the tail bound
+    within _BOUND_SLACK of tail_tol, the iteration evaluates u_new's norm
+    and tail afresh (one more derivative transform), compares those, and
+    carries them on as the bounds. So a converging, resolved solve makes
+    one derivative transform per iteration, and Divergence reports an
+    exact norm. The sums of the update bounds, or the iterate's bounds
+    plus u0's where smaller, bound the solution's correction.
 
     The stacks and the chunk scratch come from work (a funcspace
     _Workspace; a new one when None): u0's multipliers ("evolve"), needed
@@ -398,25 +386,22 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     h = np.diff(np.asarray(times, dtype=np.float64))
     first = layout.rows(f.fhat)
     shape = (elapsed.shape[0], first.shape[-1])
-    if start is not None:
+    guard = params.norm_guard
+    if guard is not None:
+        f_norm = weighted_norm(f, kernel.q)
+        if not f_norm <= guard:
+            raise Divergence(0, f_norm, guard)
+    if start is None:
+        u, corr_norm, corr_tail = work.stack("iterate", shape), 0.0, 0.0
+    else:
         u = start._live_rows()
-        if u.shape != shape:
+        if u.shape != shape or start.grid != f.grid:
             raise DomainError("a Picard start must come from a block on the same grid and nodes")
         start._rows = None
         work.hand_over(u, None)
-    guard = params.norm_guard
-    if guard is not None:
-        f_norm, _ = _block_norm(first[np.newaxis], layout, kernel.q, work)
-        if not f_norm <= guard:
-            raise Divergence(0, f_norm, guard)
-    if start is None or not coeffs:
-        u0 = work.stack("iterate", shape) if start is None else u
-        _linear_rows(first, kernel, layout, elapsed, work, u0)
-        u0_norm, u0_tail = _block_norm(u0, layout, kernel.q, work)
-        u, corr_norm, corr_tail = u0, 0.0, 0.0
-    else:
-        u0_norm, u0_tail = _start_rows(start, u, first, kernel, layout, elapsed, kernel.q, work)
         corr_norm, corr_tail = start.correction_bound
+    spent = start if coeffs else None  # a linear solve writes u0 over the start's rows
+    u0_norm, u0_tail = _start_rows(u, first, kernel, layout, elapsed, kernel.q, work, spent)
     if guard is None:
         guard = 10.0 * u0_norm
     if not coeffs:
@@ -448,10 +433,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
         tail_bound += step_tail
         corr_norm += delta
         corr_tail += step_tail
-        if not norm_bound <= norm_room:  # NaN fails
+        if not (norm_bound <= norm_room and tail_bound <= tail_room):  # NaN fails
             norm_bound, tail_bound = _norm_and_tail(u, layout, kernel.q, work)
-        elif not tail_bound <= tail_room:
-            tail_bound = _tail(u, layout, work)
         _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
         if not norm_bound <= guard:
             raise Divergence(it, norm_bound, guard)

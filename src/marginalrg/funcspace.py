@@ -369,12 +369,6 @@ class _Layout:
         weight = 1.0 + self.abs_omega_pow(q)
         return np.max(np.multiply(weight, total, out=total), axis=-1, out=out), tail
 
-    def tail(self, rows, work=None):
-        """The tail of norm alone, which needs no derivative rows."""
-        work = _Workspace() if work is None else work
-        band = rows[..., self._outer_octaves()]
-        return float(np.max(np.abs(band, out=work.scratch(2, band.shape, np.float64))))
-
     def _outer_octaves(self):
         # the two outermost octaves |omega| >= omega_max / 4: the nodes N/8
         # onward of the half layout, its -omega_max node last
@@ -757,12 +751,12 @@ class _Workspace:
     _CHUNK_BYTES per slot, as one set did on one thread; past that each
     set holds a whole row, so the scratch grows with _WORKERS.
     _Layout.power_chunk uses slots 0-2, _Layout.deriv slot 2,
-    _Layout.norm slots 2 and 3, _Layout.tail slot 2 and
-    blocksolver._duhamel_rows slots 0 and 1. So a caller may keep its own
-    chunk in slots 0 and 1 across deriv and norm (the Picard update and
-    its derivative, u0's chunk in a warm start), and in slot 3 across
-    power_chunk and _duhamel_rows (a Picard sweep's integrand, which
-    becomes its new rows), but in no slot across all of them.
+    _Layout.norm slots 2 and 3 and blocksolver._duhamel_rows slots 0 and
+    1. So a caller may keep its own chunk in slots 0 and 1 across deriv
+    and norm (the Picard update and its derivative, u0's chunk in a warm
+    start), and in slot 3 across power_chunk and _duhamel_rows (a Picard
+    sweep's integrand, which becomes its new rows), but in no slot across
+    all of them.
 
     A flow creates one for all its blocks; a lone solve, and a layout call
     given none (marginal_response's power, one-row calls), makes its own.

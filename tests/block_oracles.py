@@ -1,8 +1,8 @@
 """Test-only solver pieces and the full-width reference layout.
 
 The linear block, the single Duhamel terms and the block norm are built
-on the solver's own internals (_linear_rows, _Layout.power, _duhamel_rows,
-_block_norm) so the tests can check every node of a Picard solution
+on the solver's own internals (_start_rows, _Layout.power, _duhamel_rows,
+_norm_and_tail) so the tests can check every node of a Picard solution
 against u0 - damping + forcing, and the damping and forcing terms against
 closed forms. FullRealLayout holds a real field's rows on the whole
 sorted axis, the reference the half rows of the solver must match bit
@@ -25,7 +25,7 @@ def linear_block(f, kernel, tc, n, L, params):
     layout = fs._Layout(f.grid)
     first = layout.rows(f.fhat)
     rows = np.empty((elapsed.shape[0], first.shape[-1]), dtype=np.complex128)
-    blocksolver._linear_rows(first, kernel, layout, elapsed, fs._Workspace(), rows)
+    blocksolver._start_rows(rows, first, kernel, layout, elapsed, kernel.q, fs._Workspace())
     return blocksolver.BlockSolution(layout, times, f.fhat, rows, iterations=0, final_delta=0.0)
 
 
@@ -50,7 +50,7 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
 
 def block_norm(sol, q=2):
     """sup over the time nodes of sol of the weighted norm of the slice."""
-    norm, _ = blocksolver._block_norm(sol._rows, sol._layout, q, fs._Workspace())
+    norm, _ = blocksolver._norm_and_tail(sol._rows, sol._layout, q, fs._Workspace())
     return norm
 
 
@@ -90,15 +90,14 @@ class FullRealLayout(fs._Layout):
         return np.multiply(-1j, out, out=out)
 
     def norm(self, rows, deriv, q, out=None, work=None):
-        # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the tail
-        size = np.abs(rows)
-        weight = 1.0 + self.grid.abs_omega_pow(q)
-        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), self.tail(rows)
-
-    def tail(self, rows, work=None):
-        # the largest |fhat| of any row on the outer octaves |omega| >= omega_max/4
+        # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the
+        # tail: the largest |fhat| of any row on the outer octaves
+        # |omega| >= omega_max/4
         grid = self.grid
-        return float(np.max(np.abs(rows[..., np.abs(grid.omega) >= 0.25 * grid.omega_max])))
+        size = np.abs(rows)
+        tail = float(np.max(size[..., np.abs(grid.omega) >= 0.25 * grid.omega_max]))
+        weight = 1.0 + grid.abs_omega_pow(q)
+        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), tail
 
 
 def deriv_rows(fhat, grid):

@@ -238,9 +238,14 @@ def test_divergence_guard():
         solve_block(profile(), KERNEL, TC, NL, 0, 2.0, tiny_guard)
     assert info.value.iteration == 0
     # an iterate that overflows to NaN fails the guard at once instead of
-    # running out the Picard budget
+    # running out the Picard budget; tail_tol is absolute, so u0 and the
+    # NaN iterate warn
     huge = fixed_point_profile(KERNEL, 1.0, fs.GridSpec(256)) * 1e200
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence) as info:
+    with (
+        pytest.warns(UnderResolvedWarning),
+        np.errstate(over="ignore", invalid="ignore"),
+        pytest.raises(Divergence) as info,
+    ):
         solve_block(huge, KERNEL, TC, NL, 0, 2.0, SolverParams())
     assert info.value.iteration == 1
     assert math.isnan(info.value.norm)
@@ -260,23 +265,24 @@ def record_exact_norms(monkeypatch):
 
 
 def test_converging_solve_bounds_the_guard_norm(monkeypatch):
-    # ||u_new|| <= ||u|| + ||u_new - u||: from the linear norm on, the
-    # guard and tail checks of a converging solve run on the bounds alone
+    # ||u_new|| <= ||u|| + ||u_new - u||: from the linear norm on, taken
+    # as u0 is formed, the guard and tail checks of a converging solve run
+    # on the bounds alone
     seen = record_exact_norms(monkeypatch)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     assert sol.iterations >= 3
-    assert len(seen) == 1
+    assert seen == []
 
 
 def test_guard_crossed_by_the_bound_only_keeps_solving(monkeypatch):
     # every iterate keeps row 0, the input, whose norm is the linear norm
     # here: with the guard at that norm each bound crosses it and each exact
-    # norm meets it, so the solve runs on to the unguarded bits
+    # norm of an iterate meets it, so the solve runs on to the unguarded bits
     free = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     guard = block_norm(linear_block(profile(), KERNEL, TC, 0, 2.0, SolverParams(m=16)), 2)
     seen = record_exact_norms(monkeypatch)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16, norm_guard=guard))
-    assert len(seen) == 2 + sol.iterations  # the input row, u0, each iterate
+    assert len(seen) == sol.iterations
     assert all(norm == guard for _, (norm, _) in seen)
     assert (sol.iterations, sol.final_delta) == (free.iterations, free.final_delta)
     for a, b in zip(sol.slices, free.slices):
@@ -325,7 +331,7 @@ def test_under_resolved_stacks_warn_once_at_the_solver_line(monkeypatch):
     assert [w.category for w in caught] == [UnderResolvedWarning] * (1 + sol.iterations)
     source = Path(blocksolver.__file__).read_text().splitlines()
     assert caught[0].filename == blocksolver.__file__
-    assert "_block_norm(u0, " in source[caught[0].lineno - 1]
+    assert "_start_rows(" in source[caught[0].lineno - 1]
     for w in caught[1:]:
         assert w.filename == blocksolver.__file__
         assert "return _picard_rows(" in source[w.lineno - 1]
@@ -345,7 +351,7 @@ def test_threads_change_no_bit(monkeypatch):
     def run():
         work = fs._Workspace()
         deriv = half.deriv(held, work=work)
-        norm, _ = blocksolver._block_norm(held, half, 2, work)
+        norm, _ = blocksolver._norm_and_tail(held, half, 2, work)
         sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
         slices = [s.fhat for s in sol.slices]
         # a warm start forms u0 and takes its norm chunk by chunk
@@ -404,11 +410,11 @@ def check_stacked_rows(m, work):
         assert np.array_equal(got, half.power(row, coeffs))
     assert np.array_equal(half.expand(half_integrand), integrand)
     deriv = full.deriv(rows, work=work)
-    norm, _ = blocksolver._block_norm(rows, full, 2, work)
+    norm, _ = blocksolver._norm_and_tail(rows, full, 2, work)
     assert np.array_equal(deriv, np.array([deriv_rows(r, GRID) for r in rows]))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
     half_deriv = half.deriv(held, work=work)
-    assert blocksolver._block_norm(held, half, 2, work)[0] == norm
+    assert blocksolver._norm_and_tail(held, half, 2, work)[0] == norm
     assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
 
 
@@ -459,7 +465,7 @@ def test_layouts_agree_bitwise(monkeypatch):
         lambda f: blocksolver._picard_rows(f, KERNEL, times, elapsed, coeffs, params),
     )
     # an under-resolved input: its tail crosses tail_tol at every iterate,
-    # so the solve evaluates the iterates' tails alone (blocksolver._tail)
+    # so the solve evaluates each iterate's norm and tail afresh
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
@@ -475,8 +481,11 @@ def test_full_layout_tail_is_the_outer_octaves():
     # the nodes the half rows' tail reads
     w = GRID.omega
     rows = np.array([np.exp(-(w**2) / s) for s in (1.0, 40.0, 400.0)], dtype=np.complex128)
-    half = fs._Layout(GRID)
-    assert FullRealLayout(GRID).tail(rows) == half.tail(half.rows(rows))
+    full, half = FullRealLayout(GRID), fs._Layout(GRID)
+    held = half.rows(rows)
+    _, full_tail = full.norm(rows, full.deriv(rows), 2)
+    _, half_tail = half.norm(held, half.deriv(held), 2)
+    assert full_tail == half_tail > GRID.tail_tol
 
 
 def test_duhamel_sums_in_place():
@@ -692,8 +701,15 @@ def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch)
 def test_a_start_is_spent_once():
     params = SolverParams(m=16)
     before = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    kept = before.final.fhat.copy()
     with pytest.raises(DomainError, match="same grid and nodes"):
         solve_block(profile(), KERNEL, TC, NL, 1, 2.0, SolverParams(m=32), start=before)
+    # rows of the same shape on another grid: its multipliers differ, so
+    # the start's correction_bound would bound nothing there
+    other = fs.SpectralFunction(fs.GridSpec(GRID.n_points, 0.5 * GRID.x_max), profile().fhat)
+    with pytest.raises(DomainError, match="same grid and nodes"):
+        solve_block(other, KERNEL, TC, NL, 1, 2.0, params, start=before)
+    assert np.array_equal(before.final.fhat, kept)  # a refused start is not spent
     solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params, start=before)
     with pytest.raises(DomainError, match="spent"):
         before.final
@@ -701,11 +717,28 @@ def test_a_start_is_spent_once():
         solve_block(profile() * 0.5, KERNEL, TC, NL, 1, 2.0, params, start=before)
 
 
-def test_tail_only_bound_crossing_takes_no_derivative(monkeypatch):
-    # an under-resolved input crosses tail_tol at every iterate, its norm
-    # bound never nears the guard: each iterate's tail is evaluated alone,
-    # so the derivative rows are u0's and one stack per update, whatever
-    # the number of chunks
+def test_a_linear_warm_solve_is_the_linear_block():
+    # with no integrand the start's correction has no use: u0 is written
+    # over the start's spent rows, with or without a time-change remainder
+    params = SolverParams(m=16)
+    for tc in (TC, TimeChange(p=1.0, delta=0.5, coeff=0.3)):
+        before = solve_block(profile(), KERNEL, tc, NL, 0, 2.0, params)
+        held = before._rows
+        f1 = fs.dilate(before.final, 2.0)
+        sol = solve_block(f1, KERNEL, tc, Nonlinearity(mu=0.0), 1, 2.0, params, start=before)
+        assert sol._rows is held
+        assert np.array_equal(sol._rows, linear_block(f1, KERNEL, tc, 1, 2.0, params)._rows)
+        assert (sol.iterations, sol.correction_bound) == (1, (0.0, 0.0))
+        with pytest.raises(DomainError, match="spent"):
+            before.final
+
+
+def test_each_tail_crossing_takes_one_exact_norm(monkeypatch):
+    # an under-resolved input crosses tail_tol at every iterate while its
+    # norm bound stays below the guard: each iterate's norm and tail are
+    # evaluated afresh, once, so the derivative rows are u0's and two
+    # stacks per iteration, the update's and the iterate's, whatever the
+    # number of chunks
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
     rows = [0]
     deriv = fs._Layout.deriv
@@ -715,13 +748,15 @@ def test_tail_only_bound_crossing_takes_no_derivative(monkeypatch):
         return deriv(self, chunk, out, work)
 
     monkeypatch.setattr(fs._Layout, "deriv", counted)
+    seen = record_exact_norms(monkeypatch)
     params = SolverParams(m=16)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sol = solve_block(slow, KERNEL, TC, NL, 0, 2.0, params)
     assert [w.category for w in caught] == [UnderResolvedWarning] * (1 + sol.iterations)
     assert sol.iterations >= 2
-    assert rows[0] == (params.m + 1) * (1 + sol.iterations)
+    assert len(seen) == sol.iterations
+    assert rows[0] == (params.m + 1) * (1 + 2 * sol.iterations)
 
 
 def test_solve_block_warns_when_under_resolved():
