@@ -35,6 +35,7 @@ import operator
 
 import numpy as np
 
+from . import funcspace
 from .errors import Divergence, DomainError, NoConvergence
 from .funcspace import (
     SpectralFunction,
@@ -371,15 +372,15 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     exact norm. The sums of the update bounds, or the iterate's bounds
     plus u0's where smaller, bound the solution's correction.
 
-    The stacks and the chunk scratch come from work (a funcspace
-    _Workspace; a new one when None): u0's multipliers ("evolve"), needed
-    only until u0 is formed, the step multipliers ("steps") and the
-    iterate ("iterate"), which a warm solve takes from the start's spent
-    rows instead. So a solve on mapped stacks holds two at a time. The
-    multiplier stacks are evaluated only where work does not hold them
-    for the same kernel, grid, row width and times (_Workspace.computed).
-    The iterate stack ends as the solution's rows and is handed over to
-    it.
+    The iterate stack is allocated here (funcspace._empty_stack) for a
+    cold solve and is the start's spent rows for a warm one; it ends as
+    the returned solution's rows. The multiplier stacks and the chunk
+    scratch come from work (a funcspace _Workspace; a new one when None):
+    u0's multipliers ("evolve"), needed only until u0 is formed, and the
+    step multipliers ("steps"), so a solve on mapped stacks holds two
+    stacks at a time. They are evaluated only where work does not hold
+    them for the same kernel, grid, row width and times
+    (_Workspace.computed).
     """
     work = _Workspace() if work is None else work
     layout = _Layout(f.grid)
@@ -392,20 +393,19 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
         if not f_norm <= guard:
             raise Divergence(0, f_norm, guard)
     if start is None:
-        u, corr_norm, corr_tail = work.stack("iterate", shape), 0.0, 0.0
+        u, corr_norm, corr_tail = funcspace._empty_stack(shape), 0.0, 0.0
     else:
         u = start._live_rows()
         if u.shape != shape or start.grid != f.grid:
             raise DomainError("a Picard start must come from a block on the same grid and nodes")
         start._rows = None
-        work.hand_over(u, None)
         corr_norm, corr_tail = start.correction_bound
     spent = start if coeffs else None  # a linear solve writes u0 over the start's rows
     u0_norm, u0_tail = _start_rows(u, first, kernel, layout, elapsed, kernel.q, work, spent)
     if guard is None:
         guard = 10.0 * u0_norm
     if not coeffs:
-        return _solution(work, layout, times, elapsed, f.fhat, u, 1, 0.0, (0.0, 0.0))
+        return BlockSolution(layout, times, f.fhat, u, 1, 0.0, elapsed, (0.0, 0.0))
     norm_room = (1.0 - _BOUND_SLACK) * guard
     tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
     norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
@@ -440,14 +440,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
             raise Divergence(it, norm_bound, guard)
         if delta < params.picard_tol:
             bound = (min(corr_norm, norm_bound + u0_norm), min(corr_tail, tail_bound + u0_tail))
-            return _solution(work, layout, times, elapsed, f.fhat, u, it, delta, bound)
+            return BlockSolution(layout, times, f.fhat, u, it, delta, elapsed, bound)
     raise NoConvergence(params.picard_max, delta, params.picard_tol)
-
-
-def _solution(work, layout, times, elapsed, first, rows, iterations, final_delta, bound):
-    sol = BlockSolution(layout, times, first, rows, iterations, final_delta, elapsed, bound)
-    work.hand_over(rows, sol)
-    return sol
 
 
 def solve_block(f, kernel, tc, nl, n, L, params, workspace=None, start=None):

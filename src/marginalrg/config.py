@@ -20,6 +20,13 @@ from .rgflow import FlowConfig
 from .timechange import TimeChange
 
 _SECTIONS = ("kernel", "time", "grid", "solver", "nonlinearity", "flow", "output")
+# keys read as integers; an integral float such as 64.0 is taken as one
+_INTEGER_KEYS = {
+    "kernel": ("q",),
+    "grid": ("n_points",),
+    "solver": ("m", "picard_max"),
+    "flow": ("n_steps",),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,7 +65,11 @@ def _section(data, name):
     raw = data.get(name) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping, got {type(raw).__name__}")
-    return {key: _coerce(value) for key, value in raw.items()}
+    values = {key: _coerce(value) for key, value in raw.items()}
+    for key in _INTEGER_KEYS.get(name, ()):
+        if key in values:
+            values[key] = _as_int(name, key, values[key])
+    return values
 
 
 def _build(name, cls, kwargs):
@@ -80,15 +91,8 @@ def flow_config_from_mapping(data, allow_negative_mu=False):
 
     kernel = _build("kernel", ScalingKernel, _section(data, "kernel"))
     tc = _build("time", TimeChange, _section(data, "time"))
-    grid_raw = _section(data, "grid")
-    if "n_points" in grid_raw:
-        grid_raw["n_points"] = _as_int("grid", "n_points", grid_raw["n_points"])
-    grid = _build("grid", GridSpec, grid_raw)
-    solver_raw = _section(data, "solver")
-    for key in ("m", "picard_max"):
-        if key in solver_raw:
-            solver_raw[key] = _as_int("solver", key, solver_raw[key])
-    solver = _build("solver", SolverParams, solver_raw)
+    grid = _build("grid", GridSpec, _section(data, "grid"))
+    solver = _build("solver", SolverParams, _section(data, "solver"))
 
     nl_raw = _section(data, "nonlinearity")
     if "terms" in nl_raw:
@@ -97,8 +101,6 @@ def flow_config_from_mapping(data, allow_negative_mu=False):
     nonlinearity = _build("nonlinearity", Nonlinearity, nl_raw)
 
     flow_raw = _section(data, "flow")
-    if "n_steps" in flow_raw:
-        flow_raw["n_steps"] = _as_int("flow", "n_steps", flow_raw["n_steps"])
     return _build(
         "flow",
         FlowConfig,

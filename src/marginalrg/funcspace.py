@@ -24,7 +24,6 @@ import os
 import queue
 import threading
 import warnings
-import weakref
 
 import numpy as np
 
@@ -528,15 +527,7 @@ def _chunks(n_rows, width):
     return [slice(n_rows * i // count, n_rows * (i + 1) // count) for i in range(count)]
 
 
-class _Lane(threading.local):
-    # the scratch slot set (_Workspace.scratch) of the running thread: 0 on
-    # a calling thread, 1 .. _WORKERS - 1 on a helper running a task
-    index = 0
-
-
-_lane = _Lane()
-_tasks = queue.SimpleQueue()  # (context, _Run, lane) for the helpers
-_helpers = []
+_helpers = []  # each helper thread's queue of (context, _Run) tasks
 _helpers_lock = threading.Lock()
 
 
@@ -609,10 +600,10 @@ class _Turn:
             run.turns.notify_all()
 
 
-def _serve():
+def _serve(tasks):
     # a helper's loop; it holds nothing of a task while it waits for the next
     while True:
-        context, run, _lane.index = _tasks.get()
+        context, run = tasks.get()
         context.run(run.work)
         done = run.done
         del context, run
@@ -621,10 +612,9 @@ def _serve():
 
 def _forget_helpers():
     # a forked child has none of its parent's threads: it starts its own,
-    # with a queue and lock of its own
-    global _tasks, _helpers_lock
+    # with a lock of its own
+    global _helpers_lock
     _helpers.clear()
-    _tasks = queue.SimpleQueue()
     _helpers_lock = threading.Lock()
 
 
@@ -635,11 +625,10 @@ if hasattr(os, "register_at_fork"):
 def _start_helpers():
     with _helpers_lock:
         while len(_helpers) < _WORKERS - 1:
-            helper = threading.Thread(
-                target=_serve, name=f"marginalrg-chunks-{len(_helpers) + 1}", daemon=True
-            )
-            helper.start()
-            _helpers.append(helper)
+            tasks = queue.SimpleQueue()
+            name = f"marginalrg-chunks-{len(_helpers) + 1}"
+            threading.Thread(target=_serve, args=(tasks,), name=name, daemon=True).start()
+            _helpers.append(tasks)
 
 
 def _run_chunks(body, chunks, ordered=False):
@@ -647,7 +636,10 @@ def _run_chunks(body, chunks, ordered=False):
 
     The calling thread and up to _WORKERS - 1 daemon helper threads, which
     start on the first call with two or more chunks, each claim the next
-    chunk in order until none is left. A body reads and writes only its
+    chunk in order until none is left. A call gives its tasks to the
+    first helpers, each through a queue of its own, so calls with as many
+    chunks run on the same threads, and a workspace's per-thread scratch
+    (_Workspace.scratch) serves them all. A body reads and writes only its
     chunk's rows and its thread's scratch slots, and numpy releases the
     GIL in the transforms and element-wise steps, so the chunks overlap
     and every result is the serial one bit for bit.
@@ -672,8 +664,8 @@ def _run_chunks(body, chunks, ordered=False):
     run = _Run(body, chunks, ordered)
     if helpers >= 1:
         _start_helpers()
-        for lane in range(1, helpers + 1):
-            _tasks.put((contextvars.copy_context(), run, lane))
+        for tasks in _helpers[:helpers]:
+            tasks.put((contextvars.copy_context(), run))
     run.work()
     for _ in range(helpers):
         run.done.get()
@@ -701,7 +693,8 @@ def _empty_stack(shape, dtype=np.complex128):
     from run to run by whole stacks. Stacks of a few MiB (a block on the
     canonical grid) stay on the heap; a freed one is not kept warm (glibc
     trims the heap top and the next stack faults its pages in again), so
-    a flow reuses them through a _Workspace instead of freeing them.
+    a flow reuses them instead of freeing them: its multipliers through a
+    _Workspace, and its iterate from each block's solution to the next.
     """
     dtype = np.dtype(dtype)
     size = math.prod(shape) * dtype.itemsize
@@ -725,31 +718,26 @@ def _empty_scratch(size):
 class _Workspace:
     """Working memory that Picard solves reuse instead of allocating.
 
-    Row stacks are held by role (stack). A heap-sized stack is kept and
-    given out again for its role, unless it was handed over (hand_over) to
-    a solution that still lives: a solution's rows are never written while
-    anyone holds it. A mapped stack is made afresh each time and not kept,
-    so one solve's resident memory stays the stacks it holds. A kept stack
-    may also keep the key of what it was filled with (computed), and is
-    then given back unwritten for an equal key. A Picard solve
-    (blocksolver._picard_rows) asks for three roles: u0's multipliers
-    ("evolve"), needed only until u0 is formed, the step multipliers
-    ("steps") and the iterate ("iterate"), which each iteration rewrites
-    in place; on mapped stacks it holds two at a time. Both multiplier
-    roles are computed, keyed by the kernel, grid, row width and times:
-    the blocks of a flow without a time-change remainder share their
-    nodes, so only the first block evaluates them. A solve that starts
-    from the solution of the block before spends that solution's rows: it
-    gives their stack back (hand_over with owner None) and keeps it as its
-    iterate, so it asks for no iterate role.
+    Multiplier stacks are cached by role (computed): the stack last
+    filled for a role keeps the key of what it was filled with and is
+    given back unwritten for an equal key, and is refilled in place for
+    any other. A mapped stack (_empty_stack) is made afresh each time and
+    not kept, so one solve's resident memory stays the stacks it holds.
+    A Picard solve (blocksolver._picard_rows) asks for two roles: u0's
+    multipliers ("evolve"), needed only until u0 is formed, and the step
+    multipliers ("steps"), both keyed by the kernel, grid, row width and
+    times. The blocks of a flow without a time-change remainder share
+    their nodes, so only the first block evaluates them. The workspace
+    holds no iterate: a solve allocates its own or takes a start's spent
+    rows, and the solution owns them.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
-    at the shape and dtype they need. Each of the _WORKERS threads that
-    run chunks (_run_chunks) has a set of its own, and a slot grows only
-    for a request larger than it (_empty_scratch). While a row fits
-    _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold about
-    _CHUNK_BYTES per slot, as one set did on one thread; past that each
-    set holds a whole row, so the scratch grows with _WORKERS.
+    at the shape and dtype they need. Each thread that runs chunks
+    (_run_chunks) has a set of its own, held in a threading.local, and a
+    slot grows only for a request larger than it (_empty_scratch). While
+    a row fits _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold
+    about _CHUNK_BYTES per slot; past that each set holds a whole row, so
+    the scratch grows with _WORKERS.
     _Layout.power_chunk uses slots 0-2, _Layout.deriv slot 2,
     _Layout.norm slots 2 and 3 and blocksolver._duhamel_rows slots 0 and
     1. So a caller may keep its own chunk in slots 0 and 1 across deriv
@@ -766,53 +754,31 @@ class _Workspace:
     __slots__ = ("_stacks", "_scratch")
 
     def __init__(self):
-        self._stacks = {}  # role -> (stack, weakref to its owner or None, key or None)
-        self._scratch = [[None] * 4 for _ in range(_WORKERS)]  # per thread
-
-    def stack(self, role, shape, dtype=np.complex128):
-        """An uninitialised row stack for role (_empty_stack when new)."""
-        dtype = np.dtype(dtype)
-        held, owner, _ = self._stacks.get(role, (None, None, None))
-        if held is not None and held.shape == shape and held.dtype == dtype:
-            if owner is None or owner() is None:
-                self._stacks[role] = (held, None, None)
-                return held
-        arr = _empty_stack(shape, dtype)
-        if arr.nbytes < _MAPPED_STACK_BYTES:
-            self._stacks[role] = (arr, None, None)
-        else:
-            self._stacks.pop(role, None)
-        return arr
+        self._stacks = {}  # role -> (float64 stack, key)
+        self._scratch = threading.local()
 
     def computed(self, role, key, shape, fill):
         """role's float64 stack as fill(stack) writes it, filled only when needed.
 
         key must fix what fill writes, and shape. The stack last filled
         for role is given back unwritten when its key equals key;
-        otherwise the role's stack is filled afresh, and a kept
-        (heap-sized) one keeps key. Asking for the role through stack
-        drops the key.
+        otherwise it is filled afresh (in place when it has shape), and a
+        heap-sized one is kept with key.
         """
-        held, _, held_key = self._stacks.get(role, (None, None, None))
-        if held_key is not None and held_key == key:
+        held, held_key = self._stacks.get(role, (None, None))
+        if held_key == key:
             return held
-        arr = self.stack(role, shape, np.float64)
+        self._stacks.pop(role, None)  # keyed again only once filled
+        arr = held if held is not None and held.shape == shape else _empty_stack(shape, np.float64)
         fill(arr)
-        if role in self._stacks:
-            self._stacks[role] = (arr, None, key)
+        if arr.nbytes < _MAPPED_STACK_BYTES:
+            self._stacks[role] = (arr, key)
         return arr
-
-    def hand_over(self, stack, owner):
-        """Keep stack from reuse for as long as owner lives; None gives it back."""
-        ref = None if owner is None else weakref.ref(owner)
-        for role, (held, _, _) in self._stacks.items():
-            if held is stack:
-                self._stacks[role] = (held, ref, None)
 
     def scratch(self, slot, shape, dtype=np.complex128):
         """Slot's buffer in the running thread's set, viewed as an
         uninitialised array of shape and dtype."""
-        slots = self._scratch[_lane.index]
+        slots = vars(self._scratch).setdefault("slots", [None] * 4)
         buf = slots[slot]
         size = math.prod(shape) * np.dtype(dtype).itemsize
         if buf is None or buf.nbytes < size:

@@ -302,12 +302,14 @@ def run_flow(config):
     Solver failures abort the run; the partial trace is returned with
     the failure message attached so callers can still write it out.
     Every block's solve works in one workspace (funcspace._Workspace),
-    so blocks after the first allocate no stacks or scratch and, without
-    a time-change remainder, evaluate no kernel multipliers and take the
+    so blocks after the first allocate no scratch and, without a
+    time-change remainder, evaluate no kernel multipliers and take the
     first block's marginal response (marginal_responses); it is dropped
-    when the run returns. Each block after the first starts its
-    Picard iteration from the correction of the block before (solve_block's
-    start): successive blocks of a marginal flow are nearly self-similar.
+    when the run returns. Each block after the first starts its Picard
+    iteration from the correction of the block before (solve_block's
+    start), since successive blocks of a marginal flow are nearly
+    self-similar, and takes that solution's rows as its iterate, so it
+    allocates no stack either.
     """
     kernel, tc, nl = config.kernel, config.tc, config.nonlinearity
     grid, params, L = config.grid, config.solver, config.L

@@ -507,7 +507,12 @@ def _direct_body(config):
 
 
 def run_verification(config, seed=0):
-    """Run the full check suite for one configuration."""
+    """Run the full check suite for one configuration.
+
+    seed, a non-negative integer, draws the contraction check's samples.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     report = VerificationReport()
     _check(
         report,

@@ -595,9 +595,9 @@ def test_solve_holds_two_stacks_at_a_time(monkeypatch):
 
 
 def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
-    # the stack that ends as a solution's rows is handed over to it: a later
-    # solve in the same workspace never writes it while the solution lives,
-    # and reuses it once the solution is gone
+    # a solution owns its rows: a later solve in the same workspace never
+    # writes them, and a cold one allocates its iterate afresh while the
+    # workspace gives back the multipliers it holds for the same key
     params = SolverParams(m=16)
     work = fs._Workspace()
     first = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
@@ -619,7 +619,7 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
     third = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
-    assert shapes == []
+    assert shapes == [(17, 513)]
     for a, b in zip(third.slices, kept):
         assert np.array_equal(a.fhat, b)
 
@@ -650,9 +650,8 @@ def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
 
 def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch):
     # a kept multiplier stack is given back unwritten for the same kernel,
-    # grid, row width and times, and evaluated afresh for any other, or
-    # after its role was given out as a plain stack; a mapped one is never
-    # kept
+    # grid, row width and times, and evaluated afresh for any other; a
+    # mapped one is never kept
     evaluations = [0]
     rows = ScalingKernel._multiplier_rows
 
@@ -688,9 +687,6 @@ def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch)
         assert evaluated == 1, changed
     _, evaluated = stack()
     assert evaluated == 0
-    work.stack("evolve", first.shape, np.float64)  # given out for other use
-    _, evaluated = stack()
-    assert evaluated == 1
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     work = fs._Workspace()
     for _ in range(2):

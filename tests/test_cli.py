@@ -234,6 +234,16 @@ def test_verify_power_model_passes(tmp_path, capsys):
     assert "flow_monotonicity" not in names
 
 
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    # a config error (exit 2) before any check runs, not a failed check
+    code = run_cli("verify", "--config", str(CANONICAL), "--out", str(tmp_path), "--seed", "-1")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "seed" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::marginalrg.errors.UnderResolvedWarning")
 def test_verify_coarse_grid_fails(tmp_path, capsys):
     cfg = write_config(

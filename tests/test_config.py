@@ -54,6 +54,14 @@ def test_string_numbers_are_coerced():
     assert cfg.A0 == 0.125
 
 
+def test_integral_floats_are_integers():
+    cfg = flow_config_from_mapping(minimal_mapping(kernel={"q": 2.0}, solver={"m": 64.0}))
+    assert (cfg.kernel.q, cfg.solver.m) == (2, 64)
+    assert isinstance(cfg.kernel.q, int)
+    with pytest.raises(ConfigError, match=r"kernel\.q must be an integer, got 2\.5"):
+        flow_config_from_mapping(minimal_mapping(kernel={"q": 2.5}))
+
+
 def test_unknown_section_and_keys_are_named():
     with pytest.raises(ConfigError, match="kernels"):
         flow_config_from_mapping(minimal_mapping(kernels={"d": 2.0}))

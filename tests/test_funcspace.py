@@ -227,6 +227,31 @@ def test_threaded_calls_keep_no_reference(threads):
     assert [r() for r in refs] == [None, None]
 
 
+def test_each_thread_keeps_scratch_of_its_own(monkeypatch):
+    # two threads hold a chunk each at once: each views a slot buffer of
+    # its own, the same one on every later call (an idle helper takes no
+    # task), and none outlives the workspace
+    monkeypatch.setattr(fs, "_WORKERS", 3)
+    fs._start_helpers()
+    monkeypatch.setattr(fs, "_WORKERS", 2)
+    work = fs._Workspace()
+    both = threading.Barrier(2, timeout=10)
+    bufs = {}  # thread -> weak references to the slot buffers it viewed
+
+    def body(c):
+        both.wait()
+        view = work.scratch(0, (4,))
+        bufs.setdefault(threading.get_ident(), []).append(weakref.ref(view.base))
+
+    for _ in range(3):
+        fs._run_chunks(body, [slice(0, 1), slice(1, 2)])
+    held = [{id(ref()) for ref in refs} for refs in bufs.values()]
+    assert len(held) == 2 and all(len(ids) == 1 for ids in held)
+    assert len(set.union(*held)) == len(held)
+    del work, body
+    assert all(ref() is None for refs in bufs.values() for ref in refs)
+
+
 def test_a_helper_exception_reaches_the_caller(threads):
     caller = threading.current_thread()
     chunks = [slice(i, i + 1) for i in range(8)]
