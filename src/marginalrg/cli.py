@@ -122,7 +122,7 @@ def cmd_norm(args):
         return 2
     q = 2
     if args.config is not None:
-        q = _load(args).flow.kernel.q
+        q = load_config(args.config, allow_negative_mu=args.allow_negative_mu).flow.kernel.q
     value = weighted_norm(f, q)
     print(json.dumps({"bq_norm": value, "path": args.path, "q": q}, sort_keys=True))
     return 0
@@ -131,14 +131,14 @@ def cmd_norm(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML run configuration")
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    common.add_argument("--label", metavar="NAME", help="artifact name prefix (overrides config)")
     common.add_argument(
         "--allow-negative-mu",
         action="store_true",
         help="accept mu < 0 (blow-up regime, normally rejected)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled inputs")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
+    output.add_argument("--label", metavar="NAME", help="artifact name prefix (overrides config)")
 
     parser = argparse.ArgumentParser(
         prog="marginalrg",
@@ -147,14 +147,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("flow", parents=[common], help="run the RG flow, write trace CSV")
-    p.set_defaults(func=cmd_flow)
-    p = sub.add_parser("beta", parents=[common], help="decay constants and bracket as JSON")
-    p.set_defaults(func=cmd_beta)
-    p = sub.add_parser("verify", parents=[common], help="run the full verification suite")
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("direct", parents=[common], help="direct integration oracle to t = L^3")
-    p.set_defaults(func=cmd_direct)
+    for name, func, text in (
+        ("flow", cmd_flow, "run the RG flow, write trace CSV"),
+        ("beta", cmd_beta, "decay constants and bracket as JSON"),
+        ("verify", cmd_verify, "run the full verification suite"),
+        ("direct", cmd_direct, "direct integration oracle to t = L^3"),
+    ):
+        sub.add_parser(name, parents=[common, output], help=text).set_defaults(func=func)
+    sub.choices["verify"].add_argument("--seed", type=int, default=0, help="seed for sampled inputs")
     p = sub.add_parser("norm", parents=[common], help="weighted norm of a CSV-dumped function")
     p.add_argument("path", help="CSV file written by the function dump routines")
     p.set_defaults(func=cmd_norm)

@@ -873,18 +873,17 @@ def dilate(f, a):
     """Spectral dilation: returns g with ghat(omega) = fhat(omega / a).
 
     Physically g(x) = a f(a x), so the total integral ghat(0) is preserved
-    exactly (the omega = 0 node is pinned). For a > 1 the spectrum
-    contracts; content of fhat beyond omega_max / a is pushed off the grid
-    and must be negligible, otherwise UnderResolved is raised. For a < 1
-    frequencies mapping outside the grid take the value 0, with the same
-    guard on the content that would be lost.
+    exactly (the omega = 0 node is pinned). Every RG block rescales by
+    L^((p+1)/d), so a >= 1 (a = 1 is the identity): the spectrum contracts,
+    and content of fhat beyond omega_max / a, pushed off the grid, must be
+    negligible, otherwise UnderResolved is raised.
     """
-    if not (a > 0) or not math.isfinite(a):
-        raise DomainError(f"dilation factor must be positive and finite, got {a}")
+    if not (a >= 1.0) or not math.isfinite(a):
+        raise DomainError(f"dilation factor must be finite and at least 1, got {a}")
     grid = f.grid
     if a == 1.0:
         return f.copy()
-    boundary = grid.omega_max / a if a > 1 else grid.omega_max * a
+    boundary = grid.omega_max / a
     lost = np.abs(grid.omega) >= boundary
     if np.any(lost):
         tail = float(np.max(np.abs(f.fhat[lost])))
@@ -896,8 +895,6 @@ def dilate(f, a):
             )
     out = _resample_trig(f.to_physical(), grid.x_max, a)
     out[grid.n_points // 2] = f.fhat[grid.n_points // 2]
-    if a < 1.0:
-        out[np.abs(grid.omega) > a * grid.omega_max] = 0.0
     # the chirp rounding leaves the image Hermitian only to ~1e-16; rebuild
     # it from its non-negative half
     return SpectralFunction(grid, _from_half(_to_half(out)))

@@ -349,7 +349,9 @@ def run_flow(config):
             trace.failure = f"level {n}: {exc}"
             return trace
         decay_coeff = response.at_zero.real
-        residual = diag.correction + response * (mu * previous_amp**alpha)
+        residual = diag.correction
+        if mu:  # a zero mu drops the term, whose A^alpha can overflow a float
+            residual = residual + response * (mu * previous_amp**alpha)
         trace.mass_shift.append(diag.correction_at_zero)
         trace.decay_coeff.append(decay_coeff)
         trace.w_norm.append(fs.weighted_norm(residual, q))

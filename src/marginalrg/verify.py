@@ -442,18 +442,17 @@ def _flow_monotonicity_body(config, flow):
 
 
 def _renorm_residual_body(trace, mu, alpha):
-    ineq = [
-        abs(shift + mu * beta * amp**alpha) <= wn
-        for shift, beta, amp, wn in zip(
-            trace.mass_shift, trace.decay_coeff, trace.amplitude, trace.w_norm
-        )
-    ]
-    ratios = [w / a**alpha for w, a in zip(trace.w_norm, trace.amplitude)]
-    trend = all(x > y for x, y in zip(ratios[3:], ratios[4:])) and ratios[-1] < ratios[0]
-    return all(ineq) and trend, {
-        "inequality_all": all(ineq),
-        "ratio_first": ratios[0],
-        "ratio_last": ratios[-1],
+    shift, beta, w = (np.asarray(v) for v in (trace.mass_shift, trace.decay_coeff, trace.w_norm))
+    # at extreme amplitudes numpy saturates A^alpha to 0 or inf; Python floats raise
+    with np.errstate(all="ignore"):
+        amp_pow = np.asarray(trace.amplitude[: len(w)]) ** alpha
+        ineq = bool(np.all(np.abs(shift + mu * beta * amp_pow) <= w))
+        ratios = w / amp_pow
+    trend = bool(np.all(ratios[3:-1] > ratios[4:]) and ratios[-1] < ratios[0])
+    return ineq and trend, {
+        "inequality_all": ineq,
+        "ratio_first": float(ratios[0]),
+        "ratio_last": float(ratios[-1]),
         "trend_past_transient": trend,
     }
 
@@ -462,10 +461,11 @@ def _increment_body(trace, config):
     mu, alpha = config.mu, config.alpha_c
     limit = decay_limit(config.kernel, config.tc.p, config.L)
     target = mu * (alpha - 1) * limit
-    inv = [a ** (-(alpha - 1.0)) for a in trace.amplitude]
-    dev = [abs(b - a - target) for a, b in zip(inv, inv[1:])]
-    trend = all(x > y for x, y in zip(dev[3:], dev[4:]))
-    final_rel = dev[-1] / target
+    with np.errstate(all="ignore"):  # as for A^alpha in _renorm_residual_body
+        inv = np.asarray(trace.amplitude) ** -(alpha - 1.0)
+        dev = np.abs(np.diff(inv) - target)
+    trend = bool(np.all(dev[3:-1] > dev[4:]))
+    final_rel = float(dev[-1] / target)
     return trend and final_rel <= 0.2, {
         "target": target,
         "final_rel_dev": final_rel,

@@ -180,6 +180,44 @@ def test_exit_2_names_the_violated_condition(tmp_path, capsys):
         assert err.startswith(f"config error: {section}: ") and f"'{key}'" in err
 
 
+def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
+    # only verify samples inputs, and norm writes no file: argparse refuses
+    # the rest with the exit code of invalid input
+    cfg = str(CANONICAL)
+    for argv in (
+        ("flow", "--seed", "1", "--config", cfg),
+        ("beta", "--seed", "1", "--config", cfg),
+        ("direct", "--seed", "1", "--config", cfg),
+        ("norm", "--out", str(tmp_path), "f.csv"),
+        ("norm", "--label", "n", "f.csv"),
+        ("norm", "--seed", "1", "f.csv"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_linear_flow_at_a_huge_amplitude_completes(tmp_path, capsys):
+    # mu = 0 takes no A^alpha_c, which would overflow a float here; the
+    # absolute tail_tol still flags the outer octaves of a 1e200 field
+    cfg = write_config(
+        tmp_path,
+        """
+        time: {p: 1.0}
+        grid: {n_points: 1024, x_max: 40.0}
+        solver: {m: 16}
+        flow: {A0: 1.0e+200, n_steps: 2}
+        """,
+    )
+    with pytest.warns(UnderResolvedWarning):
+        assert run_cli("flow", "--config", cfg, "--out", str(tmp_path), "--label", "lin") == 0
+    rows = (tmp_path / "lin_trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1e+200"] * 3
+    assert [row.split(",")[5] for row in rows[:2]] == ["0.0", "0.0"]
+
+
 def test_beta_json_contract(tmp_path, capsys):
     import math
 
@@ -223,11 +261,13 @@ def test_verify_power_model_passes(tmp_path, capsys):
         flow: {n_steps: 3}
         """,
     )
-    code = run_cli("verify", "--config", cfg, "--out", str(tmp_path), "--label", "v")
+    code = run_cli("verify", "--config", cfg, "--out", str(tmp_path), "--label", "v", "--seed", "3")
     assert code == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out
-    report = json.loads((tmp_path / "v_report.json").read_text())["report"]
+    payload = json.loads((tmp_path / "v_report.json").read_text())
+    assert payload["seed"] == 3
+    report = payload["report"]
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert "beta_convergence" in names

@@ -506,7 +506,7 @@ def test_operations_keep_fields_real(f, g, c, t):
     sol = solve_block(f, kernel, TimeChange(p=1.0), nl, 0, 2.0, SolverParams(m=8))
     results = [f + g, f - g, f * c, c * f, fs.apply_multiplier(f, kernel, t)]
     results += [fs.pointwise_power(f, k) for k in (2, 3, 4)]
-    results += [fs.dilate(f, a) for a in (2.0, 0.6)]  # L^((p+1)/d) of the canonical block
+    results.append(fs.dilate(f, 2.0))  # L^((p+1)/d) of the canonical block
     results += sol.slices
     assert all(fs._is_real_field(r.fhat) for r in results)
 
@@ -531,7 +531,6 @@ def test_power_of_real_field_is_exactly_hermitian():
         assert np.max(np.abs(got[1:] - oracle[1:])) < 1e-12 * np.max(np.abs(oracle))
     assert_hermitian(deriv_rows(f.fhat, GRID) * 1j)
     assert_hermitian(fs.dilate(gauss(), 1.7).fhat)
-    assert_hermitian(fs.dilate(gauss(), 0.6).fhat)
 
 
 def test_non_real_spectra_are_refused():
@@ -565,8 +564,14 @@ def test_dilate_identity_and_gaussian():
     assert np.max(np.abs(out.fhat - np.exp(-GRID.omega**2 / 4.0))) < 1e-8
     # the zero node is pinned, so the total integral is conserved exactly
     assert out.at_zero == f.at_zero
-    with pytest.raises(DomainError):
-        fs.dilate(f, 0.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.0, math.nan, math.inf])
+def test_dilate_refuses_factors_below_one_and_non_finite(a):
+    # every RG block rescales by L^((p+1)/d) >= 1; a factor below 1 would
+    # stretch the field past the box, where the periodic grid wraps it
+    with pytest.raises(DomainError, match=f"got {a}"):
+        fs.dilate(gauss(), a)
 
 
 def test_dilate_reuses_its_chirp_factors():
@@ -585,23 +590,28 @@ def test_dilate_reuses_its_chirp_factors():
         return 2.0 * x_max / n_pts * s
 
     phys = GRID.inverse(gauss().fhat + 0.1j * GRID.omega * gauss(2.0).fhat)
-    for a in (1.7, 0.6, 1.7):
+    for a in (1.7, 2.0, 1.7):
         assert np.array_equal(fs._resample_trig(phys, GRID.x_max, a), uncached(phys, GRID.x_max, a))
     assert fs._chirp_factors(GRID.n_points, 1.7) is fs._chirp_factors(GRID.n_points, 1.7)
     assert not any(arr.flags.writeable for arr in fs._chirp_factors(GRID.n_points, 1.7))
 
 
-def test_dilate_round_trip():
+def test_dilate_composes():
+    # two blocks' dilations compose to one by the product of the factors,
+    # and both agree with the Gaussian's closed form exp(-(omega / 3)^2)
     f = gauss()
-    back = fs.dilate(fs.dilate(f, 2.0), 0.5)
-    assert np.max(np.abs(back.fhat - f.fhat)) < 1e-12
+    twice = fs.dilate(fs.dilate(f, 2.0), 1.5)
+    once = fs.dilate(f, 3.0)
+    assert np.max(np.abs(twice.fhat - once.fhat)) < 1e-12
+    assert np.max(np.abs(once.fhat - np.exp(-GRID.omega**2 / 9.0))) < 1e-12
+    assert twice.at_zero == f.at_zero
 
 
 def test_dilate_guards_spectral_tails():
     wide = fs.from_profile(GRID, lambda w: np.exp(-((w / 40.0) ** 2)))
     with pytest.raises(UnderResolved):
         fs.dilate(wide, 4.0)
-    with pytest.raises(UnderResolved):
+    with pytest.raises(DomainError):
         fs.dilate(gauss(), 1e-3)
 
 

@@ -328,3 +328,60 @@ def test_verify_times_the_shared_flow(monkeypatch):
     flow = report.checks[5]
     assert flow.measured["completed"]
     assert 0.2 <= flow.measured["flow_s"] <= flow.runtime_s
+
+
+def test_flow_check_bodies_match_their_loop_form():
+    # reference: the per-level loops that the array forms replace; they
+    # agree bit for bit wherever the powers of A stay floats
+    cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=7)
+    trace = run_flow(cfg)
+    mu, alpha = cfg.mu, cfg.alpha_c
+    levels = list(zip(trace.mass_shift, trace.decay_coeff, trace.amplitude, trace.w_norm))
+    ineq = all(abs(shift + mu * beta * amp**alpha) <= wn for shift, beta, amp, wn in levels)
+    ratios = [wn / amp**alpha for _, _, amp, wn in levels]
+    trend = all(x > y for x, y in zip(ratios[3:], ratios[4:])) and ratios[-1] < ratios[0]
+    assert verify._renorm_residual_body(trace, mu, alpha) == (
+        ineq and trend,
+        {
+            "inequality_all": ineq,
+            "ratio_first": ratios[0],
+            "ratio_last": ratios[-1],
+            "trend_past_transient": trend,
+        },
+    )
+    target = mu * (alpha - 1) * mg.decay_limit(cfg.kernel, cfg.tc.p, cfg.L)
+    inv = [a ** (-(alpha - 1.0)) for a in trace.amplitude]
+    dev = [abs(b - a - target) for a, b in zip(inv, inv[1:])]
+    trend = all(x > y for x, y in zip(dev[3:], dev[4:]))
+    assert verify._increment_body(trace, cfg) == (
+        trend and dev[-1] / target <= 0.2,
+        {"target": target, "final_rel_dev": dev[-1] / target, "trend_past_transient": trend},
+    )
+
+
+def test_flow_checks_fail_cleanly_at_extreme_amplitudes():
+    # A^alpha and A^-(alpha-1) leave the float range at such amplitudes: the
+    # mass shift underflows, so A_n cannot move, and the bodies report failed
+    # checks instead of raising ZeroDivisionError or OverflowError
+    d4 = ScalingKernel(d=4.0, kappa=0.5)
+    tiny = dict(
+        grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=3, g0_kind="zero", g0_eps=0.0
+    )
+    heat = make_config(A0=1e-300, **tiny)
+    quartic = make_config(kernel=d4, nonlinearity=Nonlinearity(0.05, 0.0, ()), A0=1e-200, **tiny)
+    assert (heat.alpha_c, quartic.alpha_c) == (2, 3)
+    rel_dev = []
+    for cfg in (heat, quartic):
+        trace = run_flow(cfg)
+        assert trace.completed and trace.amplitude == [cfg.A0] * 4
+        passed, measured = verify._renorm_residual_body(trace, cfg.mu, cfg.alpha_c)
+        assert not passed and measured["ratio_first"] == math.inf
+        passed, measured = verify._increment_body(trace, cfg)
+        assert not passed
+        rel_dev.append(measured["final_rel_dev"])
+    # 1e-300^-1 is still a float, so the increments read 0 against the
+    # target; 1e-200^-2 is not
+    assert rel_dev[0] == 1.0 and math.isnan(rel_dev[1])
+    report = verify.run_verification(quartic)
+    assert len(report.checks) == 10 and not report.passed
+    json.dumps(report.as_dict())
