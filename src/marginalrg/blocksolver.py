@@ -44,6 +44,7 @@ from .funcspace import (
     _Workspace,
     _chunks,
     _run_chunks,
+    _tail_limit,
     _warn_if_under_resolved,
 )
 from .marginal import critical_exponent
@@ -276,7 +277,7 @@ def _duhamel_rows(rows, start, emult, h, carry, first, work, turn=contextlib.nul
 
 
 # Relative margin by which a Picard bound must stay below its limit (the
-# guard, tail_tol) to stand for the exact value: the bounds add norms
+# guard, the tail limit) to stand for the exact value: the bounds add norms
 # computed in floating point, for which the triangle inequality holds only
 # up to rounding of order eps log N (1 + omega_max^q) relative to the norm,
 # once per iteration.
@@ -301,15 +302,15 @@ def _start_rows(rows, first, kernel, layout, elapsed, q, work, start=None):
 
     One chunked pass forms each chunk of u0 and takes its norm and tail;
     returns u0's norm and tail, warning once at the caller's line when
-    under-resolved. Without start u0 is written into rows. start is the
-    BlockSolution of the block before, on the same nodes; rows are its
-    spent rows, and they become u0 + (u - u0 of start): each chunk of u0
-    is formed in scratch and added once start's u0, its first row times
-    the multipliers of its elapsed times, is taken off. Without a
-    time-change remainder the two blocks' elapsed times are equal and one
-    multiplier stack serves both; otherwise a pass before takes start's
-    u0 off with its own, so that the two multiplier stacks are never held
-    together.
+    under-resolved (a tail above the _tail_limit of first). Without start
+    u0 is written into rows. start is the BlockSolution of the block
+    before, on the same nodes; rows are its spent rows, and they become
+    u0 + (u - u0 of start): each chunk of u0 is formed in scratch and
+    added once start's u0, its first row times the multipliers of its
+    elapsed times, is taken off. Without a time-change remainder the two
+    blocks' elapsed times are equal and one multiplier stack serves both;
+    otherwise a pass before takes start's u0 off with its own, so that
+    the two multiplier stacks are never held together.
     """
     old_first = rows[0]  # start's input row, read by every chunk: written last
     chunks = _chunks(*rows.shape)
@@ -342,7 +343,7 @@ def _start_rows(rows, first, kernel, layout, elapsed, q, work, start=None):
     _run_chunks(body, chunks)
     rows[0] = first
     tail = float(np.max(tails))
-    _warn_if_under_resolved(tail, layout.grid)
+    _warn_if_under_resolved(tail, _tail_limit(layout.grid, first))
     return float(np.max(norms)), tail
 
 
@@ -365,9 +366,9 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     starting from the exact values of u0 plus the start's
     correction_bound, each iteration adds the update's. When the norm
     bound comes within _BOUND_SLACK of the guard, or the tail bound
-    within _BOUND_SLACK of tail_tol, the iteration evaluates u_new's norm
-    and tail afresh (one more derivative transform), compares those, and
-    carries them on as the bounds. So a converging, resolved solve makes
+    within _BOUND_SLACK of the input row's _tail_limit, the iteration
+    evaluates u_new's norm and tail afresh (one more derivative
+    transform), compares those, and carries them on as the bounds. So a converging, resolved solve makes
     one derivative transform per iteration, and Divergence reports an
     exact norm. The sums of the update bounds, or the iterate's bounds
     plus u0's where smaller, bound the solution's correction.
@@ -407,7 +408,8 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     if not coeffs:
         return BlockSolution(layout, times, f.fhat, u, 1, 0.0, elapsed, (0.0, 0.0))
     norm_room = (1.0 - _BOUND_SLACK) * guard
-    tail_room = (1.0 - _BOUND_SLACK) * f.grid.tail_tol
+    tail_limit = _tail_limit(f.grid, first)
+    tail_room = (1.0 - _BOUND_SLACK) * tail_limit
     norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
     emult = _step_multipliers(kernel, layout, elapsed, work)
     carry = np.empty((2, shape[1]), np.complex128)
@@ -435,7 +437,7 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
         corr_tail += step_tail
         if not (norm_bound <= norm_room and tail_bound <= tail_room):  # NaN fails
             norm_bound, tail_bound = _norm_and_tail(u, layout, kernel.q, work)
-        _warn_if_under_resolved(np.maximum(step_tail, tail_bound), layout.grid)  # NaN wins
+        _warn_if_under_resolved(np.maximum(step_tail, tail_bound), tail_limit)  # NaN wins
         if not norm_bound <= guard:
             raise Divergence(it, norm_bound, guard)
         if delta < params.picard_tol:

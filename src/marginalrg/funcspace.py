@@ -10,9 +10,11 @@ Every function is real, so every spectrum is exactly Hermitian:
 SpectralFunction refuses any other. The power and the norm transform with
 half-length real FFTs, on stacks of rows held in the half layout
 (_Layout): only the N/2+1 nodes omega >= 0 and -omega_max, with the full
-sorted axis built when a caller needs it. A stack's rows are transformed
-and normed in chunks that run on every CPU the process may use
-(_run_chunks), with the same bits as on one.
+sorted axis built when a caller needs it. A power transforms each row on
+the length that row's band needs to keep aliased images off the kept
+nodes (_power_lengths), a fraction of the grid for a well-resolved row. A
+stack's rows are transformed and normed in chunks that run on every CPU
+the process may use (_run_chunks), with the same bits as on one.
 """
 
 import contextvars
@@ -59,9 +61,9 @@ class GridSpec:
         Half width of the physical box. Nodes are x_j = -x_max + j * dx
         with dx = 2 x_max / n_points.
     tail_tol : float
-        Absolute bound on |fhat| over the two outermost frequency octaves;
-        above it a function counts as under-resolved (norm warnings,
-        dilation guards).
+        Bound on |fhat| over the two outermost frequency octaves, relative
+        to max(1, peak |fhat|); above it a function counts as
+        under-resolved (norm warnings, dilation guards).
     """
 
     n_points: int = 4096
@@ -233,30 +235,39 @@ def _half_weights(n, scale, last):
     return w
 
 
-def _inverse_half(half, m, dx, out, weighted):
-    """Real samples, on an m-point grid with spacing dx, of half spectra.
+def _inverse_half(half, n, m, dx, out, weighted):
+    """Real samples, on an m-point grid with spacing dx, of half spectra
+    on an n-node grid.
 
     The irfft of each row, zero-padded to m points, into out; weighted,
-    shaped like half, receives the weighted input. On a padded grid
-    (m > n) the value at -omega_max is split half-and-half between
-    +-omega_max, so the padded field is real too.
+    shaped like half, receives the weighted input. half holds all N/2+1
+    nodes of each row, or, below m = n, its first m/2 (the band of a
+    narrower grid). On a padded grid (m > n) the value at -omega_max is
+    split half-and-half between +-omega_max, so the padded field is real
+    too.
     """
-    n = 2 * (half.shape[-1] - 1)
-    w = _half_weights(n, 1.0 / dx, (1.0 if m == n else 0.5) / dx)
+    w = _half_weights(min(m, n), 1.0 / dx, (1.0 if m == n else 0.5) / dx)[: half.shape[-1]]
     return np.fft.irfft(np.multiply(half, w, out=weighted), m, out=out)
 
 
 def _forward_half(phys, n, dx, out, spec):
-    """Half spectra, on an n-node band, of real samples with spacing dx.
+    """Half spectra, on an n-node grid, of real samples with spacing dx.
 
     One rfft into spec (phys.shape[-1]//2 + 1 columns; it may be out
-    itself when that is the whole rfft), then the band into out; the
-    -omega_max value is the real part of the +omega_max bin.
+    itself when that is the whole rfft), then the band into out. From m =
+    phys.shape[-1] >= n samples the band is all N/2+1 nodes, the
+    -omega_max value being the real part of the +omega_max bin; from fewer
+    it is the first m/2 nodes, and the rest of out is +0.0.
     """
-    h = n // 2
+    h = min(phys.shape[-1], n) // 2
     r = np.fft.rfft(phys, out=spec)
+    w = _half_weights(2 * h, dx, dx)
+    if h < n // 2:
+        np.multiply(r[..., :h], w[:h], out=out[..., :h])
+        out[..., h:] = 0.0
+        return out
     nyquist = dx * r[..., h].real
-    np.multiply(r[..., : h + 1], _half_weights(n, dx, dx), out=out)
+    np.multiply(r[..., : h + 1], w, out=out)
     out[..., h] = nyquist
     return out
 
@@ -296,11 +307,11 @@ class _Layout:
     def power(self, rows, coeffs, out=None, work=None):
         """Transform of sum_p c_p u^p for one row or each row of a stack.
 
-        Each spectrum is embedded centered in a grid with _pad_factor * N
-        points and the same x_max (finer physical sampling, same frequency
-        spacing), and restricted to the original band after the products:
-        one irfft, the sum formed in physical space and one rfft. A stack
-        runs in _chunks of its padded width, shared out by _run_chunks, each
+        Each row is embedded in a grid with the same x_max (the same
+        frequency spacing) and as many points as its band needs
+        (_power_lengths), and restricted to the original band after the
+        products: one irfft, the sum formed in physical space and one
+        rfft. A stack runs in _chunks, shared out by _run_chunks, each
         chunk through power_chunk.
         """
         out = np.empty(rows.shape, np.complex128) if out is None else out
@@ -308,34 +319,45 @@ class _Layout:
         width = rows.shape[-1]
         # a view for one row or a stack, so each chunk writes into out
         stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
-        chunks = _chunks(len(stack), _pad_factor(coeffs) * width)
+        chunks = _chunks(*stack.shape)
         _run_chunks(lambda c: self.power_chunk(stack[c], coeffs, dest[c], work), chunks)
         return out
 
     def power_chunk(self, chunk, coeffs, out, work):
         """power of a chunk of rows into out, on the calling thread.
 
-        The rows go through the transforms a few at a time, as many as the
-        padded width's share of the budget (_rows_per_chunk), so the
-        scratch (slots 0-2 of work) never outgrows a slot. Each group is
-        read before its output is written, so out may be chunk itself.
+        The rows of one transform length go through together, a few at a
+        time, as many as that length's share of the budget
+        (_rows_per_chunk), so the scratch (slots 0-2 of work) never
+        outgrows a slot. Every row is read before its output is written,
+        so out may be chunk itself.
         """
         n = self.grid.n_points
-        pad = _pad_factor(coeffs)
-        m = pad * n
-        dx_big = 2.0 * self.grid.x_max / m
-        step = _rows_per_chunk(pad * chunk.shape[-1])
-        for lo in range(0, len(chunk), step):
-            rows, dst = chunk[lo : lo + step], out[lo : lo + step]
-            k = len(rows)
-            # slot 1 holds the padded field, then its rfft
-            spec = work.scratch(1, (k, m // 2 + 1))
-            phys = _inverse_half(
-                rows, m, dx_big, work.scratch(1, (k, m), np.float64), work.scratch(0, rows.shape)
-            )
-            total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
-            _forward_half(total, n, dx_big, dst, spec)
+        lengths = _power_lengths(chunk, max(coeffs), n, work.scratch(2, chunk.shape, np.float64))
+        for m in sorted(set(lengths.tolist())):
+            picked = np.flatnonzero(lengths == m)
+            step = _rows_per_chunk(m // 2 + 1)
+            for lo in range(0, len(picked), step):
+                self._power_rows(chunk, _as_slice(picked[lo : lo + step]), coeffs, out, m, work)
         return out
+
+    def _power_rows(self, chunk, sel, coeffs, out, m, work):
+        # the rows sel of chunk through the transforms of length m, into out
+        n = self.grid.n_points
+        dx = 2.0 * self.grid.x_max / m
+        rows = chunk[sel, : n // 2 + 1 if m >= n else m // 2]
+        k = len(rows)
+        # slot 1 holds the padded field, then its rfft
+        spec = work.scratch(1, (k, m // 2 + 1))
+        phys = _inverse_half(
+            rows, n, m, dx, work.scratch(1, (k, m), np.float64), work.scratch(0, rows.shape)
+        )
+        total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
+        if isinstance(sel, slice):
+            _forward_half(total, n, dx, out[sel], spec)
+        else:
+            dst = np.empty((k, out.shape[-1]), np.complex128)
+            out[sel] = _forward_half(total, n, dx, dst, spec)
 
     def deriv(self, rows, out=None, work=None):
         """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
@@ -344,7 +366,8 @@ class _Layout:
         n, dx = grid.n_points, grid.dx
         work = _Workspace() if work is None else work
         # x f is real, so its half spectrum expands; fhat' = -i times it
-        phys = _inverse_half(rows, n, dx, work.scratch(2, rows.shape[:-1] + (n,), np.float64), out)
+        phys = work.scratch(2, rows.shape[:-1] + (n,), np.float64)
+        phys = _inverse_half(rows, n, n, dx, phys, out)
         np.multiply(grid.x, phys, out=phys)
         _forward_half(phys, n, dx, out, out)
         return np.multiply(-1j, out, out=out)
@@ -374,13 +397,24 @@ class _Layout:
         return slice(self.grid.n_points // 8, None)
 
 
-def _warn_if_under_resolved(tail, grid):
-    """Warn when a norm's tail (_Layout.norm) exceeds the grid's tail_tol.
+def _tail_limit(grid, fhat):
+    """The largest tail (_Layout.norm) allowed on fields of fhat's size:
+    tail_tol times max(1, peak |fhat|).
+
+    A non-finite peak leaves tail_tol absolute, so that an inf or NaN
+    tail still exceeds it.
+    """
+    peak = float(np.max(np.abs(fhat)))
+    return grid.tail_tol * (max(1.0, peak) if math.isfinite(peak) else 1.0)
+
+
+def _warn_if_under_resolved(tail, limit):
+    """Warn when a norm's tail (_Layout.norm) exceeds limit (_tail_limit).
 
     The warning points at the caller of the function that calls this one;
     a NaN tail warns too.
     """
-    if not tail <= grid.tail_tol:
+    if not tail <= limit:
         warnings.warn(
             "input spectrum is not negligible on the outer frequency "
             "octaves; the reported norm may be under-resolved",
@@ -475,15 +509,16 @@ def weighted_norm(f, q=2):
     layout = _Layout(f.grid)
     rows = layout.rows(f.fhat)[np.newaxis]
     norms, tail = layout.norm(rows, layout.deriv(rows), q)
-    _warn_if_under_resolved(tail, f.grid)
+    _warn_if_under_resolved(tail, _tail_limit(f.grid, rows))
     return float(norms[0])
 
 
 def pointwise_power(f, k):
     """Transform of f(x)**k, dealiased by zero padding in frequency.
 
-    The padding is the smallest exact one for k, so the retained band
-    carries no aliased images of the product.
+    The transform length is the shortest at which no image of the
+    degree-k product of f's band lands on a kept node (_power_lengths),
+    so the retained band carries no aliased images of the product.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"power must be an integer >= 2, got {k}")
@@ -517,10 +552,10 @@ def _chunks(n_rows, width):
     and hold at most _CHUNK_BYTES // _WORKERS each unless a single row is
     larger. While a row fits that share, the scratch of the chunks in
     flight (_Workspace.scratch) stays within _CHUNK_BYTES, small next to
-    the stacks; past it (a 4098-wide padded half row on 16 or more
-    CPUs) every chunk is one row and the scratch grows with _WORKERS. A
-    batched transform matches the per-row one bit for bit, so the
-    chunking never changes a result.
+    the stacks; past it (a full-band row's cube on the canonical grid,
+    8640 points, on 16 or more CPUs) a group of the power is one row and
+    the scratch grows with _WORKERS. A batched transform matches the
+    per-row one bit for bit, so the chunking never changes a result.
     """
     count = -(-n_rows // _rows_per_chunk(width))
     count = min(n_rows, -(-count // _WORKERS) * _WORKERS)
@@ -786,10 +821,61 @@ class _Workspace:
         return np.ndarray(shape, dtype, buf)
 
 
-def _pad_factor(coeffs):
-    # ceil((k+1)/2) for the largest power k: the smallest factor that keeps
-    # every aliased image of the product outside the retained band
-    return (max(coeffs) + 2) // 2
+# A row's band (_power_lengths) ends at its last node above this fraction
+# of its peak |fhat|, a little above the rounding floor of the transforms
+# that formed it.
+_BAND_EPS = 2.0**-50
+
+
+@functools.lru_cache(maxsize=16)
+def _band_lengths(n, k):
+    """The transform length of a degree-k power on an n-node grid for each
+    band b = 0 .. n/2 + 1 of a row (_power_lengths).
+
+    The smallest length at which no image of the row's degree-k product
+    lands on a node that is kept: m >= 2kb below n, where only the first
+    m/2 nodes are formed, else m > k(b-1) + n/2. The lengths are powers of
+    two below n, which keep a chunk's narrow rows on few lengths, and
+    every even 2^a 3^b 5^c from n on, which keeps a wide band's length
+    within a few percent of its bound.
+    """
+    top = (k + 1) * n
+    smooth = {2}
+    for factor in (2, 3, 5):
+        for m in sorted(smooth):
+            while m * factor <= top:
+                m *= factor
+                smooth.add(m)
+    lengths = np.array(sorted(m for m in smooth if m >= n or m & (m - 1) == 0))
+    band = np.arange(n // 2 + 2)
+    small = lengths[np.searchsorted(lengths, np.minimum(2 * k * band, n))]
+    large = lengths[np.searchsorted(lengths, np.maximum(n, k * (band - 1) + n // 2 + 1))]
+    table = np.where(small < n, small, large)
+    table.flags.writeable = False
+    return table
+
+
+def _power_lengths(rows, k, n, mag):
+    """The transform length of each row's degree-k power on an n-node grid.
+
+    A row's band b is one more than its last half-layout node whose |fhat|
+    exceeds _BAND_EPS times the row's peak |fhat|, and its length is that
+    of _band_lengths. A row that is significant at -omega_max (its last
+    node), or holds an inf or a NaN, or is zero (no node exceeds such a
+    peak), has the full band N/2+1. mag, shaped like rows, receives
+    |rows|.
+    """
+    np.abs(rows, out=mag)
+    inside = mag > _BAND_EPS * np.max(mag, axis=-1, keepdims=True)
+    return _band_lengths(n, k)[rows.shape[-1] - np.argmax(inside[:, ::-1], axis=-1)]
+
+
+def _as_slice(picked):
+    # ascending row indices as a slice when they are contiguous, so a
+    # group reads and writes views
+    if picked[-1] - picked[0] == len(picked) - 1:
+        return slice(int(picked[0]), int(picked[-1]) + 1)
+    return picked
 
 
 def _poly(u, coeffs, acc):
@@ -876,7 +962,7 @@ def dilate(f, a):
     exactly (the omega = 0 node is pinned). Every RG block rescales by
     L^((p+1)/d), so a >= 1 (a = 1 is the identity): the spectrum contracts,
     and content of fhat beyond omega_max / a, pushed off the grid, must be
-    negligible, otherwise UnderResolved is raised.
+    negligible (within _tail_limit), otherwise UnderResolved is raised.
     """
     if not (a >= 1.0) or not math.isfinite(a):
         raise DomainError(f"dilation factor must be finite and at least 1, got {a}")
@@ -887,11 +973,12 @@ def dilate(f, a):
     lost = np.abs(grid.omega) >= boundary
     if np.any(lost):
         tail = float(np.max(np.abs(f.fhat[lost])))
-        if tail > grid.tail_tol:
+        limit = _tail_limit(grid, f.fhat)
+        if tail > limit:
             raise UnderResolved(
                 f"dilation by {a:g} would discard spectral content of size "
                 f"{tail:.3e} beyond |omega| = {boundary:.4g} "
-                f"(tail_tol {grid.tail_tol:g})"
+                f"(tail_tol {grid.tail_tol:g} of max(1, peak |fhat|): {limit:.3e})"
             )
     out = _resample_trig(f.to_physical(), grid.x_max, a)
     out[grid.n_points // 2] = f.fhat[grid.n_points // 2]

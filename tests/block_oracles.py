@@ -84,7 +84,7 @@ class FullRealLayout(fs._Layout):
         grid = self.grid
         n, dx = grid.n_points, grid.dx
         half = fs._to_half(rows)
-        phys = fs._inverse_half(half, n, dx, None, None) * grid.x
+        phys = fs._inverse_half(half, n, n, dx, None, None) * grid.x
         xf = fs._forward_half(phys, n, dx, np.empty_like(half), None)
         out = fs._from_half(xf, out)
         return np.multiply(-1j, out, out=out)

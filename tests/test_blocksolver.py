@@ -238,8 +238,8 @@ def test_divergence_guard():
         solve_block(profile(), KERNEL, TC, NL, 0, 2.0, tiny_guard)
     assert info.value.iteration == 0
     # an iterate that overflows to NaN fails the guard at once instead of
-    # running out the Picard budget; tail_tol is absolute, so u0 and the
-    # NaN iterate warn
+    # running out the Picard budget; u0 is resolved relative to its peak,
+    # and the NaN iterate's tail warns
     huge = fixed_point_profile(KERNEL, 1.0, fs.GridSpec(256)) * 1e200
     with (
         pytest.warns(UnderResolvedWarning),

@@ -18,7 +18,7 @@ from block_oracles import FullRealLayout, deriv_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginalrg import config
+from marginalrg import config, rgflow
 from marginalrg import funcspace as fs
 from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
 from marginalrg.errors import DomainError, UnderResolved, UnderResolvedWarning
@@ -175,15 +175,15 @@ def test_stacked_norm_matches_rows():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 _, tail = layout.norm(held, layout.deriv(held), 2)
-                fs._warn_if_under_resolved(tail, GRID)
+                fs._warn_if_under_resolved(tail, GRID.tail_tol)
             assert (len(caught) == 1) == warns
     # one under-resolved row is enough for the stack's warning, in either layout
     rows[5] = 1.0 / (1.0 + GRID.omega**2)
     with pytest.warns(UnderResolvedWarning):
-        fs._warn_if_under_resolved(full.norm(rows, deriv_rows(rows, GRID), 2)[1], GRID)
+        fs._warn_if_under_resolved(full.norm(rows, deriv_rows(rows, GRID), 2)[1], GRID.tail_tol)
     held = half.rows(rows)
     with pytest.warns(UnderResolvedWarning):
-        fs._warn_if_under_resolved(half.norm(held, half.deriv(held), 2)[1], GRID)
+        fs._warn_if_under_resolved(half.norm(held, half.deriv(held), 2)[1], GRID.tail_tol)
     with pytest.raises(DomainError):
         half.norm(held, held, -1)
 
@@ -435,21 +435,50 @@ def test_pointwise_power_cross_term():
     assert fs.weighted_norm(w, 2) > 0.1
 
 
+def convolution_powers(grid, fhat, top):
+    """The powers 2..top of a real field by the convolution theorem, with
+    np.convolve on the spectrum and its -omega_max value split between the
+    two ends of the band, as the padded transforms split it."""
+    n = grid.n_points
+    ext = np.concatenate([[0.5 * fhat[0]], fhat[1:], [0.5 * fhat[0]]])
+    conv = ext
+    for k in range(2, top + 1):
+        conv = np.convolve(conv, ext) * grid.dw / (2.0 * np.pi)
+        yield k, conv[(k - 1) * n // 2 : (k - 1) * n // 2 + n]
+
+
 def test_pointwise_power_dealias_exact_for_compact_support():
-    # independent oracle: the convolution theorem evaluated with
-    # np.convolve on a smooth spectrum supported in |w| < frac * omega_max;
-    # at frac = 0.9 the products fill more than the band, so any padding
-    # below the exact factor folds aliased images into it
-    n = GRID.n_points
+    # independent oracle: the convolution theorem on a spectrum supported
+    # in |w| < frac * omega_max; at frac = 0.9 the products fill more than
+    # the band, so a transform shorter than the exact one folds aliased
+    # images into it
     for frac in (1.0 / 8.0, 0.9):
         u = GRID.omega / (frac * GRID.omega_max)
         fhat = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
         f = fs.SpectralFunction(GRID, fhat)
-        conv = fhat
-        for k in (2, 3):
-            conv = np.convolve(conv, fhat) * GRID.dw / (2.0 * np.pi)
-            oracle = conv[(k - 1) * n // 2 : (k - 1) * n // 2 + n]
+        for k, oracle in convolution_powers(GRID, fhat, 3):
             assert np.max(np.abs(fs.pointwise_power(f, k).fhat - oracle)) < 1e-10
+    # supports just inside and just outside each band at which a power's
+    # transform length switches: a spectrum significant up to its top node
+    # J has band b = J + 1 (b = N/2 + 1 is the full band, -omega_max
+    # included), and a length one node too short for b folds an image of
+    # the top node's products onto a kept node
+    grid = fs.GridSpec(256, 40.0)
+    n = grid.n_points
+    j = np.abs(np.arange(n) - n // 2)
+    spectra = [np.where(j < b, np.exp(-((j / b) ** 2)), 0.0) for b in range(1, n // 2 + 2)]
+    half = fs._to_half(np.array(spectra, dtype=np.complex128))
+    for k in (2, 3):
+        lengths = fs._power_lengths(half, k, n, np.empty(half.shape))
+        # band s is the last on one length and band s + 1 the first on the next
+        switches = np.flatnonzero(np.diff(lengths)) + 1
+        assert len(switches) >= 6 and lengths[-1] > (k + 1) * n // 2
+        for b in sorted({int(b) for s in switches for b in (s, s + 1)}):
+            fhat = spectra[b - 1]
+            f = fs.SpectralFunction(grid, fhat)
+            oracle = dict(convolution_powers(grid, fhat, k))[k]
+            err = np.max(np.abs(fs.pointwise_power(f, k).fhat - oracle))
+            assert err < 1e-13 * np.max(np.abs(oracle)), (k, b, lengths[b - 1])
 
 
 def assert_hermitian(fhat):
@@ -514,23 +543,107 @@ def test_operations_keep_fields_real(f, g, c, t):
 def test_power_of_real_field_is_exactly_hermitian():
     # a real field with a nonzero real value at -omega_max: the padded
     # inverse splits that value between +-omega_max, so the padded field,
-    # its powers and their band stay exactly real
+    # its powers and their band stay exactly real, and the band's
+    # transform is long enough that no image lands on -omega_max either
     f = gauss(1e-4)
     assert f.fhat[0].real > 0.05
     assert_hermitian(f.fhat)
-    # oracle: the convolution theorem on the spectrum with its -omega_max
-    # value split between the two ends
-    n = GRID.n_points
-    ext = np.concatenate([[0.5 * f.fhat[0]], f.fhat[1:], [0.5 * f.fhat[0]]])
-    conv = ext
-    for k in (2, 3):
-        conv = np.convolve(conv, ext) * GRID.dw / (2.0 * np.pi)
-        oracle = conv[(k - 1) * n // 2 : (k - 1) * n // 2 + n]
+    for k, oracle in convolution_powers(GRID, f.fhat, 3):
         got = fs.pointwise_power(f, k).fhat
         assert_hermitian(got)
-        assert np.max(np.abs(got[1:] - oracle[1:])) < 1e-12 * np.max(np.abs(oracle))
+        assert np.max(np.abs(got - oracle)) < 1e-12 * np.max(np.abs(oracle))
     assert_hermitian(deriv_rows(f.fhat, GRID) * 1j)
     assert_hermitian(fs.dilate(gauss(), 1.7).fhat)
+
+
+def canonical_block():
+    """The half rows of a canonical first block's solution and its integrand's
+    coefficients."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "canonical.yaml"
+    flow = config.load_config(str(path)).flow
+    f0, _, _ = rgflow.initial_state(flow)
+    nl, tc, kernel = flow.nonlinearity, flow.tc, flow.kernel
+    sol = solve_block(f0, kernel, tc, nl, 0, flow.L, flow.solver)
+    return sol._layout, sol._rows, nl.combined_coefficients(0, flow.L, tc.p, kernel.d)
+
+
+def padded_power(grid, rows, coeffs, m):
+    """sum_p c_p u^p of half rows by complex transforms of the whole sorted
+    axis embedded in m points, the -omega_max value split between the two
+    ends: exact for a degree-k product of any band when m > (k+1) N/2."""
+    n = grid.n_points
+    big = np.zeros(rows.shape[:-1] + (m,), np.complex128)
+    lo = (m - n) // 2
+    big[..., lo : lo + n] = fs._from_half(rows)
+    big[..., lo] *= 0.5
+    big[..., lo + n] = big[..., lo]
+    dx = 2.0 * grid.x_max / m
+    u = fs._inverse_raw(big, dx).real
+    total = sum(c * u**p for p, c in coeffs.items())
+    return fs._to_half(fs._forward_raw(total, dx)[..., lo : lo + n])
+
+
+def test_band_sized_power_matches_the_padded_one():
+    # canonical block rows transform on a fraction of the grid, and their
+    # power stays within 1e-15 of each row's peak of the fully padded one
+    layout, rows, coeffs = canonical_block()
+    assert max(coeffs) == 3
+    got = layout.power(rows, coeffs)
+    want = padded_power(layout.grid, rows, coeffs, 4 * layout.grid.n_points)
+    err = np.max(np.abs(got - want), axis=-1)
+    assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=-1))
+
+
+def test_canonical_block_power_transforms_on_at_most_half_the_grid(monkeypatch):
+    # the gain of band sizing, pinned: every transform of a canonical
+    # block's power is at most N/2 points long, where the padded power took
+    # 2N; a fall back to full padding fails here
+    layout, rows, coeffs = canonical_block()
+    lengths = []
+    irfft = np.fft.irfft
+
+    def recorded(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    layout.power(rows, coeffs)
+    assert lengths and max(lengths) <= layout.grid.n_points // 2
+
+
+def test_a_row_gets_the_same_power_in_any_stack(threads):
+    # a narrow row, a full-band row and one in between share a stack, the
+    # narrow ones apart; each row's power is the one it gets alone, bit for
+    # bit, as its transform length depends on that row only
+    layout = fs._Layout(GRID)
+    narrow, wide, full = (layout.rows(gauss(a).fhat) for a in (1.0, 0.01, 1e-4))
+    rows = np.array([narrow, full, 0.5 * narrow, wide, full, narrow])
+    coeffs = {2: 0.7, 3: -1.0}
+    lengths = fs._power_lengths(rows, 3, GRID.n_points, np.empty(rows.shape))
+    assert len(set(lengths.tolist())) == 3 and lengths[0] < GRID.n_points < lengths[1]
+    alone = [layout.power(r, coeffs) for r in rows]
+    assert np.array_equal(layout.power(rows, coeffs), alone)
+    chunk = rows.copy()
+    layout.power_chunk(chunk, coeffs, chunk, fs._Workspace())  # in place
+    assert np.array_equal(chunk, alone)
+
+
+def test_non_finite_rows_keep_their_power_non_finite():
+    # an inf or a NaN on a row's outer nodes alone puts the row on the full
+    # band, so its power is not finite, not cut to the band of the rest;
+    # the finite rows beside it are unchanged
+    layout = fs._Layout(GRID)
+    narrow = layout.rows(gauss().fhat)
+    h = GRID.n_points // 2
+    rows = np.array([narrow] * 4)
+    rows[1, h] = np.nan  # -omega_max
+    rows[2, h - 1] = np.inf
+    rows[3, h - 300] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = layout.power(rows, {2: 1.0, 3: 1.0})
+    assert np.array_equal(got[0], layout.power(narrow, {2: 1.0, 3: 1.0}))
+    for row in got[1:]:
+        assert not np.isfinite(row[0]) and not np.any(np.isfinite(row))
 
 
 def test_non_real_spectra_are_refused():
