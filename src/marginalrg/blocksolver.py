@@ -210,42 +210,16 @@ def _block_nodes(tc, n, L, m):
     return times, elapsed
 
 
-def _multiplier_stack(kernel, layout, t, work, role):
-    # evaluated only when role's stack does not hold them already; the key
-    # holds the row width, since computed does not check a held shape
-    abs_pow = layout.abs_omega_pow(kernel.d)
-    width = abs_pow.shape[-1]
-    key = (kernel, layout.grid, width, t.tobytes())
-    return work.computed(
-        role, key, (t.shape[0], width), lambda out: kernel._multiplier_rows(abs_pow, t, out=out)
-    )
-
-
-def _step_multipliers(kernel, layout, elapsed, work):
-    steps = np.diff(elapsed)
-    if np.any(steps <= 0.0):
-        raise DomainError("elapsed time must be strictly increasing")
-    return _multiplier_stack(kernel, layout, steps, work, "steps")
-
-
-def _linear_chunk(first, mult, c, out):
-    """u0 on the rows c of a stack, into out: the input row first on row 0,
-    first times the "evolve" multipliers mult of the elapsed times after."""
-    lo = max(c.start, 1)
-    out[: lo - c.start] = first
-    np.multiply(first, mult[lo - 1 : c.stop - 1], out=out[lo - c.start :])
-    return out
-
-
 def _duhamel_rows(rows, start, emult, h, carry, first, work, turn=contextlib.nullcontext()):
     """Trapezoid Duhamel recurrence on the rows start.. of a stack, in place.
 
     The integrand rows I_i become U_0 = first, U_i = E_i (U_{i-1} + (h/2)
     I_{i-1}) + (h/2) I_i: the sums D_i from a zero row, u0 + D from u0's
-    first row. emult and h hold the whole stack's step multipliers and
-    per-interval steps, which may differ. Both halves of each interval's
-    weight, (h/2) I_{i-1} and (h/2) I_i, are formed for the whole chunk
-    first, in work's slots 0 and 1; only the sum runs row after row, in
+    first row. emult holds the step multipliers E_i of the chunk's rows i
+    from max(start, 1) on, and h the whole stack's per-interval steps,
+    which may differ. Both halves of each interval's weight, (h/2)
+    I_{i-1} and (h/2) I_i, are formed for the whole chunk first, in
+    work's slots 0 and 1; only the sum runs row after row, in
     the context turn (a _run_chunks turn, so that chunks run it in row
     order). carry, two rows, holds (h/2) I and U of the row before the
     first (unread when start is 0) and is left holding those of the last,
@@ -268,7 +242,7 @@ def _duhamel_rows(rows, start, emult, h, carry, first, work, turn=contextlib.nul
             u, p = (rows[j - 1], fore[j - 1]) if j else (carry[1], carry[0])
             # U_i = E_i (U_{i-1} + (h/2) I_{i-1}) + (h/2) I_i, operand for operand
             np.add(u, p, out=rows[j])
-            np.multiply(emult[start + j - 1], rows[j], out=rows[j])
+            np.multiply(emult[j - lo], rows[j], out=rows[j])
             rows[j] += aft[j]
         carry[1] = rows[-1]
         if len(fore) == k:
@@ -297,50 +271,53 @@ def _norm_and_tail(rows, layout, q, work):
     return float(np.max(norms)), float(np.max(tails))
 
 
+def _row_multipliers(kernel, layout, t, c, work):
+    """exp(-kappa t_i |omega|^d) for the rows i of chunk c after row 0, in
+    work's slot 2: a chunk's multipliers, evaluated where they are read."""
+    lo = max(c.start, 1)
+    abs_pow = layout.abs_omega_pow(kernel.d)
+    out = work.scratch(2, (c.stop - lo, abs_pow.shape[-1]), np.float64)
+    return kernel._multiplier_rows(abs_pow, t[lo : c.stop], out=out)
+
+
 def _start_rows(rows, first, kernel, layout, elapsed, q, work, start=None):
     """u0, the linear evolution of the input row first, formed in rows.
 
-    One chunked pass forms each chunk of u0 and takes its norm and tail;
+    One chunked pass forms each chunk of u0, first times the multipliers
+    of its elapsed times (_row_multipliers), and takes its norm and tail;
     returns u0's norm and tail, warning once at the caller's line when
     under-resolved (a tail above the _tail_limit of first). Without start
     u0 is written into rows. start is the BlockSolution of the block
     before, on the same nodes; rows are its spent rows, and they become
-    u0 + (u - u0 of start): each chunk of u0 is formed in scratch and
-    added once start's u0, its first row times the multipliers of its
-    elapsed times, is taken off. Without a time-change remainder the two
-    blocks' elapsed times are equal and one multiplier stack serves both;
-    otherwise a pass before takes start's u0 off with its own, so that
-    the two multiplier stacks are never held together.
+    u0 + (u - u0 of start): each chunk takes start's u0, its first row
+    times the multipliers of its elapsed times, off its rows and adds its
+    own u0, formed in scratch. Without a time-change remainder the two
+    blocks' elapsed times are equal and one evaluation serves both;
+    otherwise the chunk evaluates start's multipliers first, in the same
+    slot, and its own once start's u0 is off.
     """
     old_first = rows[0]  # start's input row, read by every chunk: written last
-    chunks = _chunks(*rows.shape)
     norms = np.empty(rows.shape[0])
     tails = np.empty(rows.shape[0])
-
-    def take_off(c, prev):
-        r = slice(max(c.start, 1), c.stop)
-        old = np.multiply(old_first, prev[r.start - 1 : r.stop - 1], out=work.scratch(1, rows[r].shape))
-        np.subtract(rows[r], old, out=rows[r])
-
     same = start is None or np.array_equal(start.elapsed, elapsed)
-    if not same:
-        prev = _multiplier_stack(kernel, layout, start.elapsed[1:], work, "evolve")
-        _run_chunks(lambda c: take_off(c, prev), chunks)
-        del prev
-    mult = _multiplier_stack(kernel, layout, elapsed[1:], work, "evolve")
 
     def body(c):
-        out = rows[c] if start is None else work.scratch(0, rows[c].shape)
-        u0 = _linear_chunk(first, mult, c, out)
+        lo = max(c.start, 1)
+        mult = _row_multipliers(kernel, layout, elapsed if same else start.elapsed, c, work)
+        if start is not None:
+            old = np.multiply(old_first, mult, out=work.scratch(1, mult.shape))
+            np.subtract(rows[lo : c.stop], old, out=rows[lo : c.stop])
+            if not same:
+                mult = _row_multipliers(kernel, layout, elapsed, c, work)
+        u0 = rows[c] if start is None else work.scratch(0, rows[c].shape)
+        u0[: lo - c.start] = first
+        np.multiply(first, mult, out=u0[lo - c.start :])
         d = layout.deriv(u0, work.scratch(1, u0.shape), work)
         _, tails[c] = layout.norm(u0, d, q, norms[c], work)
         if start is not None:
-            if same:
-                take_off(c, mult)
-            lo = max(c.start, 1)
             rows[lo : c.stop] += u0[lo - c.start :]
 
-    _run_chunks(body, chunks)
+    _run_chunks(body, _chunks(*rows.shape))
     rows[0] = first
     tail = float(np.max(tails))
     _warn_if_under_resolved(tail, _tail_limit(layout.grid, first))
@@ -368,20 +345,20 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     bound comes within _BOUND_SLACK of the guard, or the tail bound
     within _BOUND_SLACK of the input row's _tail_limit, the iteration
     evaluates u_new's norm and tail afresh (one more derivative
-    transform), compares those, and carries them on as the bounds. So a converging, resolved solve makes
-    one derivative transform per iteration, and Divergence reports an
-    exact norm. The sums of the update bounds, or the iterate's bounds
-    plus u0's where smaller, bound the solution's correction.
+    transform), compares those, and carries them on as the bounds. So a
+    converging, resolved solve makes one derivative transform per
+    iteration, and Divergence reports an exact norm. The sums of the
+    update bounds, or the iterate's bounds plus u0's where smaller, bound
+    the solution's correction.
 
-    The iterate stack is allocated here (funcspace._empty_stack) for a
-    cold solve and is the start's spent rows for a warm one; it ends as
-    the returned solution's rows. The multiplier stacks and the chunk
-    scratch come from work (a funcspace _Workspace; a new one when None):
-    u0's multipliers ("evolve"), needed only until u0 is formed, and the
-    step multipliers ("steps"), so a solve on mapped stacks holds two
-    stacks at a time. They are evaluated only where work does not hold
-    them for the same kernel, grid, row width and times
-    (_Workspace.computed).
+    The iterate stack is the one stack a solve holds: it is allocated
+    here (funcspace._empty_stack) for a cold solve and is the start's
+    spent rows for a warm one, and it ends as the returned solution's
+    rows. Every chunk evaluates the kernel multipliers it reads, u0's and
+    the step multipliers of its rows, in its own scratch
+    (_row_multipliers), before its ordered turn; the elapsed times must
+    increase strictly. The scratch comes from work (a funcspace
+    _Workspace; a new one when None).
     """
     work = _Workspace() if work is None else work
     layout = _Layout(f.grid)
@@ -411,16 +388,20 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
     tail_limit = _tail_limit(f.grid, first)
     tail_room = (1.0 - _BOUND_SLACK) * tail_limit
     norm_bound, tail_bound = u0_norm + corr_norm, u0_tail + corr_tail
-    emult = _step_multipliers(kernel, layout, elapsed, work)
+    steps = np.diff(elapsed, prepend=0.0)  # row i's step; row 0's is never read
+    if np.any(steps[1:] <= 0.0):
+        raise DomainError("elapsed time must be strictly increasing")
     carry = np.empty((2, shape[1]), np.complex128)
     delta = math.inf
     step_norms = np.empty(shape[0])
     step_tails = np.empty(shape[0])
 
     def sweep(c, turn):
-        # slot 3 holds the chunk's integrand, then its rows of u_new; the
-        # update goes into slot 0, its derivative into slot 1
+        # slot 3 holds the chunk's integrand, then its rows of u_new, and
+        # slot 2 its step multipliers; the update goes into slot 0, its
+        # derivative into slot 1
         new = layout.power_chunk(u[c], coeffs, work.scratch(3, u[c].shape), work)
+        emult = _row_multipliers(kernel, layout, steps, c, work)
         _duhamel_rows(new, c.start, emult, h, carry, first, work, turn)
         step = np.subtract(new, u[c], out=work.scratch(0, new.shape))
         u[c] = new

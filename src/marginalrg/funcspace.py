@@ -717,26 +717,25 @@ def _run_chunks(body, chunks, ordered=False):
 _MAPPED_STACK_BYTES = 8 << 20
 
 
-def _empty_stack(shape, dtype=np.complex128):
-    """An uninitialised row stack; a large one in a memory mapping of its own.
+def _empty_stack(shape):
+    """An uninitialised complex row stack; a large one in a mapping of its own.
 
     Dropping the last reference to a mapped stack unmaps it, so the
-    resident memory of a solve is the stacks it holds. From the malloc heap
+    resident memory of a solve is the stack it holds. From the malloc heap
     a freed stack of up to 32 MiB (glibc's dynamic mmap threshold) stays
     resident, and whether the next one reuses it depends on where unrelated
     small blocks landed in between: the peak of a process would then differ
     from run to run by whole stacks. Stacks of a few MiB (a block on the
     canonical grid) stay on the heap; a freed one is not kept warm (glibc
     trims the heap top and the next stack faults its pages in again), so
-    a flow reuses them instead of freeing them: its multipliers through a
-    _Workspace, and its iterate from each block's solution to the next.
+    a flow passes its iterate from each block's solution to the next
+    instead of freeing it.
     """
-    dtype = np.dtype(dtype)
-    size = math.prod(shape) * dtype.itemsize
+    size = math.prod(shape) * 16
     if size < _MAPPED_STACK_BYTES:
-        return np.empty(shape, dtype=dtype)
+        return np.empty(shape, dtype=np.complex128)
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(shape)
 
 
 def _empty_scratch(size):
@@ -751,20 +750,7 @@ def _empty_scratch(size):
 
 
 class _Workspace:
-    """Working memory that Picard solves reuse instead of allocating.
-
-    Multiplier stacks are cached by role (computed): the stack last
-    filled for a role keeps the key of what it was filled with and is
-    given back unwritten for an equal key, and is refilled in place for
-    any other. A mapped stack (_empty_stack) is made afresh each time and
-    not kept, so one solve's resident memory stays the stacks it holds.
-    A Picard solve (blocksolver._picard_rows) asks for two roles: u0's
-    multipliers ("evolve"), needed only until u0 is formed, and the step
-    multipliers ("steps"), both keyed by the kernel, grid, row width and
-    times. The blocks of a flow without a time-change remainder share
-    their nodes, so only the first block evaluates them. The workspace
-    holds no iterate: a solve allocates its own or takes a start's spent
-    rows, and the solution owns them.
+    """Scratch that chunk steps reuse instead of allocating.
 
     Scratch buffers are numbered slots (scratch) that the chunk steps view
     at the shape and dtype they need. Each thread that runs chunks
@@ -772,43 +758,31 @@ class _Workspace:
     slot grows only for a request larger than it (_empty_scratch). While
     a row fits _CHUNK_BYTES // _WORKERS (_chunks), the sets together hold
     about _CHUNK_BYTES per slot; past that each set holds a whole row, so
-    the scratch grows with _WORKERS.
-    _Layout.power_chunk uses slots 0-2, _Layout.deriv slot 2,
-    _Layout.norm slots 2 and 3 and blocksolver._duhamel_rows slots 0 and
-    1. So a caller may keep its own chunk in slots 0 and 1 across deriv
-    and norm (the Picard update and its derivative, u0's chunk in a warm
-    start), and in slot 3 across power_chunk and _duhamel_rows (a Picard
-    sweep's integrand, which becomes its new rows), but in no slot across
-    all of them.
+    the scratch grows with _WORKERS. The slots in use:
+    - _Layout.power_chunk: 0-2;
+    - _Layout.deriv: 2;
+    - _Layout.norm: 2 and 3;
+    - blocksolver._duhamel_rows: 0 and 1;
+    - blocksolver._row_multipliers: 2, a chunk's kernel multipliers, read
+      before the next step that uses slot 2.
+    So a caller may keep its own chunk in slots 0 and 1 across deriv and
+    norm (the Picard update and its derivative, u0's chunk in a warm
+    start), in slot 3 across power_chunk, _row_multipliers and
+    _duhamel_rows (a Picard sweep's integrand, which becomes its new
+    rows), and in slot 2 across _duhamel_rows (the sweep's step
+    multipliers), but in no slot across all of them.
 
-    A flow creates one for all its blocks; a lone solve, and a layout call
-    given none (marginal_response's power, one-row calls), makes its own.
-    Nothing outlives the workspace's last reference.
+    The workspace holds no stack: a solve allocates its iterate or takes
+    a start's spent rows, and the solution owns them. A flow creates one
+    for all its blocks; a lone solve, and a layout call given none
+    (marginal_response's power, one-row calls), makes its own. Nothing
+    outlives the workspace's last reference.
     """
 
-    __slots__ = ("_stacks", "_scratch")
+    __slots__ = ("_scratch",)
 
     def __init__(self):
-        self._stacks = {}  # role -> (float64 stack, key)
         self._scratch = threading.local()
-
-    def computed(self, role, key, shape, fill):
-        """role's float64 stack as fill(stack) writes it, filled only when needed.
-
-        key must fix what fill writes, and shape. The stack last filled
-        for role is given back unwritten when its key equals key;
-        otherwise it is filled afresh (in place when it has shape), and a
-        heap-sized one is kept with key.
-        """
-        held, held_key = self._stacks.get(role, (None, None))
-        if held_key == key:
-            return held
-        self._stacks.pop(role, None)  # keyed again only once filled
-        arr = held if held is not None and held.shape == shape else _empty_stack(shape, np.float64)
-        fill(arr)
-        if arr.nbytes < _MAPPED_STACK_BYTES:
-            self._stacks[role] = (arr, key)
-        return arr
 
     def scratch(self, slot, shape, dtype=np.complex128):
         """Slot's buffer in the running thread's set, viewed as an

@@ -27,10 +27,6 @@ __all__ = [
 # about -745.13), and numpy's SIMD exp takes a slow path for every element
 # whose result underflows.
 _EXP_FLOOR = -746.0
-# The floor's mask is made for row blocks of about this many bytes: one
-# for a whole stack (1.5 MiB on the direct oracle's) stays resident on the
-# heap once freed and raises the peak RSS of a solve.
-_MASK_BYTES = 64 << 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,11 +87,7 @@ class ScalingKernel:
                 f"kernel time must be positive and finite, got {where}{float(t.flat[bad[0]])!r}"
             )
         out = np.multiply.outer(-self.kappa * t, abs_omega_pow, out=out)
-        rows = out if out.ndim == 2 else out[np.newaxis]
-        step = max(1, _MASK_BYTES // rows.shape[1])
-        for r in range(0, rows.shape[0], step):
-            block = rows[r : r + step]
-            np.exp(block, out=block, where=block >= _EXP_FLOOR)
+        np.exp(out, out=out, where=out >= _EXP_FLOOR)
         # the arguments left in place are below the floor, or NaN: clamping
         # at 0 gives +0.0 and keeps a NaN, and leaves every exp unchanged
         return np.maximum(out, 0.0, out=out)

@@ -29,7 +29,6 @@ __all__ = [
     "marginal_response",
     "marginal_responses",
     "decay_coefficient",
-    "decay_coefficient_routes",
     "decay_limit",
     "decay_bracket",
     "DecayGapRow",
@@ -226,30 +225,17 @@ def _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value):
     return prefac * integral
 
 
-def decay_coefficient(n, kernel, tc, L, grid=None, m_tau=64, route="direct"):
-    """The level-n decay coefficient beta_n.
+def decay_coefficient(n, kernel, tc, L):
+    """The level-n decay coefficient beta_n, in closed form.
 
-    route="direct" reads the zero mode of the marginal response;
-    route="closed_form" evaluates the equivalent one-dimensional integral
-    with the remainder entering in closed form. Their agreement is a
-    standing diagnostic, checked by decay_coefficient_routes.
+    Evaluates the one-dimensional integral with the remainder entering in
+    closed form. The same coefficient is the zero mode of the marginal
+    response, marginal_response(...).at_zero.real, and the two agreeing
+    is a standing diagnostic.
     """
-    if route == "direct":
-        if grid is None:
-            grid = GridSpec()
-        return marginal_response(n, kernel, tc, L, grid, m_tau).at_zero.real
-    if route == "closed_form":
-        alpha_c = critical_exponent(tc.p, kernel.d)
-        r_value = overlap_constant(kernel, alpha_c).value
-        return _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value)
-    raise DomainError(f"unknown route {route!r}")
-
-
-def decay_coefficient_routes(n, kernel, tc, L, grid=None, m_tau=64):
-    """(direct, closed_form, |difference|) for the level-n coefficient."""
-    direct = decay_coefficient(n, kernel, tc, L, grid, m_tau, "direct")
-    closed = decay_coefficient(n, kernel, tc, L, route="closed_form")
-    return direct, closed, abs(direct - closed)
+    alpha_c = critical_exponent(tc.p, kernel.d)
+    r_value = overlap_constant(kernel, alpha_c).value
+    return _closed_form_coefficient(n, kernel, tc, L, alpha_c, r_value)
 
 
 def decay_limit(kernel, p, L):
@@ -330,7 +316,7 @@ def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
         {
             "n": n,
             "direct": response.at_zero.real,
-            "closed_form": decay_coefficient(n, kernel, tc, L, route="closed_form"),
+            "closed_form": decay_coefficient(n, kernel, tc, L),
         }
         for n, response in enumerate(responses)
     ]

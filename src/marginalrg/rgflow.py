@@ -303,8 +303,8 @@ def run_flow(config):
     the failure message attached so callers can still write it out.
     Every block's solve works in one workspace (funcspace._Workspace),
     so blocks after the first allocate no scratch and, without a
-    time-change remainder, evaluate no kernel multipliers and take the
-    first block's marginal response (marginal_responses); it is dropped
+    time-change remainder, take the first block's marginal response
+    (marginal_responses); it is dropped
     when the run returns. Each block after the first starts its Picard
     iteration from the correction of the block before (solve_block's
     start), since successive blocks of a marginal flow are nearly

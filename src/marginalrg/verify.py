@@ -386,10 +386,7 @@ def _beta_constant_body(config):
     # the direct coefficients at the flow's own m, as run_flow uses them
     kern, tc, L = config.kernel, config.tc, config.L
     limit = decay_limit(kern, tc.p, L)
-    closed = [
-        decay_coefficient(n, kern, tc, L, route="closed_form")
-        for n in range(0, 21)
-    ]
+    closed = [decay_coefficient(n, kern, tc, L) for n in range(0, 21)]
     direct = [
         response.at_zero.real
         for response in marginal_responses((0, 10, 20), kern, tc, L, config.grid, config.solver.m)

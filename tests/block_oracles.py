@@ -2,9 +2,9 @@
 
 The linear block, the single Duhamel terms and the block norm are built
 on the solver's own internals (_start_rows, _Layout.power, _duhamel_rows,
-_norm_and_tail) so the tests can check every node of a Picard solution
-against u0 - damping + forcing, and the damping and forcing terms against
-closed forms. FullRealLayout holds a real field's rows on the whole
+_norm_and_tail) and the kernel's _multiplier_rows, so the tests can check
+every node of a Picard solution against u0 - damping + forcing, and the
+damping and forcing terms against closed forms. FullRealLayout holds a real field's rows on the whole
 sorted axis, the reference the half rows of the solver must match bit
 for bit, and deriv_rows is the frequency derivative of sorted rows.
 marginal_response_loop is the per-tau form of the stacked marginal
@@ -41,7 +41,7 @@ def _duhamel_single(sol, kernel, tc, n, L, coeffs, t_index):
     _, elapsed = blocksolver._block_nodes(tc, n, L, m)
     rows = sol._rows[: t_index + 1]
     integrand = layout.power(rows, coeffs, np.empty_like(rows), work)
-    emult = blocksolver._step_multipliers(kernel, layout, elapsed[: t_index + 1], work)
+    emult = kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), np.diff(elapsed[: t_index + 1]))
     h = np.diff(sol.times[: t_index + 1])
     carry = np.empty((2,) + integrand.shape[1:], np.complex128)
     d = blocksolver._duhamel_rows(integrand, 0, emult, h, carry, np.zeros_like(integrand[0]), work)

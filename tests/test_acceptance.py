@@ -29,10 +29,11 @@ from marginalrg.kernel import (
 )
 from marginalrg.marginal import (
     decay_bracket,
-    decay_coefficient_routes,
+    decay_coefficient,
     decay_convergence,
     decay_limit,
     linear_profile,
+    marginal_response,
     overlap_constant,
 )
 from marginalrg.rgflow import linear_rg_step, run_flow
@@ -152,7 +153,8 @@ def test_criterion_05_decay_constant():
     grid = GridSpec()
     worst = 0.0
     for n in range(21):
-        direct, closed, _ = decay_coefficient_routes(n, kern, tc, L, grid=grid)
+        direct = marginal_response(n, kern, tc, L, grid).at_zero.real
+        closed = decay_coefficient(n, kern, tc, L)
         for val in (direct, closed):
             assert lo < val < hi
             worst = max(worst, abs(val - limit))

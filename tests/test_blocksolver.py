@@ -27,7 +27,7 @@ from marginalrg.blocksolver import (
     solve_block,
 )
 from marginalrg.errors import Divergence, DomainError, NoConvergence, UnderResolvedWarning
-from marginalrg.kernel import ScalingKernel, fixed_point_profile, heat_kernel
+from marginalrg.kernel import fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
 GRID = fs.GridSpec(n_points=1024, x_max=40.0)
@@ -338,10 +338,11 @@ def test_under_resolved_stacks_warn_once_at_the_solver_line(monkeypatch):
 
 
 def test_threads_change_no_bit(monkeypatch):
-    # the transforms and norms of a row depend on that row alone, and the
-    # Duhamel recurrence runs in row order across chunks whatever thread
-    # holds them, so the chunks give the same bits on one thread as on
-    # several
+    # the transforms, norms and kernel multipliers of a row depend on that
+    # row alone, and the Duhamel recurrence runs in row order across chunks
+    # whatever thread holds them, so the chunks give the same bits on one
+    # thread as on several. With a time-change remainder each chunk of a
+    # warm start takes the start's u0 off with the start's own multipliers
     params = SolverParams(m=76)
     coeffs = NL.combined_coefficients(0, 2.0, TC.p, KERNEL.d)
     rows = np.array([s.fhat for s in linear_block(profile(), KERNEL, TC, 0, 2.0, params).slices])
@@ -352,19 +353,17 @@ def test_threads_change_no_bit(monkeypatch):
         work = fs._Workspace()
         deriv = half.deriv(held, work=work)
         norm, _ = blocksolver._norm_and_tail(held, half, 2, work)
-        sol = solve_block(real_input(), KERNEL, TC, NL, 0, 2.0, params)
-        slices = [s.fhat for s in sol.slices]
-        # a warm start forms u0 and takes its norm chunk by chunk
-        warm = solve_block(fs.dilate(sol.final, 2.0), KERNEL, TC, NL, 1, 2.0, params, start=sol)
-        return (
-            half.power(held, coeffs, work=work),
-            deriv,
-            norm,
-            slices,
-            (sol.iterations, sol.final_delta),
-            [s.fhat for s in warm.slices],
-            (warm.iterations, warm.final_delta, *warm.correction_bound),
-        )
+        out = [half.power(held, coeffs, work=work), deriv, norm]
+        for tc in (TC, TimeChange(p=1.0, delta=0.5, coeff=0.3)):
+            sol = solve_block(real_input(), KERNEL, tc, NL, 0, 2.0, params)
+            out += [[s.fhat for s in sol.slices], (sol.iterations, sol.final_delta)]
+            # a warm start forms u0 and takes its norm chunk by chunk
+            warm = solve_block(fs.dilate(sol.final, 2.0), KERNEL, tc, NL, 1, 2.0, params, start=sol)
+            out += [
+                [s.fhat for s in warm.slices],
+                (warm.iterations, warm.final_delta, *warm.correction_bound),
+            ]
+        return out
 
     monkeypatch.setattr(fs, "_WORKERS", 1)
     serial = run()
@@ -510,7 +509,8 @@ def test_duhamel_sums_in_place():
         start = 0
         for size in sizes:
             chunk = sums[start : start + size]
-            assert blocksolver._duhamel_rows(chunk, start, emult, h, carry, first, work) is chunk
+            mult = emult[max(start, 1) - 1 : start + size - 1]  # the chunk's rows past row 0
+            assert blocksolver._duhamel_rows(chunk, start, mult, h, carry, first, work) is chunk
             start += size
         assert start == 9
         assert np.array_equal(sums, want), sizes
@@ -529,7 +529,7 @@ def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
     _, elapsed = blocksolver._block_nodes(TC, 0, 2.0, params.m)
     layout = fs._Layout(GRID)
     work = fs._Workspace()
-    emult = blocksolver._step_multipliers(KERNEL, layout, elapsed, work)
+    emult = KERNEL._multiplier_rows(layout.abs_omega_pow(KERNEL.d), np.diff(elapsed))
     h = np.diff(lin.times)
     rows = np.zeros_like(lin._rows)
     carry = np.empty((2, rows.shape[1]), np.complex128)
@@ -543,24 +543,24 @@ def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
 
 
 def test_solve_allocates_its_stacks_once(monkeypatch):
-    # three stacks whatever the iteration count: u0's multipliers, the step
-    # multipliers and the one iterate stack, u0 formed in it and each
-    # iteration swept over it in place; mapped stacks hold the same
-    # numbers as heap ones
+    # one stack whatever the iteration count: the iterate, u0 formed in it
+    # and each iteration swept over it in place, every chunk evaluating its
+    # multipliers in scratch; mapped stacks hold the same numbers as heap
+    # ones
     params = SolverParams(m=16)
     heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert heap.iterations >= 3
     shapes = []
     make = fs._empty_stack
 
-    def counted(shape, dtype=np.complex128):
+    def counted(shape):
         shapes.append(shape)
-        return make(shape, dtype)
+        return make(shape)
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
     monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
-    assert len(shapes) == 3
+    assert shapes == [(17, 513)]
     assert mapped.iterations == heap.iterations
     for a, b in zip(mapped.slices, heap.slices):
         assert np.array_equal(a.fhat, b.fhat)
@@ -571,8 +571,8 @@ def count_live_stacks(monkeypatch):
     live, peak = set(), []
     make = fs._empty_stack
 
-    def counted(shape, dtype=np.complex128):
-        stack = make(shape, dtype)
+    def counted(shape):
+        stack = make(shape)
         # views of a mapped stack keep its frombuffer base alive, not it
         key = id(stack.base)
         live.add(key)
@@ -585,19 +585,19 @@ def count_live_stacks(monkeypatch):
     return peak
 
 
-def test_solve_holds_two_stacks_at_a_time(monkeypatch):
-    # u0's multipliers go once u0 is formed in the iterate stack: the step
-    # multipliers and the iterate are all a mapped solve holds at its peak
+def test_solve_holds_one_stack_at_a_time(monkeypatch):
+    # the iterate is all a mapped solve holds at its peak: the multipliers
+    # of u0 and of the steps live in chunk scratch
     peak = count_live_stacks(monkeypatch)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
     assert sol.iterations >= 3
-    assert peak == [1, 2, 2]
+    assert peak == [1]
 
 
 def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
     # a solution owns its rows: a later solve in the same workspace never
-    # writes them, and a cold one allocates its iterate afresh while the
-    # workspace gives back the multipliers it holds for the same key
+    # writes them, and a cold one allocates its iterate afresh, the one
+    # stack it allocates
     params = SolverParams(m=16)
     work = fs._Workspace()
     first = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
@@ -613,9 +613,9 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
     shapes = []
     make = fs._empty_stack
 
-    def counted(shape, dtype=np.complex128):
+    def counted(shape):
         shapes.append(shape)
-        return make(shape, dtype)
+        return make(shape)
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
     third = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params, work)
@@ -626,11 +626,10 @@ def test_solutions_sharing_a_workspace_keep_their_values(monkeypatch):
 
 def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
     # a solve started from the block before takes its rows as the iterate
-    # and forms u0 chunk by chunk in scratch. Without a remainder the two
-    # blocks share their multipliers, so it allocates two stacks; with one
-    # it takes the start's u0 off before it evaluates its own, so the two
-    # multiplier stacks are never held together. Either way it holds two
-    # at a time, the start's rows among them, as a cold solve does
+    # and forms u0 chunk by chunk in scratch, so it allocates no stack,
+    # with or without a remainder (where each chunk takes the start's u0
+    # off with the start's multipliers before it evaluates its own): it
+    # holds the start's rows alone, one stack, as a cold solve does
     params = SolverParams(m=16)
     peak = count_live_stacks(monkeypatch)
     for tc in (TC, TimeChange(p=1.0, delta=0.5, coeff=0.3)):
@@ -641,57 +640,31 @@ def test_warm_solve_holds_no_more_stacks_than_a_cold_one(monkeypatch):
         del cold
         peak.clear()
         warm = solve_block(f1, KERNEL, tc, NL, 1, 2.0, params, start=before)
-        assert peak == ([2, 2] if tc.vanishes else [2, 2, 2])
+        assert peak == []
         if tc.vanishes:  # with this remainder the start saves no iteration
             assert warm.iterations < cold_iterations
         assert np.max(np.abs(warm.final.fhat - cold_final)) < params.picard_tol
         del warm
 
 
-def test_multiplier_stacks_are_evaluated_again_only_for_another_key(monkeypatch):
-    # a kept multiplier stack is given back unwritten for the same kernel,
-    # grid, row width and times, and evaluated afresh for any other; a
-    # mapped one is never kept
-    evaluations = [0]
-    rows = ScalingKernel._multiplier_rows
-
-    def counted(self, *args, **kwargs):
-        evaluations[0] += 1
-        return rows(self, *args, **kwargs)
-
-    monkeypatch.setattr(ScalingKernel, "_multiplier_rows", counted)
-    _, elapsed = blocksolver._block_nodes(TC, 0, 2.0, 16)
-    t = elapsed[1:]
-    half = fs._Layout(GRID)
-    work = fs._Workspace()
-
-    def stack(kernel=KERNEL, layout=half, times=t):
-        before = evaluations[0]
-        got = blocksolver._multiplier_stack(kernel, layout, times, work, "evolve")
-        want = kernel._multiplier_rows(layout.abs_omega_pow(kernel.d), times)
-        assert np.array_equal(got, want)
-        return got, evaluations[0] - before - 1
-
-    first, evaluated = stack()
-    assert evaluated == 1
-    again, evaluated = stack(heat_kernel(), fs._Layout(GRID), t.copy())
-    assert again is first and evaluated == 0
-    for changed in (
-        dict(kernel=ScalingKernel(kappa=0.5)),
-        dict(layout=fs._Layout(fs.GridSpec(1024, 20.0))),
-        dict(layout=FullRealLayout(GRID)),
-        dict(times=np.nextafter(t, np.inf)),
-        dict(),
-    ):
-        _, evaluated = stack(**changed)
-        assert evaluated == 1, changed
-    _, evaluated = stack()
-    assert evaluated == 0
-    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
-    work = fs._Workspace()
-    for _ in range(2):
-        _, evaluated = stack()
-        assert evaluated == 1 and "evolve" not in work._stacks
+def test_a_warm_start_is_u0_plus_the_correction_before():
+    # the start pass turns the start's rows into u0 + (u - u0 of start),
+    # the start's u0 taken off with the multipliers of its own elapsed
+    # times, which differ from the block's with a time-change remainder;
+    # the same operands as the written-out sum, so bitwise
+    params = SolverParams(m=16)
+    for tc in (TC, TimeChange(p=1.0, delta=0.5, coeff=0.3)):
+        before = solve_block(profile(), KERNEL, tc, NL, 0, 2.0, params)
+        f1 = fs.dilate(before.final, 2.0)
+        correction = before._rows - linear_block(profile(), KERNEL, tc, 0, 2.0, params)._rows
+        want = linear_block(f1, KERNEL, tc, 1, 2.0, params)._rows + correction
+        _, elapsed = blocksolver._block_nodes(tc, 1, 2.0, params.m)
+        assert np.array_equal(elapsed, before.elapsed) == tc.vanishes
+        rows, layout = before._rows, before._layout
+        first = layout.rows(f1.fhat)
+        blocksolver._start_rows(rows, first, KERNEL, layout, elapsed, KERNEL.q, fs._Workspace(), before)
+        assert np.array_equal(rows[1:], want[1:])
+        assert np.array_equal(rows[0], first)
 
 
 def test_a_start_is_spent_once():

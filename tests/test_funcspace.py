@@ -112,16 +112,15 @@ def test_stacked_transforms_match_rows():
 def test_large_stacks_are_mapped():
     small = fs._empty_stack((4, 8))
     assert small.base is None
-    width = fs._MAPPED_STACK_BYTES // (3 * 8) + 1
-    for dtype in (np.complex128, np.float64):
-        big = fs._empty_stack((3, width), dtype)
-        assert big.shape == (3, width) and big.dtype == dtype
-        owner = big.base
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        assert isinstance(owner.obj, mmap.mmap)
-        big[...] = 2.0
-        assert np.all(big == 2.0)
+    width = fs._MAPPED_STACK_BYTES // (3 * 16) + 1
+    big = fs._empty_stack((3, width))
+    assert big.shape == (3, width) and big.dtype == np.complex128
+    owner = big.base
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)
+    big[...] = 2.0
+    assert np.all(big == 2.0)
 
 
 def chunked_norms(layout, rows, q, work):

@@ -106,7 +106,7 @@ def _solver_node_sets():
 @pytest.mark.parametrize("d", [2.0, 4.0])
 @pytest.mark.parametrize("kappa", [1.0, 0.5])
 def test_multiplier_rows_skip_exp_only_where_it_is_zero(d, kappa):
-    # exp below _EXP_FLOOR is not evaluated: the stacks the solver uses
+    # exp below _EXP_FLOOR is not evaluated: the rows the solver uses
     # (u0's multipliers at the elapsed times, the step multipliers) are
     # bitwise those of a plain exp, subnormal band and zeros included
     kernel = ScalingKernel(d=d, kappa=kappa)

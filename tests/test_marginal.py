@@ -126,8 +126,9 @@ def test_marginal_response_refinement_order():
 
 
 def test_decay_coefficient_routes_agree():
-    direct, closed, gap = mg.decay_coefficient_routes(0, HEAT, TC0, 2.0, grid=GRID)
-    assert gap < 5e-6
+    direct = mg.marginal_response(0, HEAT, TC0, 2.0, GRID).at_zero.real
+    closed = mg.decay_coefficient(0, HEAT, TC0, 2.0)
+    assert abs(direct - closed) < 5e-6
     # 1-D closed form: beta = ln(2)/(2 sqrt(pi)) for the heat kernel, L=2
     assert closed == pytest.approx(BETA_EXACT, rel=1e-12)
     assert direct == pytest.approx(BETA_EXACT, abs=5e-6)
@@ -173,11 +174,9 @@ def test_closed_form_rejects_a_degenerate_integrand(monkeypatch):
 
 
 def test_decay_coefficient_level_independent_without_remainder():
-    b0 = mg.decay_coefficient(0, HEAT, TC0, 2.0, route="closed_form")
-    b5 = mg.decay_coefficient(5, HEAT, TC0, 2.0, route="closed_form")
+    b0 = mg.decay_coefficient(0, HEAT, TC0, 2.0)
+    b5 = mg.decay_coefficient(5, HEAT, TC0, 2.0)
     assert b0 == pytest.approx(b5, abs=1e-14)
-    with pytest.raises(DomainError):
-        mg.decay_coefficient(0, HEAT, TC0, 2.0, route="simpson")
 
 
 def test_decay_limit():
@@ -193,7 +192,7 @@ def test_decay_bracket():
     assert hi == pytest.approx(scale * math.sqrt(12.0), rel=1e-10)
     assert lo < BETA_EXACT < hi
     for n in range(0, 6):
-        bn = mg.decay_coefficient(n, HEAT, TCP, 2.0, route="closed_form")
+        bn = mg.decay_coefficient(n, HEAT, TCP, 2.0)
         assert lo < bn < hi
 
 
@@ -286,7 +285,8 @@ def test_marginal_constants_compute_one_response_without_a_remainder(monkeypatch
     assert len(calls) == responses
     calls.clear()
     for n, row in enumerate(out["beta_n_table"]):
-        direct, closed, _ = mg.decay_coefficient_routes(n, HEAT, tc, 2.0, grid=GRID)
+        direct = mg.marginal_response(n, HEAT, tc, 2.0, GRID).at_zero.real
+        closed = mg.decay_coefficient(n, HEAT, tc, 2.0)
         assert row["n"] == n
         assert np.float64(row["direct"]).tobytes() == np.float64(direct).tobytes()
         assert np.float64(row["closed_form"]).tobytes() == np.float64(closed).tobytes()

@@ -14,7 +14,7 @@ from marginalrg import rgflow as rg
 from marginalrg.blocksolver import Nonlinearity, SolverParams, solve_block
 from marginalrg.errors import ConfigError, DecompositionDrift, Divergence, UnderResolvedWarning
 from marginalrg.funcspace import GridSpec, SpectralFunction
-from marginalrg.kernel import ScalingKernel, fixed_point_profile, heat_kernel
+from marginalrg.kernel import fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
 GRID = GridSpec(4096, 40.0)
@@ -423,40 +423,23 @@ def _trace_bytes(trace, path):
 
 @pytest.mark.parametrize("tc", [TC0, TimeChange(p=1.0, delta=0.5, coeff=0.3)], ids=["zero", "power"])
 def test_flow_evaluates_block_multipliers_once_without_a_remainder(monkeypatch, tmp_path, tc):
-    # the solver's multiplier stacks (u0's, the start's u0's and the step
-    # multipliers) are evaluated in block 0 only when the blocks share
-    # their nodes; with a remainder every block evaluates its own u0's and
-    # step multipliers, and takes the start's u0 off with the multipliers
-    # the block before left in the "evolve" role; either
-    # way the trace is bitwise that of a flow whose every block has a
-    # workspace of its own. One marginal response per flow, or per block.
+    # one marginal response per flow when the blocks share their nodes,
+    # one per block with a remainder; either way the trace is bitwise that
+    # of a flow whose every block has a workspace of its own, each chunk
+    # of a warm start taking the start's u0 off with the start's own
+    # multipliers
     cfg = make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=4, tc=tc)
-    stacks, responses = [], [0]
-    rows = ScalingKernel._multiplier_rows
-
-    def counted_rows(self, abs_omega_pow, t, out=None):
-        if out is not None:  # a solver stack; marginal_response passes none
-            stacks[-1] += 1
-        return rows(self, abs_omega_pow, t, out)
+    responses = [0]
 
     def counted_response(*args, _response=mg.marginal_response, **kwargs):
         responses[0] += 1
         return _response(*args, **kwargs)
 
-    def solve(*args, **kwargs):
-        stacks.append(0)
-        return solve_block(*args, **kwargs)
-
     with monkeypatch.context() as patch:
-        patch.setattr(ScalingKernel, "_multiplier_rows", counted_rows)
         patch.setattr(mg, "marginal_response", counted_response)
-        patch.setattr(rg, "solve_block", solve)
         shared = rg.run_flow(cfg)
     assert shared.completed
-    if tc.vanishes:
-        assert stacks == [2, 0, 0, 0] and responses[0] == 1
-    else:
-        assert stacks == [2, 2, 2, 2] and responses[0] == 4
+    assert responses[0] == (1 if tc.vanishes else 4)
     with monkeypatch.context() as patch:
         patch.setattr(rg, "solve_block", lambda *args: solve_block(*args[:7], start=args[8]))
         fresh = rg.run_flow(cfg)

@@ -249,7 +249,7 @@ def test_beta_constant_computes_one_response(monkeypatch):
     cfg = make_config(solver=SolverParams(m=32), n_steps=1)
     _, measured = verify._beta_constant_body(cfg)
     assert calls == [0]
-    direct = mg.decay_coefficient(20, cfg.kernel, cfg.tc, cfg.L, cfg.grid, 32)
+    direct = mg.marginal_response(20, cfg.kernel, cfg.tc, cfg.L, cfg.grid, 32).at_zero.real
     assert measured["worst_gap"] == abs(direct - measured["limit"])
 
 
