@@ -77,7 +77,7 @@ class Nonlinearity:
             raise DomainError(f"mu must be finite, got {self.mu}")
         if not math.isfinite(self.lam):
             raise DomainError(f"lambda must be finite, got {self.lam}")
-        terms = tuple((int(j), float(a)) for j, a in self.terms)
+        terms = tuple((_term_power(j, a), float(a)) for j, a in self.terms)
         object.__setattr__(self, "terms", terms)
         seen = set()
         for j, a in terms:
@@ -110,6 +110,15 @@ class Nonlinearity:
             if c != 0.0:
                 coeffs[j] = c
         return coeffs
+
+
+def _term_power(j, a):
+    # an integral power, 3.0 read as 3; a bool, a string or 3.5 is refused,
+    # never truncated
+    integral = isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+    if not (integral or (isinstance(j, (float, np.floating)) and float(j).is_integer())):
+        raise DomainError(f"perturbation power of term ({j!r}, {a!r}) must be an integer")
+    return int(j)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,17 +4,20 @@ Functions live on x in [-x_max, x_max) with N uniform nodes and are stored
 through their transform fhat(omega) = integral f(x) exp(-i omega x) dx,
 sampled at omega_k = (k - N/2) * pi / x_max in ascending order. The inverse
 carries the 1/(2pi) factor. All grid operations in the package go through
-this module so the conventions live in exactly one place.
+this module so the conventions live in exactly one place: the half-length
+real pair _inverse_half and _forward_half.
 
 Every function is real, so every spectrum is exactly Hermitian:
-SpectralFunction refuses any other. The power and the norm transform with
-half-length real FFTs, on stacks of rows held in the half layout
-(_Layout): only the N/2+1 nodes omega >= 0 and -omega_max, with the full
-sorted axis built when a caller needs it. A power transforms each row on
-the length that row's band needs to keep aliased images off the kept
-nodes (_power_lengths), a fraction of the grid for a well-resolved row. A
-stack's rows are transformed and normed in chunks that run on every CPU
-the process may use (_run_chunks), with the same bits as on one.
+SpectralFunction refuses any other. Powers, derivatives, norms and
+dilations hold stacks of rows in the half layout (_Layout): only the N/2+1
+nodes omega >= 0 and -omega_max, with the full sorted axis built when a
+caller needs it. A power transforms each row on the length that row's band
+needs to keep aliased images off the kept nodes (_power_lengths), a
+fraction of the grid for a well-resolved row. A dilation resamples real
+samples onto the half nodes by a chirp convolution (_resample_trig), the
+only complex FFTs of the package. A stack's rows are transformed and
+normed in chunks that run on every CPU the process may use (_run_chunks),
+with the same bits as on one.
 """
 
 import contextvars
@@ -106,24 +109,6 @@ class GridSpec:
         """|omega|**d on the sorted frequency axis, cached per (grid, d)."""
         return _abs_omega_pow(self, float(d))
 
-    def forward(self, values):
-        """Transform physical samples to fhat on the sorted frequency axis."""
-        values = np.asarray(values)
-        if values.shape != (self.n_points,):
-            raise DomainError(
-                f"expected {self.n_points} physical samples, got shape {values.shape}"
-            )
-        return _forward_raw(values, self.dx)
-
-    def inverse(self, fhat):
-        """Transform sorted-axis fhat samples back to physical samples."""
-        fhat = np.asarray(fhat)
-        if fhat.shape != (self.n_points,):
-            raise DomainError(
-                f"expected {self.n_points} frequency samples, got shape {fhat.shape}"
-            )
-        return _inverse_raw(fhat, self.dx)
-
     def compatible(self, other):
         return self.n_points == other.n_points and math.isclose(
             self.x_max, other.x_max, rel_tol=1e-9
@@ -151,28 +136,6 @@ def _abs_omega_pow(grid, d, half=False):
         w = _to_half(w)
     w.flags.writeable = False
     return w
-
-
-def _forward_raw(values, dx):
-    # fhat(m dw) = dx (-1)^m FFT[f]_m with x_0 = -x_max; the alternating sign
-    # carries the e^{i m pi} boundary phase. Requires len/2 even. Transforms
-    # the last axis, so a stack of rows goes through in one call.
-    signs = _signs(values.shape[-1])
-    return dx * signs * np.fft.fftshift(np.fft.fft(values), axes=-1)
-
-
-def _inverse_raw(fhat, dx):
-    signs = _signs(fhat.shape[-1])
-    return np.fft.ifft(np.fft.ifftshift(signs * fhat, axes=-1)) / dx
-
-
-@functools.lru_cache(maxsize=32)
-def _signs(n):
-    if n % 4 != 0:
-        raise DomainError(f"grid length must be divisible by 4, got {n}")
-    s = 1.0 - 2.0 * (np.arange(n) % 2)
-    s.flags.writeable = False
-    return s
 
 
 def _is_real_field(fhat):
@@ -227,10 +190,11 @@ def _from_half(half, out=None):
 
 @functools.lru_cache(maxsize=64)
 def _half_weights(n, scale, last):
-    # scale * (-1)^m on the nodes m = 0..n/2-1 of the half layout (the
-    # boundary phase of _forward_raw and the grid scale in one factor),
-    # and last on its -omega_max node
-    w = np.append(scale * _signs(n)[: n // 2], last)
+    # scale * (-1)^m on the nodes m = 0..n/2-1 of the half layout, and
+    # last on its -omega_max node: fhat(m dw) = dx (-1)^m DFT[f]_m, the
+    # sign being the e^{i m pi} boundary phase of x_0 = -x_max, so the grid
+    # scale and the phase are one factor
+    w = np.append(scale * (1.0 - 2.0 * (np.arange(n // 2) % 2)), last)
     w.flags.writeable = False
     return w
 
@@ -326,23 +290,25 @@ class _Layout:
     def power_chunk(self, chunk, coeffs, out, work):
         """power of a chunk of rows into out, on the calling thread.
 
-        The rows of one transform length go through together, a few at a
-        time, as many as that length's share of the budget
-        (_rows_per_chunk), so the scratch (slots 0-2 of work) never
-        outgrows a slot. Every row is read before its output is written,
-        so out may be chunk itself.
+        Each run of adjacent rows with one transform length goes through
+        together, a few rows at a time, as many as that length's share of
+        the budget (_rows_per_chunk), so the scratch (slots 0-2 of work)
+        never outgrows a slot. Every row is read before its output is
+        written, so out may be chunk itself.
         """
         n = self.grid.n_points
         lengths = _power_lengths(chunk, max(coeffs), n, work.scratch(2, chunk.shape, np.float64))
-        for m in sorted(set(lengths.tolist())):
-            picked = np.flatnonzero(lengths == m)
+        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            m = int(lengths[start])
             step = _rows_per_chunk(m // 2 + 1)
-            for lo in range(0, len(picked), step):
-                self._power_rows(chunk, _as_slice(picked[lo : lo + step]), coeffs, out, m, work)
+            for lo in range(start, stop, step):
+                self._power_rows(chunk, slice(lo, min(lo + step, stop)), coeffs, out, m, work)
         return out
 
     def _power_rows(self, chunk, sel, coeffs, out, m, work):
-        # the rows sel of chunk through the transforms of length m, into out
+        # the rows sel (a slice) of chunk through the transforms of length
+        # m, into out
         n = self.grid.n_points
         dx = 2.0 * self.grid.x_max / m
         rows = chunk[sel, : n // 2 + 1 if m >= n else m // 2]
@@ -353,11 +319,7 @@ class _Layout:
             rows, n, m, dx, work.scratch(1, (k, m), np.float64), work.scratch(0, rows.shape)
         )
         total = _poly(phys, coeffs, work.scratch(2, phys.shape, np.float64))
-        if isinstance(sel, slice):
-            _forward_half(total, n, dx, out[sel], spec)
-        else:
-            dst = np.empty((k, out.shape[-1]), np.complex128)
-            out[sel] = _forward_half(total, n, dx, dst, spec)
+        _forward_half(total, n, dx, out[sel], spec)
 
     def deriv(self, rows, out=None, work=None):
         """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
@@ -457,9 +419,6 @@ class SpectralFunction:
     def at_zero(self):
         """fhat at omega = 0 (the total integral of f)."""
         return complex(self.fhat[self.grid.n_points // 2])
-
-    def to_physical(self):
-        return self.grid.inverse(self.fhat)
 
     def _check_same_grid(self, other):
         if not self.grid.compatible(other.grid):
@@ -844,14 +803,6 @@ def _power_lengths(rows, k, n, mag):
     return _band_lengths(n, k)[rows.shape[-1] - np.argmax(inside[:, ::-1], axis=-1)]
 
 
-def _as_slice(picked):
-    # ascending row indices as a slice when they are contiguous, so a
-    # group reads and writes views
-    if picked[-1] - picked[0] == len(picked) - 1:
-        return slice(int(picked[0]), int(picked[-1]) + 1)
-    return picked
-
-
 def _poly(u, coeffs, acc):
     # sum_p c_p u^p by Horner's rule into acc, products only: `**` on a real
     # field with subnormal tails costs more than the whole transform
@@ -888,15 +839,16 @@ def _chirp_phase(c_ld, idx):
 def _chirp_factors(n_pts, a):
     """Read-only Bluestein factors of _resample_trig for one (N, a).
 
-    The pre-chirp, the FFT of the chirp filter, and the linear and
-    quadratic post-chirps; a flow dilates by one factor throughout.
+    The pre-chirp on the N samples, the FFT of the chirp filter on the
+    lags k - n = -(N-1) .. N/2, and the linear and quadratic post-chirps
+    on the N/2+1 half nodes k = 0 .. N/2; a flow dilates by one factor
+    throughout. The FFT length is the first power of two at which the
+    linear convolution does not wrap.
     """
     c_ld = np.pi * _LD_ONE / (n_pts * np.longdouble(a))
-    n_idx = np.arange(n_pts)
-    k_idx = n_idx - n_pts // 2
-    pre = _chirp_phase(c_ld, n_idx)
-    m_idx = np.arange(-(3 * n_pts // 2 - 1), n_pts // 2)
-    v = np.conj(_chirp_phase(c_ld, m_idx))
+    k_idx = np.arange(n_pts // 2 + 1)
+    pre = _chirp_phase(c_ld, np.arange(n_pts))
+    v = np.conj(_chirp_phase(c_ld, np.arange(-(n_pts - 1), n_pts // 2 + 1)))
     size = 1
     while size < n_pts + len(v) - 1:
         size *= 2
@@ -910,19 +862,21 @@ def _chirp_factors(n_pts, a):
 
 
 def _resample_trig(phys, x_max, a):
-    """Evaluate fhat(omega_k / a) exactly from physical samples.
+    """Evaluate fhat(omega_k / a) exactly from real physical samples, on
+    the half nodes omega_k = k dw, k = 0 .. N/2.
 
-    Trigonometric resampling via a Bluestein chirp factorization:
-    omega x_n = -k' pi / a + 2 c k' n with c = pi / (N a) and
-    2 k' n = k'^2 + n^2 - (k' - n)^2, turning the sum into a linear
-    convolution evaluated by FFT. Exact (to roundoff) for functions
-    supported in the box, any real a > 0.
+    Trigonometric resampling via a Bluestein chirp factorization
+    (Rabiner, Schafer and Rader, 1969): omega_k x_n = -k pi / a + 2 c k n
+    with c = pi / (N a) and 2 k n = k^2 + n^2 - (k - n)^2, turning the
+    sum into a linear convolution evaluated by FFT. Exact (to roundoff)
+    for functions supported in the box, any real a > 0. The last value,
+    at +omega_max, is the conjugate of the one at -omega_max.
     """
     n_pts = phys.shape[0]
     dx = 2.0 * x_max / n_pts
     pre, filt, e_lin, e_k = _chirp_factors(n_pts, float(a))
     conv = np.fft.ifft(np.fft.fft(phys * pre, filt.shape[0]) * filt)
-    s = conv[n_pts - 1 : 2 * n_pts - 1]
+    s = conv[n_pts - 1 : 3 * n_pts // 2]
     # two post-factors, in this order: their product as one factor rounds
     # differently
     s = (s * e_lin) * e_k
@@ -937,28 +891,30 @@ def dilate(f, a):
     L^((p+1)/d), so a >= 1 (a = 1 is the identity): the spectrum contracts,
     and content of fhat beyond omega_max / a, pushed off the grid, must be
     negligible (within _tail_limit), otherwise UnderResolved is raised.
+    The field goes to real samples and comes back as a half spectrum,
+    whose expansion is exactly Hermitian.
     """
     if not (a >= 1.0) or not math.isfinite(a):
         raise DomainError(f"dilation factor must be finite and at least 1, got {a}")
     grid = f.grid
     if a == 1.0:
         return f.copy()
+    n = grid.n_points
+    half = _to_half(f.fhat)
     boundary = grid.omega_max / a
-    lost = np.abs(grid.omega) >= boundary
-    if np.any(lost):
-        tail = float(np.max(np.abs(f.fhat[lost])))
-        limit = _tail_limit(grid, f.fhat)
+    lost = half[_abs_omega_pow(grid, 1.0, True) >= boundary]
+    if lost.size:
+        tail = float(np.max(np.abs(lost)))
+        limit = _tail_limit(grid, half)
         if tail > limit:
             raise UnderResolved(
                 f"dilation by {a:g} would discard spectral content of size "
                 f"{tail:.3e} beyond |omega| = {boundary:.4g} "
                 f"(tail_tol {grid.tail_tol:g} of max(1, peak |fhat|): {limit:.3e})"
             )
-    out = _resample_trig(f.to_physical(), grid.x_max, a)
-    out[grid.n_points // 2] = f.fhat[grid.n_points // 2]
-    # the chirp rounding leaves the image Hermitian only to ~1e-16; rebuild
-    # it from its non-negative half
-    return SpectralFunction(grid, _from_half(_to_half(out)))
+    out = _resample_trig(_inverse_half(half, n, n, grid.dx, None, None), grid.x_max, a)
+    out[0] = half[0]
+    return SpectralFunction(grid, _from_half(out))
 
 
 def eval_at_zero(f):

@@ -253,7 +253,8 @@ def fixed_point_check(kernel, tc, grid_list, L=2.0, tol=1e-8):
 
     With a vanishing remainder the profile is an exact fixed point and
     the rows measure pure discretization: each must stay below tol and
-    the sequence must not grow under refinement (beyond a 1e-10 floor).
+    the sequence must not grow under refinement, except below its grid's
+    rounding floor 3 eps x_max sqrt(dx) (1 + omega_max^q).
     With a power remainder the rows instead track the level-n profile
     gap against the envelope c * rho_n^(1/d) fitted at n = 2.
     """
@@ -271,7 +272,14 @@ def fixed_point_check(kernel, tc, grid_list, L=2.0, tol=1e-8):
                 rows.append(FixedPointRow(label, math.inf, tol, False))
                 prev = math.inf
                 continue
-            ok = value <= tol and (value <= prev or value <= 1e-10)
+            # rounding alone: an FFT leaves on each output about eps
+            # sqrt(dx) times the l2 norm of the field (below 1 for the
+            # unit-peak profile), r' = F[-i x r] lifts that by the rms of x,
+            # x_max / sqrt(3), and the B_q weight by 1 + omega_max^q at the
+            # outer nodes; 3 covers the sup of that noise over the nodes
+            weight = 1.0 + grid.omega_max**kernel.q
+            floor = 3.0 * np.finfo(float).eps * grid.x_max * math.sqrt(grid.dx) * weight
+            ok = value <= tol and (value <= prev or value <= floor)
             rows.append(FixedPointRow(label, value, tol, ok))
             prev = value
         return rows

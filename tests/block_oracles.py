@@ -9,6 +9,8 @@ sorted axis, the reference the half rows of the solver must match bit
 for bit, and deriv_rows is the frequency derivative of sorted rows.
 marginal_response_loop is the per-tau form of the stacked marginal
 response, one evolve-power-evolve pass per tau on the sorted axis.
+forward_sorted and inverse_sorted are the complex transform pair of the
+whole sorted axis, the reference of the package's half-length real pair.
 """
 
 import numpy as np
@@ -17,6 +19,26 @@ from marginalrg import blocksolver
 from marginalrg import funcspace as fs
 from marginalrg import marginal as mg
 from marginalrg.errors import DomainError
+
+
+def _boundary_signs(n):
+    # (-1)^m: the e^{i m pi} phase of the first node x_0 = -x_max; the
+    # -omega_max node (m = 0) keeps its sign when n / 2 is even
+    return 1.0 - 2.0 * (np.arange(n) % 2)
+
+
+def forward_sorted(values, dx):
+    """fhat on the sorted axis of samples on x_j = -x_max + j dx, by the
+    complex FFT of the last axis: fhat(m dw) = dx (-1)^m FFT[f]_m."""
+    signs = _boundary_signs(values.shape[-1])
+    return dx * signs * np.fft.fftshift(np.fft.fft(values), axes=-1)
+
+
+def inverse_sorted(fhat, dx):
+    """Complex samples of sorted-axis spectra; real fields come back with
+    an imaginary part of rounding size."""
+    signs = _boundary_signs(fhat.shape[-1])
+    return np.fft.ifft(np.fft.ifftshift(signs * fhat, axes=-1)) / dx
 
 
 def linear_block(f, kernel, tc, n, L, params):

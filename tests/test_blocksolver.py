@@ -1,6 +1,7 @@
 """Single-block Picard solver against independent oracles."""
 
 import math
+import re
 import warnings
 import weakref
 from pathlib import Path
@@ -55,6 +56,18 @@ def test_nonlinearity_validation():
         Nonlinearity(mu=0.1, lam=0.2, terms=((3, 1.0), (3, 2.0)))
     with pytest.raises(DomainError):
         Nonlinearity(mu=0.1, lam=0.2)
+
+
+def test_nonlinearity_refuses_non_integral_powers():
+    # a power is an integer or an integral float, never truncated: u^3.5
+    # used to damp as u^3, and "3" and True passed as 3 and 1
+    assert Nonlinearity(mu=0.05, lam=0.01, terms=((3.0, 1.0), (np.int64(4), 2.0))).terms == (
+        (3, 1.0),
+        (4, 2.0),
+    )
+    for power in (3.5, "3", True, np.bool_(True), math.nan, math.inf):
+        with pytest.raises(DomainError, match=re.escape(f"term ({power!r}, 1.0)")):
+            Nonlinearity(mu=0.05, lam=0.01, terms=((power, 1.0),))
 
 
 def test_coupling_decay():

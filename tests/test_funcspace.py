@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from block_oracles import FullRealLayout, deriv_rows
+from block_oracles import FullRealLayout, deriv_rows, forward_sorted, inverse_sorted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,19 +52,37 @@ def test_grid_axes():
     assert g.omega[-1] == pytest.approx(g.omega_max - g.dw, rel=1e-12)
 
 
+def forward(phys, grid=GRID):
+    # half spectra of real samples on the grid, through the package's pair
+    n = grid.n_points
+    out = np.empty(phys.shape[:-1] + (n // 2 + 1,), complex)
+    return fs._forward_half(phys, n, grid.dx, out, None)
+
+
+def inverse(half, grid=GRID):
+    return fs._inverse_half(half, grid.n_points, grid.n_points, grid.dx, None, None)
+
+
 def test_round_trip_identity():
     rng = np.random.default_rng(7)
     centers = rng.uniform(-5.0, 5.0, size=4)
     phys = sum(np.exp(-((GRID.x - c) ** 2)) for c in centers)
-    back = GRID.inverse(GRID.forward(phys))
+    back = inverse(forward(phys))
     assert np.max(np.abs(back - phys)) < 1e-12
 
 
 def test_forward_matches_continuum_gaussian():
-    # f(x) = (4 pi)^{-1/2} e^{-x^2/4} has transform e^{-omega^2}
+    # f(x) = (4 pi)^{-1/2} e^{-x^2/4} has transform e^{-omega^2}, both ways
+    # through the half pair; an odd part shifts the phase, (x/2) f(x) having
+    # transform -i omega e^{-omega^2}
     phys = np.exp(-GRID.x**2 / 4.0) / math.sqrt(4.0 * math.pi)
-    fhat = GRID.forward(phys)
-    assert np.max(np.abs(fhat - np.exp(-GRID.omega**2))) < 1e-13
+    fhat = fs._to_half(np.exp(-GRID.omega**2))
+    assert np.max(np.abs(forward(phys) - fhat)) < 1e-13
+    assert np.max(np.abs(inverse(fhat) - phys)) < 1e-13
+    odd = fs._to_half(-1j * GRID.omega * np.exp(-GRID.omega**2))
+    assert np.max(np.abs(forward(0.5 * GRID.x * phys) - odd)) < 1e-13
+    # the sorted-axis complex pair of the tests agrees with it
+    assert np.max(np.abs(fs._to_half(forward_sorted(phys, GRID.dx)) - forward(phys))) < 1e-15
 
 
 def test_norm_zero_and_homogeneity():
@@ -102,11 +120,10 @@ def stack(n_rows=37, grid=GRID):
 
 
 def test_stacked_transforms_match_rows():
-    rows = stack()
-    fwd = fs._forward_raw(rows, GRID.dx)
-    inv = fs._inverse_raw(rows, GRID.dx)
-    assert np.array_equal(fwd, np.array([GRID.forward(r) for r in rows]))
-    assert np.array_equal(inv, np.array([GRID.inverse(r) for r in rows]))
+    rows = fs._to_half(stack())
+    phys = inverse(rows)
+    assert np.array_equal(phys, np.array([inverse(r) for r in rows]))
+    assert np.array_equal(forward(phys), np.array([forward(p) for p in phys]))
 
 
 def test_large_stacks_are_mapped():
@@ -149,11 +166,9 @@ def test_stacked_norm_matches_rows():
         # per-row reference: the weighted_norm formula on one row at a time,
         # with complex transforms; the rows are real fields, which the norm
         # transforms as such, so the two agree to rounding
-        weight = 1.0 + np.abs(GRID.omega) ** q
-        expected = [
-            np.max(weight * (np.abs(r) + np.abs(GRID.forward(-1j * GRID.x * GRID.inverse(r)))))
-            for r in rows
-        ]
+        weight, dx = 1.0 + np.abs(GRID.omega) ** q, GRID.dx
+        derivs = [forward_sorted(-1j * GRID.x * inverse_sorted(r, dx), dx) for r in rows]
+        expected = [np.max(weight * (np.abs(r) + np.abs(d))) for r, d in zip(rows, derivs)]
         assert np.allclose(stacked, expected, rtol=1e-13, atol=0.0)
         assert np.array_equal(
             stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
@@ -577,9 +592,9 @@ def padded_power(grid, rows, coeffs, m):
     big[..., lo] *= 0.5
     big[..., lo + n] = big[..., lo]
     dx = 2.0 * grid.x_max / m
-    u = fs._inverse_raw(big, dx).real
+    u = inverse_sorted(big, dx).real
     total = sum(c * u**p for p, c in coeffs.items())
-    return fs._to_half(fs._forward_raw(total, dx)[..., lo : lo + n])
+    return fs._to_half(forward_sorted(total, dx)[..., lo : lo + n])
 
 
 def test_band_sized_power_matches_the_padded_one():
@@ -612,19 +627,22 @@ def test_canonical_block_power_transforms_on_at_most_half_the_grid(monkeypatch):
 
 def test_a_row_gets_the_same_power_in_any_stack(threads):
     # a narrow row, a full-band row and one in between share a stack, the
-    # narrow ones apart; each row's power is the one it gets alone, bit for
-    # bit, as its transform length depends on that row only
+    # narrow ones apart, so one length comes back after another (a chunk
+    # transforms each run of equal lengths on its own); each row's power
+    # is the one it gets alone, bit for bit, as its transform length
+    # depends on that row only
     layout = fs._Layout(GRID)
     narrow, wide, full = (layout.rows(gauss(a).fhat) for a in (1.0, 0.01, 1e-4))
-    rows = np.array([narrow, full, 0.5 * narrow, wide, full, narrow])
+    mixed = np.array([narrow, full, 0.5 * narrow, wide, full, narrow])
     coeffs = {2: 0.7, 3: -1.0}
-    lengths = fs._power_lengths(rows, 3, GRID.n_points, np.empty(rows.shape))
+    lengths = fs._power_lengths(mixed, 3, GRID.n_points, np.empty(mixed.shape))
     assert len(set(lengths.tolist())) == 3 and lengths[0] < GRID.n_points < lengths[1]
-    alone = [layout.power(r, coeffs) for r in rows]
-    assert np.array_equal(layout.power(rows, coeffs), alone)
-    chunk = rows.copy()
-    layout.power_chunk(chunk, coeffs, chunk, fs._Workspace())  # in place
-    assert np.array_equal(chunk, alone)
+    for rows in (mixed, np.array([narrow, wide, narrow])):
+        alone = [layout.power(r, coeffs) for r in rows]
+        assert np.array_equal(layout.power(rows, coeffs), alone)
+        chunk = rows.copy()
+        layout.power_chunk(chunk, coeffs, chunk, fs._Workspace())  # in place
+        assert np.array_equal(chunk, alone)
 
 
 def test_non_finite_rows_keep_their_power_non_finite():
@@ -687,25 +705,46 @@ def test_dilate_refuses_factors_below_one_and_non_finite(a):
 
 
 def test_dilate_reuses_its_chirp_factors():
-    # the cached factors give the chirp of the uncached formula bit for bit
+    # the cached factors give the chirp of the uncached formula on the half
+    # nodes k = 0 .. N/2 bit for bit
     def uncached(phys, x_max, a):
         n_pts = phys.shape[0]
         c_ld = np.pi * fs._LD_ONE / (n_pts * np.longdouble(a))
-        n_idx = np.arange(n_pts)
-        k_idx = n_idx - n_pts // 2
-        u = phys * fs._chirp_phase(c_ld, n_idx)
-        v = np.conj(fs._chirp_phase(c_ld, np.arange(-(3 * n_pts // 2 - 1), n_pts // 2)))
+        k_idx = np.arange(n_pts // 2 + 1)
+        u = phys * fs._chirp_phase(c_ld, np.arange(n_pts))
+        v = np.conj(fs._chirp_phase(c_ld, np.arange(-(n_pts - 1), n_pts // 2 + 1)))
         conv = np.fft.ifft(np.fft.fft(u, 4 * n_pts) * np.fft.fft(v, 4 * n_pts))
-        s = conv[n_idx + n_pts - 1]
+        s = conv[k_idx + n_pts - 1]
         lin = np.mod(c_ld * n_pts * k_idx.astype(np.longdouble), fs._LD_TWO_PI)
         s = s * np.exp(1j * lin.astype(np.float64)) * fs._chirp_phase(c_ld, k_idx)
         return 2.0 * x_max / n_pts * s
 
-    phys = GRID.inverse(gauss().fhat + 0.1j * GRID.omega * gauss(2.0).fhat)
+    phys = inverse(fs._to_half(gauss().fhat + 0.1j * GRID.omega * gauss(2.0).fhat))
     for a in (1.7, 2.0, 1.7):
         assert np.array_equal(fs._resample_trig(phys, GRID.x_max, a), uncached(phys, GRID.x_max, a))
     assert fs._chirp_factors(GRID.n_points, 1.7) is fs._chirp_factors(GRID.n_points, 1.7)
     assert not any(arr.flags.writeable for arr in fs._chirp_factors(GRID.n_points, 1.7))
+
+
+def test_dilate_runs_no_complex_transform_of_the_grid(monkeypatch):
+    # the field goes to real samples by the half pair; the only complex FFTs
+    # are the chirp convolution's, of the first power of two at which it
+    # does not wrap: 16384 on the canonical grid
+    lengths = []
+
+    def recorded(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return transform(a, n, *args, **kwargs)
+
+        return call
+
+    fs._chirp_factors.cache_clear()
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+    out = fs.dilate(gauss(), 2.0)
+    assert lengths == [4 * GRID.n_points] * 3
+    assert np.max(np.abs(out.fhat - np.exp(-GRID.omega**2 / 4.0))) < 1e-15
 
 
 def test_dilate_composes():
@@ -731,7 +770,7 @@ def test_real_functions_stay_real():
     k = heat_kernel()
     f = gauss()
     out = fs.dilate(fs.apply_multiplier(fs.pointwise_power(f, 2), k, 0.4), 1.7)
-    assert np.max(np.abs(out.to_physical().imag)) < 1e-10
+    assert np.max(np.abs(inverse_sorted(out.fhat, GRID.dx).imag)) < 1e-10
 
 
 def test_eval_at_zero():

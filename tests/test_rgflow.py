@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from block_oracles import inverse_sorted
 
 from marginalrg import funcspace as fs
 from marginalrg import marginal as mg
@@ -85,7 +86,7 @@ def test_initial_remainder_masses():
         assert fs.eval_at_zero(g) == 0.0
     odd = rg.initial_remainder(GRID, "odd-bump", 1e-3)
     # imaginary odd spectrum must give a real physical field
-    assert np.max(np.abs(odd.to_physical().imag)) < 1e-15
+    assert np.max(np.abs(inverse_sorted(odd.fhat, GRID.dx).imag)) < 1e-15
     with pytest.raises(ConfigError):
         rg.initial_remainder(GRID, "spikes", 1.0)
 
@@ -310,8 +311,9 @@ def test_divergence_after_level_zero_leaves_a_partial_trace(monkeypatch, warm):
 @pytest.mark.parametrize("g0_kind", ["even-bump", "odd-bump"])
 def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
     # every block input and every dilation output is exactly the transform
-    # of a real function, and no forward complex transform runs in the flow
-    inputs, images = [], []
+    # of a real function, and the only complex transforms in the flow are
+    # the dilations' chirp convolutions, of 4N points on an N-point grid
+    inputs, images, lengths = [], [], []
 
     def solve(f, *args):
         inputs.append(f.fhat.copy())
@@ -322,18 +324,25 @@ def test_flow_transforms_real_fields_only(monkeypatch, g0_kind):
         images.append(out.fhat.copy())
         return out
 
-    def complex_forward(*args):
-        raise AssertionError("a complex transform ran inside the flow")
+    def recorded(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return transform(a, n, *args, **kwargs)
+
+        return call
 
     monkeypatch.setattr(rg, "solve_block", solve)
     monkeypatch.setattr(fs, "dilate", dilate)
-    monkeypatch.setattr(fs, "_forward_raw", complex_forward)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
     trace = rg.run_flow(
         make_config(grid=GridSpec(1024, 40.0), solver=SolverParams(m=16), n_steps=3, g0_kind=g0_kind)
     )
     assert trace.completed and len(trace.amplitude) == 4
     assert len(inputs) == 3 and len(images) == 9
     assert all(fs._is_real_field(x) for x in inputs + images)
+    # two per dilation, one more for a chirp filter not yet cached
+    assert 18 <= len(lengths) <= 19 and set(lengths) == {4096}
 
 
 def test_flow_reuses_its_working_memory(monkeypatch, tmp_path):
@@ -422,7 +431,9 @@ def _trace_bytes(trace, path):
 
 
 @pytest.mark.parametrize("tc", [TC0, TimeChange(p=1.0, delta=0.5, coeff=0.3)], ids=["zero", "power"])
-def test_flow_evaluates_block_multipliers_once_without_a_remainder(monkeypatch, tmp_path, tc):
+def test_flow_computes_each_marginal_response_once_and_matches_per_block_workspaces(
+    monkeypatch, tmp_path, tc
+):
     # one marginal response per flow when the blocks share their nodes,
     # one per block with a remainder; either way the trace is bitwise that
     # of a flow whose every block has a workspace of its own, each chunk

@@ -164,6 +164,17 @@ def test_fixed_point_zero_branch_ladder():
     assert max(r.value for r in rows) <= 1e-10
 
 
+def test_fixed_point_refines_to_8192_points():
+    # the canonical ladder from 2048 to 8192 points: the residual is rounding
+    # alone, a few ulps of the profile's unit peak, and the B_q weight
+    # 1 + omega_max^2 reaches 1.0e5 at 8192, so the row may grow there up
+    # to the grid's rounding floor
+    passed, measured = verify._fixed_point_body(make_config(grid=GridSpec(8192, 40.0)))
+    assert passed
+    for rows in measured.values():
+        assert [r["label"] for r in rows] == ["grid 2048", "grid 4096", "grid 8192"]
+
+
 @pytest.mark.filterwarnings("ignore::marginalrg.errors.UnderResolvedWarning")
 def test_fixed_point_coarse_grid_fails_cleanly():
     # 256 points at x_max=80 leaves the profile tail unresolved; the row
