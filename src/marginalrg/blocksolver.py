@@ -133,8 +133,12 @@ class SolverParams:
             raise DomainError(f"m must be an integer >= 8, got {self.m}")
         if not (self.picard_tol > 0):
             raise DomainError(f"picard_tol must be positive, got {self.picard_tol}")
-        if not isinstance(self.picard_max, (int, np.integer)) or self.picard_max < 1:
-            raise DomainError(f"picard_max must be >= 1, got {self.picard_max}")
+        if (
+            isinstance(self.picard_max, bool)
+            or not isinstance(self.picard_max, (int, np.integer))
+            or self.picard_max < 1
+        ):
+            raise DomainError(f"picard_max must be an integer >= 1, got {self.picard_max!r}")
         if self.norm_guard is not None and not (self.norm_guard > 0):
             raise DomainError(f"norm_guard must be positive, got {self.norm_guard}")
 

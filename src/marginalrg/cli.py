@@ -122,23 +122,24 @@ def cmd_norm(args):
         return 2
     q = 2
     if args.config is not None:
-        q = load_config(args.config, allow_negative_mu=args.allow_negative_mu).flow.kernel.q
+        # norm runs no flow, so a negative mu is no reason to refuse the file
+        q = load_config(args.config, allow_negative_mu=True).flow.kernel.q
     value = weighted_norm(f, q)
     print(json.dumps({"bq_norm": value, "path": args.path, "q": q}, sort_keys=True))
     return 0
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="YAML run configuration")
-    common.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="YAML run configuration")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument(
         "--allow-negative-mu",
         action="store_true",
         help="accept mu < 0 (blow-up regime, normally rejected)",
     )
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    output.add_argument("--label", metavar="NAME", help="artifact name prefix (overrides config)")
+    run.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
+    run.add_argument("--label", metavar="NAME", help="artifact name prefix (overrides config)")
 
     parser = argparse.ArgumentParser(
         prog="marginalrg",
@@ -153,9 +154,9 @@ def build_parser():
         ("verify", cmd_verify, "run the full verification suite"),
         ("direct", cmd_direct, "direct integration oracle to t = L^3"),
     ):
-        sub.add_parser(name, parents=[common, output], help=text).set_defaults(func=func)
+        sub.add_parser(name, parents=[config, run], help=text).set_defaults(func=func)
     sub.choices["verify"].add_argument("--seed", type=int, default=0, help="seed for sampled inputs")
-    p = sub.add_parser("norm", parents=[common], help="weighted norm of a CSV-dumped function")
+    p = sub.add_parser("norm", parents=[config], help="weighted norm of a CSV-dumped function")
     p.add_argument("path", help="CSV file written by the function dump routines")
     p.set_defaults(func=cmd_norm)
     return parser

@@ -55,10 +55,6 @@ class DomainError(MarginalRGError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class TailTooLarge(MarginalRGError):
-    """A truncated integration box leaves too much mass outside."""
-
-
 class DecompositionDrift(MarginalRGError):
     """The flow state stopped matching its amplitude + remainder split."""
 

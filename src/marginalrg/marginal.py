@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, TailTooLarge
+from .errors import DomainError
 from .funcspace import GridSpec, SpectralFunction, _Layout, from_profile, pointwise_power
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _BOX_TARGET = 1e-16
-_BOX_TOL = 1e-12
 _CHAIN_NODES = 1025  # trapezoid nodes per variable of the chained-profile integral
 
 
@@ -81,19 +80,10 @@ class OverlapConstant:
         return abs(self.direct - self.oracle)
 
 
-def _auto_box(kernel):
-    # ghat(W, 1) = target  =>  W = (ln(1/target)/kappa)^{1/d}
-    return (math.log(1.0 / _BOX_TARGET) / kernel.kappa) ** (1.0 / kernel.d)
-
-
-def _chain_quadrature(kernel, alpha_c, box):
+def _chain_quadrature(kernel, alpha_c):
+    # the box edge W has ghat(W, 1) = target: W = (ln(1/target)/kappa)^{1/d}
+    box = (math.log(1.0 / _BOX_TARGET) / kernel.kappa) ** (1.0 / kernel.d)
     x = np.linspace(-box, box, _CHAIN_NODES)
-    boundary = float(kernel.ghat(box, 1.0))
-    if boundary > _BOX_TOL:
-        raise TailTooLarge(
-            f"profile value {boundary:.3e} at the quadrature box edge "
-            f"{box:g} exceeds {_BOX_TOL:g}; enlarge the box"
-        )
     w = np.full(_CHAIN_NODES, x[1] - x[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -107,22 +97,21 @@ def _chain_quadrature(kernel, alpha_c, box):
 
 
 @functools.lru_cache(maxsize=64)
-def overlap_constant(kernel, alpha_c, box=None):
+def overlap_constant(kernel, alpha_c):
     """Both routes to the self-interaction constant.
 
     The direct route chains alpha_c profile factors through alpha_c - 1
-    integration variables on a truncated box (tensor trapezoid, spectrally
-    accurate for these analytic integrands). The oracle route uses the
-    identity with the physical-space power integral on GridSpec(), so each
-    (kernel, alpha_c) has one R whatever grid a run uses.
+    integration variables on a box truncated where the profile falls to
+    1e-16 (tensor trapezoid, spectrally accurate for these analytic
+    integrands). The oracle route uses the identity with the
+    physical-space power integral on GridSpec(), so each (kernel, alpha_c)
+    has one R whatever grid a run uses.
     """
     if not isinstance(alpha_c, (int, np.integer)) or alpha_c < 2:
         raise DomainError(f"alpha_c must be an integer >= 2, got {alpha_c}")
-    if box is None:
-        box = _auto_box(kernel)
     direct = None
     if alpha_c <= 3:
-        direct = _chain_quadrature(kernel, int(alpha_c), float(box))
+        direct = _chain_quadrature(kernel, int(alpha_c))
     profile = from_profile(GridSpec(), lambda w: kernel.ghat(w, 1.0))
     oracle = (2.0 * math.pi) ** (alpha_c - 1) * pointwise_power(
         profile, int(alpha_c)
@@ -151,8 +140,8 @@ def marginal_response(n, kernel, tc, L, grid, m_tau=64):
     The tau rows go through as one stack of half spectra: a multiplier
     stack per evolution, one chunked power, a weighted sum in tau order.
     """
-    if m_tau < 8:
-        raise DomainError(f"m_tau must be >= 8, got {m_tau}")
+    if not isinstance(m_tau, (int, np.integer)) or m_tau < 8:
+        raise DomainError(f"m_tau must be an integer >= 8, got {m_tau!r}")
     alpha_c = critical_exponent(tc.p, kernel.d)
     h = linear_profile(kernel, tc, n, L, grid)
     s_end = float(tc.block_elapsed(n, L, L))
@@ -301,17 +290,17 @@ def amplitude_prefactor(kernel, p, mu):
     return inner ** (-(p + 1.0) / d)
 
 
-def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64, n_max=10):
+def marginal_constants(kernel, tc, L, mu, grid=None, m_tau=64):
     """All marginal-sector constants as one JSON-ready mapping.
 
     Keys: R_direct, R_oracle, beta, beta_star_lo, beta_star_hi,
-    beta_n_table (rows n, direct, closed_form), A_prefactor. Only
-    A_prefactor depends on mu; it is None when mu <= 0, where the
+    beta_n_table (rows n, direct, closed_form for n = 0..10), A_prefactor.
+    Only A_prefactor depends on mu; it is None when mu <= 0, where the
     amplitude law does not apply.
     """
     overlap = overlap_constant(kernel, critical_exponent(tc.p, kernel.d))
     lo, hi = decay_bracket(kernel, tc.p, L)
-    responses = marginal_responses(range(n_max + 1), kernel, tc, L, grid, m_tau)
+    responses = marginal_responses(range(11), kernel, tc, L, grid, m_tau)
     table = [
         {
             "n": n,

@@ -16,14 +16,7 @@ import numpy as np
 from . import funcspace as fs
 from ._version import __version__
 from .blocksolver import BlockSolution, Nonlinearity, SolverParams, solve_block
-from .errors import (
-    ConfigError,
-    DecompositionDrift,
-    DomainError,
-    SolverError,
-    TailTooLarge,
-    UnderResolved,
-)
+from .errors import ConfigError, DecompositionDrift, DomainError, SolverError, UnderResolved
 from .funcspace import GridSpec, SpectralFunction
 from .kernel import ScalingKernel, fixed_point_profile
 from .marginal import (
@@ -112,7 +105,7 @@ class FlowConfig:
         if not (math.isfinite(self.L) and self.L > 1.0):
             raise ConfigError("block scale L must be finite and > 1")
         object.__setattr__(self, "L", float(self.L))
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+        if isinstance(self.n_steps, bool) or not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise ConfigError("n_steps must be an integer >= 1")
         if not (math.isfinite(self.A0) and self.A0 > 0.0):
             raise ConfigError("initial amplitude A0 must be finite and positive")
@@ -345,7 +338,7 @@ def run_flow(config):
         try:
             response = next(responses)
             f, amp, rem, diag = rg_step(f, amp, rem, kernel, tc, nl, n, L, params, workspace, start)
-        except (SolverError, DecompositionDrift, TailTooLarge, UnderResolved) as exc:
+        except (SolverError, DecompositionDrift, UnderResolved) as exc:
             trace.failure = f"level {n}: {exc}"
             return trace
         decay_coeff = response.at_zero.real

@@ -182,8 +182,8 @@ class ContractionRow:
     scaled: float
 
 
-def contraction_samples(grid, seed, count=4):
-    """Mass-free single-mode bumps: (i omega)^j exp(-sigma omega^2).
+def contraction_samples(grid, seed):
+    """Five mass-free single-mode bumps: (i omega)^j exp(-sigma omega^2).
 
     The factor i^j makes each the transform of a real function (the j-th
     derivative of a Gaussian). Widths stay in [0.7, 1.0]: mixing modes of
@@ -194,20 +194,22 @@ def contraction_samples(grid, seed, count=4):
     rng = np.random.default_rng(seed)
     w = grid.omega
     samples = [SpectralFunction(grid, 1j * w * np.exp(-(w**2)))]
-    for i in range(count):
+    for i in range(4):
         j = 1 + i % 2
         sigma = rng.uniform(0.7, 1.0)
         samples.append(SpectralFunction(grid, (1j * w) ** j * np.exp(-sigma * w**2)))
     return samples
 
 
-def contraction_check(kernel, tc, L_list, g_samples, levels=(0, 1, 2)):
+def contraction_check(kernel, tc, L_list, g_samples):
     """Measure the linear-step norm ratio on mass-free samples.
 
     Returns (rows, variation): one row per L with the worst ratio over
-    samples and levels, and the relative spread of ratio * L^((p+1)/d)
-    across the L values.
+    samples and levels 0, 1, 2, and the relative spread of
+    ratio * L^((p+1)/d) across the L values.
     """
+    if not L_list or not g_samples:
+        raise DomainError("contraction_check needs at least one L and one sample")
     for g in g_samples:
         mass = abs(fs.eval_at_zero(g))
         scale = float(np.max(np.abs(g.fhat)))
@@ -221,7 +223,7 @@ def contraction_check(kernel, tc, L_list, g_samples, levels=(0, 1, 2)):
         worst = 0.0
         for g in g_samples:
             base = fs.weighted_norm(g, kernel.q)
-            for n in levels:
+            for n in (0, 1, 2):
                 out = linear_rg_step(g, kernel, tc, n, L)
                 worst = max(worst, fs.weighted_norm(out, kernel.q) / base)
         rows.append(
@@ -248,11 +250,11 @@ class FixedPointRow:
     ok: bool
 
 
-def fixed_point_check(kernel, tc, grid_list, L=2.0, tol=1e-8):
+def fixed_point_check(kernel, tc, grid_list, L=2.0):
     """Residual of the linear block map at the scaling profile.
 
     With a vanishing remainder the profile is an exact fixed point and
-    the rows measure pure discretization: each must stay below tol and
+    the rows measure pure discretization: each must stay below 1e-8 and
     the sequence must not grow under refinement, except below its grid's
     rounding floor 3 eps x_max sqrt(dx) (1 + omega_max^q).
     With a power remainder the rows instead track the level-n profile
@@ -260,6 +262,7 @@ def fixed_point_check(kernel, tc, grid_list, L=2.0, tol=1e-8):
     """
     rows = []
     if tc.vanishes:
+        tol = 1e-8
         prev = math.inf
         for grid in grid_list:
             label = f"grid {grid.n_points}"

@@ -1,8 +1,10 @@
 """The exported names of every marginalrg module, and what it loads."""
 
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import marginalrg
+from marginalrg import marginal, verify
 
 MODULES = ["marginalrg"] + [
     f"marginalrg.{info.name}"
@@ -33,7 +36,7 @@ import marginalrg
 from marginalrg import config, funcspace, marginal, rgflow
 flow = config.load_config(sys.argv[1]).flow
 trace = rgflow.run_flow(replace(flow, n_steps=1))
-marginal.marginal_constants(flow.kernel, flow.tc, flow.L, flow.mu, grid=flow.grid, n_max=1)
+marginal.marginal_constants(flow.kernel, flow.tc, flow.L, flow.mu, grid=flow.grid)
 funcspace.weighted_norm(trace.profile(1), flow.kernel.q)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
@@ -52,3 +55,15 @@ def test_runtime_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_signatures_match_the_code():
+    # each signature line of the last python block under "## Library use"
+    readme = Path(marginalrg.__file__).resolve().parents[2] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python")[-1].split("```", 1)[0]
+    documented = re.findall(r"^(\w+)(\([^#\n]*\))", block, flags=re.MULTILINE)
+    assert len(documented) >= 10
+    for name, params in documented:
+        fn = getattr(marginal, name, None) or getattr(verify, name)
+        assert f"{name}{params}" == f"{name}{inspect.signature(fn)}"

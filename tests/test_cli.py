@@ -191,6 +191,7 @@ def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
         ("norm", "--out", str(tmp_path), "f.csv"),
         ("norm", "--label", "n", "f.csv"),
         ("norm", "--seed", "1", "f.csv"),
+        ("norm", "--allow-negative-mu", "f.csv"),
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -340,7 +341,9 @@ def test_norm_roundtrip(tmp_path, capsys):
 
     assert run_cli("norm", str(tmp_path / "absent.csv")) == 2
 
-    cfg = write_config(tmp_path, "time: {p: 3.0}\nkernel: {d: 4.0, q: 4}\n")
+    # norm reads only kernel.q and runs no flow, so a negative mu is no
+    # reason to refuse the file
+    cfg = write_config(tmp_path, "time: {p: 3.0}\nkernel: {d: 4.0, q: 4}\nnonlinearity: {mu: -0.05}\n")
     assert run_cli("norm", "--config", cfg, str(path)) == 0
     data4 = json.loads(capsys.readouterr().out)
     assert data4["q"] == 4

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from marginalrg import funcspace as fs
 from marginalrg import marginal as mg
-from marginalrg.errors import DomainError, TailTooLarge
+from marginalrg.errors import DomainError
 from marginalrg.kernel import ScalingKernel, fixed_point_profile, heat_kernel
 from marginalrg.timechange import TimeChange
 
@@ -53,11 +53,6 @@ def test_overlap_constant_high_power_uses_oracle_route():
     assert ov.direct is None
     assert ov.discrepancy is None
     assert ov.value == ov.oracle > 0.0
-
-
-def test_overlap_constant_rejects_small_box():
-    with pytest.raises(TailTooLarge):
-        mg.overlap_constant(HEAT, 2, box=1.0)
 
 
 def test_linear_profile():
@@ -112,6 +107,25 @@ def test_marginal_response_matches_per_tau_loop(n, kernel, tc, L, alpha_c, grid,
     assert mg.critical_exponent(tc.p, kernel.d) == alpha_c
     got = mg.marginal_response(n, kernel, tc, L, grid, m_tau)
     want = marginal_response_loop(n, kernel, tc, L, alpha_c, grid, m_tau)
+    assert np.array_equal(got.fhat, want.fhat)
+
+
+@pytest.mark.parametrize("m_tau", [16.5, float("nan"), True, 7])
+def test_marginal_response_refuses_a_bad_m_tau(m_tau):
+    # an integer of at least 8, as SolverParams.m; a bool is no count
+    small = fs.GridSpec(256, 10.0)
+    with pytest.raises(DomainError, match="m_tau must be an integer >= 8"):
+        mg.marginal_response(0, HEAT, TC0, 2.0, small, m_tau)
+    with pytest.raises(DomainError, match="m_tau"):
+        next(mg.marginal_responses([0], HEAT, TC0, 2.0, small, m_tau))
+    with pytest.raises(DomainError, match="m_tau"):
+        mg.marginal_constants(HEAT, TC0, 2.0, 0.05, grid=small, m_tau=m_tau)
+
+
+def test_marginal_response_takes_a_numpy_integer_m_tau():
+    small = fs.GridSpec(256, 10.0)
+    got = mg.marginal_response(0, HEAT, TC0, 2.0, small, np.int64(16))
+    want = mg.marginal_response(0, HEAT, TC0, 2.0, small, 16)
     assert np.array_equal(got.fhat, want.fhat)
 
 
@@ -245,7 +259,7 @@ def test_amplitude_consistency_identity():
 
 
 def test_marginal_constants_mapping():
-    out = mg.marginal_constants(HEAT, TC0, 2.0, 0.05, grid=GRID, n_max=3)
+    out = mg.marginal_constants(HEAT, TC0, 2.0, 0.05, grid=GRID)
     assert set(out) == {
         "R_direct",
         "R_oracle",
@@ -256,7 +270,7 @@ def test_marginal_constants_mapping():
         "A_prefactor",
     }
     json.dumps(out)
-    assert len(out["beta_n_table"]) == 4
+    assert [row["n"] for row in out["beta_n_table"]] == list(range(11))
     assert out["beta_star_lo"] < out["beta"] < out["beta_star_hi"]
     for row in out["beta_n_table"]:
         assert abs(row["direct"] - row["closed_form"]) < 5e-6
@@ -311,7 +325,7 @@ def test_one_overlap_constant_per_kernel():
     # marginalrg beta prints and the prefactor the flow uses read the same
     # R whatever grid the run names
     kern, tc = ScalingKernel(d=6.0), TimeChange(p=1.0)
-    out = mg.marginal_constants(kern, tc, 2.0, 0.05, grid=fs.GridSpec(256, 10.0), n_max=1)
+    out = mg.marginal_constants(kern, tc, 2.0, 0.05, grid=fs.GridSpec(256, 10.0))
     assert out["R_direct"] is None
     assert out["R_oracle"] == mg.overlap_constant(kern, 4).value
     assert out["A_prefactor"] == mg.amplitude_prefactor(kern, 1.0, 0.05)

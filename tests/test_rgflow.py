@@ -51,6 +51,9 @@ def test_config_validation():
         make_config(L=1.0)
     with pytest.raises(ConfigError):
         make_config(n_steps=0)
+    # True is an int to Python, but no step count, as on the YAML path
+    with pytest.raises(ConfigError, match="n_steps must be an integer"):
+        make_config(n_steps=True)
     with pytest.raises(ConfigError):
         make_config(A0=0.0)
     with pytest.raises(ConfigError):

@@ -123,6 +123,11 @@ def test_contraction_rejects_mass_carrying_sample():
     target = fixed_point_profile(HEAT, 1.0, grid)
     with pytest.raises(DomainError, match="mass-free"):
         verify.contraction_check(HEAT, TC0, (2.0,), [target])
+    samples = verify.contraction_samples(grid, seed=0)
+    with pytest.raises(DomainError, match="at least one L and one sample"):
+        verify.contraction_check(HEAT, TC0, [], samples)
+    with pytest.raises(DomainError, match="at least one L and one sample"):
+        verify.contraction_check(HEAT, TC0, (2.0,), [])
 
 
 def test_contraction_canonical_pins():
