@@ -24,6 +24,7 @@ import contextvars
 import dataclasses
 import functools
 import math
+import mmap
 import os
 import queue
 import threading
@@ -670,9 +671,30 @@ def _run_chunks(body, chunks, ordered=False):
             error = None  # no cycle through this frame
 
 
+# Row stacks of at least this many bytes get an anonymous mapping of their
+# own (_empty_stack); smaller ones come from the malloc heap.
+_MAPPED_STACK_BYTES = 8 << 20
+
+
 def _empty_stack(shape):
-    """An uninitialised complex row stack: the iterate of a cold solve."""
-    return np.empty(shape, dtype=np.complex128)
+    """An uninitialised complex row stack; a large one in a mapping of its own.
+
+    Dropping the last reference to a mapped stack unmaps it, so the
+    resident memory of a solve is the stack it holds. From the malloc heap
+    a freed stack of up to 32 MiB (glibc's dynamic mmap threshold) stays
+    resident, and whether the next one reuses it depends on where unrelated
+    small blocks landed in between: the peak of a process would then differ
+    from run to run by whole stacks. Stacks of a few MiB (a block on the
+    canonical grid) stay on the heap; a freed one is not kept warm (glibc
+    trims the heap top and the next stack faults its pages in again), so
+    a flow passes its iterate from each block's solution to the next
+    instead of freeing it.
+    """
+    size = math.prod(shape) * 16
+    if size < _MAPPED_STACK_BYTES:
+        return np.empty(shape, dtype=np.complex128)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(shape)
 
 
 def _empty_scratch(size):

@@ -562,7 +562,11 @@ def test_duhamel_recurrence_from_the_input_row_is_the_linear_evolution():
 def test_solve_allocates_its_stacks_once(monkeypatch):
     # one stack whatever the iteration count: the iterate, u0 formed in it
     # and each iteration swept over it in place, every chunk evaluating its
-    # multipliers in scratch
+    # multipliers in scratch; mapped stacks hold the same numbers as heap
+    # ones
+    params = SolverParams(m=16)
+    heap = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
+    assert heap.iterations >= 3
     shapes = []
     make = fs._empty_stack
 
@@ -571,31 +575,35 @@ def test_solve_allocates_its_stacks_once(monkeypatch):
         return make(shape)
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
-    sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))
-    assert sol.iterations >= 3
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
+    mapped = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, params)
     assert shapes == [(17, 513)]
+    assert mapped.iterations == heap.iterations
+    for a, b in zip(mapped.slices, heap.slices):
+        assert np.array_equal(a.fhat, b.fhat)
 
 
 def count_live_stacks(monkeypatch):
-    """Returns the count of live stacks after each allocation."""
+    """Make every stack mapped; returns the live count after each allocation."""
     live, peak = set(), []
     make = fs._empty_stack
 
     def counted(shape):
         stack = make(shape)
-        # a view of the stack keeps it alive, so it dies with its last view
-        key = id(stack)
+        # views of a mapped stack keep its frombuffer base alive, not it
+        key = id(stack.base)
         live.add(key)
         peak.append(len(live))
-        weakref.finalize(stack, live.discard, key)
+        weakref.finalize(stack.base, live.discard, key)
         return stack
 
     monkeypatch.setattr(fs, "_empty_stack", counted)
+    monkeypatch.setattr(fs, "_MAPPED_STACK_BYTES", 0)
     return peak
 
 
 def test_solve_holds_one_stack_at_a_time(monkeypatch):
-    # the iterate is all a solve holds at its peak: the multipliers
+    # the iterate is all a mapped solve holds at its peak: the multipliers
     # of u0 and of the steps live in chunk scratch
     peak = count_live_stacks(monkeypatch)
     sol = solve_block(profile(), KERNEL, TC, NL, 0, 2.0, SolverParams(m=16))

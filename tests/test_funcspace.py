@@ -1,6 +1,7 @@
 """Grid representation, norm, powers, multipliers, dilation."""
 
 import math
+import mmap
 import os
 import re
 import signal
@@ -123,6 +124,20 @@ def test_stacked_transforms_match_rows():
     phys = inverse(rows)
     assert np.array_equal(phys, np.array([inverse(r) for r in rows]))
     assert np.array_equal(forward(phys), np.array([forward(p) for p in phys]))
+
+
+def test_large_stacks_are_mapped():
+    small = fs._empty_stack((4, 8))
+    assert small.base is None
+    width = fs._MAPPED_STACK_BYTES // (3 * 16) + 1
+    big = fs._empty_stack((3, width))
+    assert big.shape == (3, width) and big.dtype == np.complex128
+    owner = big.base
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)
+    big[...] = 2.0
+    assert np.all(big == 2.0)
 
 
 def chunked_norms(layout, rows, q, work):
