@@ -277,8 +277,7 @@ def _norm_and_tail(rows, layout, q, work):
     tails = np.empty(rows.shape[0])
 
     def body(c):
-        d = layout.deriv(rows[c], work.scratch(1, rows[c].shape), work)
-        _, tails[c] = layout.norm(rows[c], d, q, norms[c], work)
+        _, tails[c] = layout.norm(rows[c], q, norms[c], work)
 
     _run_chunks(body, _chunks(*rows.shape))
     return float(np.max(norms)), float(np.max(tails))
@@ -325,8 +324,7 @@ def _start_rows(rows, first, kernel, layout, elapsed, q, work, start=None):
         u0 = rows[c] if start is None else work.scratch(0, rows[c].shape)
         u0[: lo - c.start] = first
         np.multiply(first, mult, out=u0[lo - c.start :])
-        d = layout.deriv(u0, work.scratch(1, u0.shape), work)
-        _, tails[c] = layout.norm(u0, d, q, norms[c], work)
+        _, tails[c] = layout.norm(u0, q, norms[c], work)
         if start is not None:
             rows[lo : c.stop] += u0[lo - c.start :]
 
@@ -411,15 +409,13 @@ def _picard_rows(f, kernel, times, elapsed, coeffs, params, work=None, start=Non
 
     def sweep(c, turn):
         # slot 3 holds the chunk's integrand, then its rows of u_new, and
-        # slot 2 its step multipliers; the update goes into slot 0, its
-        # derivative into slot 1
+        # slot 2 its step multipliers; the update goes into slot 0
         new = layout.power_chunk(u[c], coeffs, work.scratch(3, u[c].shape), work)
         emult = _row_multipliers(kernel, layout, steps, c, work)
         _duhamel_rows(new, c.start, emult, h, carry, first, work, turn)
         step = np.subtract(new, u[c], out=work.scratch(0, new.shape))
         u[c] = new
-        dstep = layout.deriv(step, work.scratch(1, step.shape), work)
-        _, step_tails[c] = layout.norm(step, dstep, kernel.q, step_norms[c], work)
+        _, step_tails[c] = layout.norm(step, kernel.q, step_norms[c], work)
 
     for it in range(1, params.picard_max + 1):
         _run_chunks(sweep, _chunks(*shape), ordered=True)

@@ -12,12 +12,13 @@ SpectralFunction refuses any other. Powers, derivatives, norms and
 dilations hold stacks of rows in the half layout (_Layout): only the N/2+1
 nodes omega >= 0 and -omega_max, with the full sorted axis built when a
 caller needs it. A power transforms each row on the length that row's band
-needs to keep aliased images off the kept nodes (_power_lengths), a
-fraction of the grid for a well-resolved row. A dilation resamples real
-samples onto the half nodes by a chirp convolution (_resample_trig), the
-only complex FFTs of the package. A stack's rows are transformed and
-normed in chunks that run on every CPU the process may use (_run_chunks),
-with the same bits as on one.
+needs to keep aliased images off the kept nodes (_transform_lengths), a
+fraction of the grid for a well-resolved row; the norm's derivative
+follows the same rule with degree 1, through the same loop (_band_groups).
+A dilation resamples real samples onto the half nodes by a chirp
+convolution (_resample_trig), the only complex FFTs of the package. A
+stack's rows are transformed and normed in chunks that run on every CPU
+the process may use (_run_chunks), with the same bits as on one.
 """
 
 import contextvars
@@ -99,7 +100,7 @@ class GridSpec:
 
     @property
     def x(self):
-        return _x_nodes(self)
+        return _x_nodes(self, self.n_points)
 
     @property
     def omega(self):
@@ -115,9 +116,10 @@ class GridSpec:
         )
 
 
-@functools.lru_cache(maxsize=32)
-def _x_nodes(grid):
-    x = -grid.x_max + grid.dx * np.arange(grid.n_points)
+@functools.lru_cache(maxsize=64)
+def _x_nodes(grid, m):
+    # the nodes of an m-point grid on the same box, read-only; grid.x at m = N
+    x = -grid.x_max + (2.0 * grid.x_max / m) * np.arange(m)
     x.flags.writeable = False
     return x
 
@@ -217,11 +219,12 @@ def _inverse_half(half, n, m, dx, out, weighted):
 def _forward_half(phys, n, dx, out, spec):
     """Half spectra, on an n-node grid, of real samples with spacing dx.
 
-    One rfft into spec (phys.shape[-1]//2 + 1 columns; it may be out
-    itself when that is the whole rfft), then the band into out. From m =
-    phys.shape[-1] >= n samples the band is all N/2+1 nodes, the
-    -omega_max value being the real part of the +omega_max bin; from fewer
-    it is the first m/2 nodes, and the rest of out is +0.0.
+    One rfft into spec (phys.shape[-1]//2 + 1 columns; it may be out's
+    first columns, or out itself when that is the whole rfft), then the
+    band into out. From m = phys.shape[-1] >= n samples the band is all
+    N/2+1 nodes, the -omega_max value being the real part of the
+    +omega_max bin; from fewer it is the first m/2 nodes, and the rest of
+    out is +0.0.
     """
     h = min(phys.shape[-1], n) // 2
     r = np.fft.rfft(phys, out=spec)
@@ -242,13 +245,15 @@ class _Layout:
 
     Rows hold the half layout of _to_half, the negative half being the
     conjugate of the positive one, and powers and derivatives take
-    half-length real FFTs. Every element-wise step maps the half of a
+    half-length real FFTs, each row on the length its band needs
+    (_band_groups): the padded length of its degree-k product for a power,
+    at most N for a derivative. Every element-wise step maps the half of a
     Hermitian input to the half of its Hermitian output, so the half rows
     hold the numbers the sorted axis would.
 
     power, deriv and norm write into out when given, else into a new
     array, and take their scratch from work (a _Workspace), else from a
-    new one.
+    new one. norm forms the derivative itself.
     """
 
     __slots__ = ("grid",)
@@ -273,7 +278,7 @@ class _Layout:
 
         Each row is embedded in a grid with the same x_max (the same
         frequency spacing) and as many points as its band needs
-        (_power_lengths), and restricted to the original band after the
+        (_transform_lengths), and restricted to the original band after the
         products: one irfft, the sum formed in physical space and one
         rfft. A stack runs in _chunks, shared out by _run_chunks, each
         chunk through power_chunk.
@@ -290,20 +295,14 @@ class _Layout:
     def power_chunk(self, chunk, coeffs, out, work):
         """power of a chunk of rows into out, on the calling thread.
 
-        Each run of adjacent rows with one transform length goes through
-        together, a few rows at a time, as many as that length's share of
-        the budget (_rows_per_chunk), so the scratch (slots 0-2 of work)
-        never outgrows a slot. Every row is read before its output is
-        written, so out may be chunk itself.
+        The rows go through the band loop (_band_groups), so the scratch
+        (slots 0-2 of work) never outgrows a slot. Every row is read before
+        its output is written, so out may be chunk itself.
         """
         n = self.grid.n_points
-        lengths = _power_lengths(chunk, max(coeffs), n, work.scratch(2, chunk.shape, np.float64))
-        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
-        for start, stop in zip(edges[:-1], edges[1:]):
-            m = int(lengths[start])
-            step = _rows_per_chunk(m // 2 + 1)
-            for lo in range(start, stop, step):
-                self._power_rows(chunk, slice(lo, min(lo + step, stop)), coeffs, out, m, work)
+        mag = np.abs(chunk, out=work.scratch(2, chunk.shape, np.float64))
+        for sel, m in _band_groups(mag, max(coeffs), n):
+            self._power_rows(chunk, sel, coeffs, out, m, work)
         return out
 
     def _power_rows(self, chunk, sel, coeffs, out, m, work):
@@ -322,34 +321,60 @@ class _Layout:
         _forward_half(total, n, dx, out[sel], spec)
 
     def deriv(self, rows, out=None, work=None):
-        """Frequency derivative fhat' of each row: the transform of (-i x) f(x)."""
+        """Frequency derivative fhat' of each row: the transform of (-i x) f(x).
+
+        Each row is transformed on the length its band needs (the band
+        loop with degree 1, _band_groups), so a row's derivative is the
+        same bits in any stack and on any number of CPUs.
+        """
         out = np.empty(rows.shape, np.complex128) if out is None else out
-        grid = self.grid
-        n, dx = grid.n_points, grid.dx
         work = _Workspace() if work is None else work
-        # x f is real, so its half spectrum expands; fhat' = -i times it
-        phys = work.scratch(2, rows.shape[:-1] + (n,), np.float64)
-        phys = _inverse_half(rows, n, n, dx, phys, out)
-        np.multiply(grid.x, phys, out=phys)
-        _forward_half(phys, n, dx, out, out)
+        width = rows.shape[-1]
+        stack, dest = rows.reshape(-1, width), out.reshape(-1, width)
+        mag = np.abs(stack, out=work.scratch(2, stack.shape, np.float64))
+        self._x_times(stack, mag, dest, work)
         return np.multiply(-1j, out, out=out)
 
-    def norm(self, rows, deriv, q, out=None, work=None):
-        """Weighted sup norm of each row of a stack, given its derivative rows.
+    def _x_times(self, rows, mag, out, work):
+        """The half spectra of x f of a stack of rows into out, given |rows|
+        in mag: i fhat', whose modulus is that of fhat'.
 
-        The row-stack form of weighted_norm. Returns the norms (in out) and
-        the stack's tail: the largest |fhat| of any row on the outer
-        octaves, which the caller passes to _warn_if_under_resolved once
-        per stack. In the half layout the outer octaves are the contiguous
-        nodes [N/8:], and |fhat|, |fhat'| are even, so the sup over the
-        half is the sup.
+        A group of rows on length m (_band_groups) takes one irfft into
+        slot 2 of work, the product with the m nodes of x and one rfft, the
+        weighted input and the rfft held in the group's own rows of out;
+        below m = N only the first m/2 nodes are formed and the rest of the
+        row is +0.0, and on m = N the steps are those of the N-point pair.
+        """
+        grid = self.grid
+        n = grid.n_points
+        for sel, m in _band_groups(mag, 1, n):
+            dx = 2.0 * grid.x_max / m
+            band = rows[sel, : n // 2 + 1 if m >= n else m // 2]
+            phys = work.scratch(2, (len(band), m), np.float64)
+            _inverse_half(band, n, m, dx, phys, out[sel, : band.shape[-1]])
+            np.multiply(_x_nodes(grid, m), phys, out=phys)
+            _forward_half(phys, n, dx, out[sel], out[sel, : m // 2 + 1])
+        return out
+
+    def norm(self, rows, q, out=None, work=None):
+        """Weighted sup norm sup (1 + |omega|^q)(|fhat| + |fhat'|) of each
+        row of a stack, the derivative formed as in deriv.
+
+        The row-stack form of weighted_norm, with |rows| taken once for the
+        derivative's bands and the sup. Returns the norms (in out) and the
+        stack's tail: the largest |fhat| of any row on the outer octaves,
+        which the caller passes to _warn_if_under_resolved once per stack.
+        In the half layout the outer octaves are the contiguous nodes
+        [N/8:], and |fhat|, |fhat'| are even, so the sup over the half is
+        the sup.
         """
         if q < 0:
             raise DomainError(f"norm weight exponent must be nonnegative, got {q}")
         work = _Workspace() if work is None else work
-        size = np.abs(rows, out=work.scratch(2, rows.shape, np.float64))
+        size = np.abs(rows, out=work.scratch(3, rows.shape, np.float64))
         tail = float(np.max(size[..., self._outer_octaves()]))
-        total = np.add(size, np.abs(deriv, out=work.scratch(3, rows.shape, np.float64)), out=size)
+        xf = self._x_times(rows, size, work.scratch(1, rows.shape), work)
+        total = np.add(size, np.abs(xf, out=work.scratch(2, rows.shape, np.float64)), out=size)
         weight = 1.0 + self.abs_omega_pow(q)
         return np.max(np.multiply(weight, total, out=total), axis=-1, out=out), tail
 
@@ -467,7 +492,7 @@ def weighted_norm(f, q=2):
     """
     layout = _Layout(f.grid)
     rows = layout.rows(f.fhat)[np.newaxis]
-    norms, tail = layout.norm(rows, layout.deriv(rows), q)
+    norms, tail = layout.norm(rows, q)
     _warn_if_under_resolved(tail, _tail_limit(f.grid, rows))
     return float(norms[0])
 
@@ -476,7 +501,7 @@ def pointwise_power(f, k):
     """Transform of f(x)**k, dealiased by zero padding in frequency.
 
     The transform length is the shortest at which no image of the
-    degree-k product of f's band lands on a kept node (_power_lengths),
+    degree-k product of f's band lands on a kept node (_transform_lengths),
     so the retained band carries no aliased images of the product.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
@@ -720,16 +745,15 @@ class _Workspace:
     the scratch grows with _WORKERS. The slots in use:
     - _Layout.power_chunk: 0-2;
     - _Layout.deriv: 2;
-    - _Layout.norm: 2 and 3;
+    - _Layout.norm: 1-3 (the derivative in 1, its samples in 2);
     - blocksolver._duhamel_rows: 0 and 1;
     - blocksolver._row_multipliers: 2, a chunk's kernel multipliers, read
       before the next step that uses slot 2.
-    So a caller may keep its own chunk in slots 0 and 1 across deriv and
-    norm (the Picard update and its derivative, u0's chunk in a warm
-    start), in slot 3 across power_chunk, _row_multipliers and
-    _duhamel_rows (a Picard sweep's integrand, which becomes its new
-    rows), and in slot 2 across _duhamel_rows (the sweep's step
-    multipliers), but in no slot across all of them.
+    So a caller may keep its own chunk in slot 0 across norm (the Picard
+    update, u0's chunk in a warm start), in slot 3 across power_chunk,
+    _row_multipliers and _duhamel_rows (a Picard sweep's integrand, which
+    becomes its new rows), and in slot 2 across _duhamel_rows (the sweep's
+    step multipliers), but in no slot across all of them.
 
     The workspace holds no stack: a solve allocates its iterate or takes
     a start's spent rows, and the solution owns them. A flow creates one
@@ -754,23 +778,24 @@ class _Workspace:
         return np.ndarray(shape, dtype, buf)
 
 
-# A row's band (_power_lengths) ends at its last node above this fraction
-# of its peak |fhat|, a little above the rounding floor of the transforms
-# that formed it.
+# A row's band (_transform_lengths) ends at its last node above this
+# fraction of its peak |fhat|, a little above the rounding floor of the
+# transforms that formed it.
 _BAND_EPS = 2.0**-50
 
 
 @functools.lru_cache(maxsize=16)
 def _band_lengths(n, k):
-    """The transform length of a degree-k power on an n-node grid for each
-    band b = 0 .. n/2 + 1 of a row (_power_lengths).
+    """The transform length of a degree-k product on an n-node grid for
+    each band b = 0 .. n/2 + 1 of a row (_transform_lengths).
 
     The smallest length at which no image of the row's degree-k product
     lands on a node that is kept: m >= 2kb below n, where only the first
     m/2 nodes are formed, else m > k(b-1) + n/2. The lengths are powers of
     two below n, which keep a chunk's narrow rows on few lengths, and
     every even 2^a 3^b 5^c from n on, which keeps a wide band's length
-    within a few percent of its bound.
+    within a few percent of its bound. Degree 1, x f for the derivative,
+    forms no product, so its wide bands take n itself.
     """
     top = (k + 1) * n
     smooth = {2}
@@ -783,24 +808,43 @@ def _band_lengths(n, k):
     band = np.arange(n // 2 + 2)
     small = lengths[np.searchsorted(lengths, np.minimum(2 * k * band, n))]
     large = lengths[np.searchsorted(lengths, np.maximum(n, k * (band - 1) + n // 2 + 1))]
-    table = np.where(small < n, small, large)
+    table = np.where(small < n, small, large if k > 1 else n)
     table.flags.writeable = False
     return table
 
 
-def _power_lengths(rows, k, n, mag):
-    """The transform length of each row's degree-k power on an n-node grid.
+def _transform_lengths(mag, k, n):
+    """The transform length of each row's degree-k product on an n-node
+    grid, given the rows' |fhat| in mag.
 
     A row's band b is one more than its last half-layout node whose |fhat|
     exceeds _BAND_EPS times the row's peak |fhat|, and its length is that
     of _band_lengths. A row that is significant at -omega_max (its last
     node), or holds an inf or a NaN, or is zero (no node exceeds such a
-    peak), has the full band N/2+1. mag, shaped like rows, receives
-    |rows|.
+    peak), has the full band N/2+1.
     """
-    np.abs(rows, out=mag)
     inside = mag > _BAND_EPS * np.max(mag, axis=-1, keepdims=True)
-    return _band_lengths(n, k)[rows.shape[-1] - np.argmax(inside[:, ::-1], axis=-1)]
+    return _band_lengths(n, k)[mag.shape[-1] - np.argmax(inside[:, ::-1], axis=-1)]
+
+
+def _band_groups(mag, k, n):
+    """The band loop of a chunk's powers and derivatives: (rows, m) for
+    each group of rows (a slice) that goes through transforms of length m
+    together, given the rows' |fhat| in mag.
+
+    The lengths (_transform_lengths) are taken before the first group, so
+    a caller may then write over mag. Each run of adjacent rows with one
+    length goes through a few rows at a time, as many as that length's
+    share of the budget (_rows_per_chunk), so a group's scratch never
+    outgrows a slot.
+    """
+    lengths = _transform_lengths(mag, k, n)
+    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        m = int(lengths[start])
+        step = _rows_per_chunk(m // 2 + 1)
+        for lo in range(start, stop, step):
+            yield slice(lo, min(lo + step, stop)), m
 
 
 def _poly(u, coeffs, acc):

@@ -105,8 +105,11 @@ class FlowConfig:
         if not (math.isfinite(self.L) and self.L > 1.0):
             raise ConfigError("block scale L must be finite and > 1")
         object.__setattr__(self, "L", float(self.L))
-        if isinstance(self.n_steps, bool) or not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+        if isinstance(self.n_steps, bool) or not (
+            isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1
+        ):
             raise ConfigError("n_steps must be an integer >= 1")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         if not (math.isfinite(self.A0) and self.A0 > 0.0):
             raise ConfigError("initial amplitude A0 must be finite and positive")
         object.__setattr__(self, "A0", float(self.A0))

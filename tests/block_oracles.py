@@ -4,9 +4,12 @@ The linear block, the single Duhamel terms and the block norm are built
 on the solver's own internals (_start_rows, _Layout.power, _duhamel_rows,
 _norm_and_tail) and the kernel's _multiplier_rows, so the tests can check
 every node of a Picard solution against u0 - damping + forcing, and the
-damping and forcing terms against closed forms. FullRealLayout holds a real field's rows on the whole
-sorted axis, the reference the half rows of the solver must match bit
-for bit, and deriv_rows is the frequency derivative of sorted rows.
+damping and forcing terms against closed forms. FullRealLayout holds a
+real field's rows on the whole sorted axis, the reference the half rows
+of the solver must match bit for bit. deriv_rows is the frequency
+derivative of sorted rows on the N-point transform pair, and norm_rows
+the norm with it: the references of the band-sized derivative, which
+they match to rounding.
 marginal_response_loop is the per-tau form of the stacked marginal
 response, one evolve-power-evolve pass per tau on the sorted axis.
 forward_sorted and inverse_sorted are the complex transform pair of the
@@ -100,18 +103,16 @@ class FullRealLayout(fs._Layout):
         return fs._from_half(super().power_chunk(half, coeffs, np.empty_like(half), work), out)
 
     def deriv(self, rows, out=None, work=None):
-        # x f is real: expand its half spectrum, then fhat' = -i times it.
-        # Expanding the -i half instead would flip the negative half, since
-        # fhat' of a real field is anti-Hermitian.
-        grid = self.grid
-        n, dx = grid.n_points, grid.dx
-        half = fs._to_half(rows)
-        phys = fs._inverse_half(half, n, n, dx, None, None) * grid.x
-        xf = fs._forward_half(phys, n, dx, np.empty_like(half), None)
-        out = fs._from_half(xf, out)
+        # the half layout's band-sized derivative, expanded: i fhat' is the
+        # transform of the real x f, so it expands as a real field's half
+        # does, and fhat' is -i times that (exact, as is the i). Expanding
+        # fhat' itself would flip the negative half, since fhat' of a real
+        # field is anti-Hermitian.
+        half = fs._Layout(self.grid).deriv(fs._to_half(rows), work=work)
+        out = fs._from_half(1j * half, out)
         return np.multiply(-1j, out, out=out)
 
-    def norm(self, rows, deriv, q, out=None, work=None):
+    def norm(self, rows, q, out=None, work=None):
         # sup of (1 + |omega|^q)(|fhat| + |fhat'|) over each row, and the
         # tail: the largest |fhat| of any row on the outer octaves
         # |omega| >= omega_max/4
@@ -119,12 +120,27 @@ class FullRealLayout(fs._Layout):
         size = np.abs(rows)
         tail = float(np.max(size[..., np.abs(grid.omega) >= 0.25 * grid.omega_max]))
         weight = 1.0 + grid.abs_omega_pow(q)
-        return np.max(weight * (size + np.abs(deriv)), axis=-1, out=out), tail
+        return np.max(weight * (size + np.abs(self.deriv(rows))), axis=-1, out=out), tail
 
 
 def deriv_rows(fhat, grid):
-    """Frequency derivative fhat' of each real field's row on the sorted axis."""
-    return FullRealLayout(grid).deriv(fhat)
+    """Frequency derivative fhat' of each real field's row on the sorted
+    axis, every row on the N-point pair: the reference of the band-sized
+    derivative."""
+    # x f is real: expand its half spectrum, then fhat' = -i times it
+    n, dx = grid.n_points, grid.dx
+    half = fs._to_half(fhat)
+    phys = fs._inverse_half(half, n, n, dx, None, None) * grid.x
+    xf = fs._forward_half(phys, n, dx, np.empty_like(half), None)
+    out = fs._from_half(xf)
+    return np.multiply(-1j, out, out=out)
+
+
+def norm_rows(fhat, grid, q):
+    """The weighted sup norm of each real field's row on the sorted axis,
+    with the N-point derivative of deriv_rows."""
+    weight = 1.0 + grid.abs_omega_pow(q)
+    return np.max(weight * (np.abs(fhat) + np.abs(deriv_rows(fhat, grid))), axis=-1)
 
 
 def damping_term(sol, nl, kernel, tc, n, L, t_index):

@@ -15,6 +15,7 @@ from block_oracles import (
     deriv_rows,
     forcing_term,
     linear_block,
+    norm_rows,
 )
 from scipy.integrate import solve_ivp
 
@@ -427,8 +428,13 @@ def check_stacked_rows(m, work):
     assert np.array_equal(half.expand(half_integrand), integrand)
     deriv = full.deriv(rows, work=work)
     norm, _ = blocksolver._norm_and_tail(rows, full, 2, work)
-    assert np.array_equal(deriv, np.array([deriv_rows(r, GRID) for r in rows]))
+    # bitwise against each row alone; the N-point derivative, transformed
+    # on the whole grid, agrees to 1e-13 of each row's peak
+    assert np.array_equal(deriv, np.array([full.deriv(r) for r in rows]))
+    ref = deriv_rows(rows, GRID)
+    assert np.all(np.max(np.abs(deriv - ref), axis=-1) <= 1e-13 * np.max(np.abs(ref), axis=-1))
     assert norm == max(fs.weighted_norm(fs.SpectralFunction(GRID, r), 2) for r in rows)
+    assert norm == pytest.approx(np.max(norm_rows(rows, GRID, 2)), rel=2e-14, abs=0.0)
     half_deriv = half.deriv(held, work=work)
     assert blocksolver._norm_and_tail(held, half, 2, work)[0] == norm
     assert np.array_equal(half_deriv, deriv[:, fs._to_half(np.arange(GRID.n_points))])
@@ -499,8 +505,8 @@ def test_full_layout_tail_is_the_outer_octaves():
     rows = np.array([np.exp(-(w**2) / s) for s in (1.0, 40.0, 400.0)], dtype=np.complex128)
     full, half = FullRealLayout(GRID), fs._Layout(GRID)
     held = half.rows(rows)
-    _, full_tail = full.norm(rows, full.deriv(rows), 2)
-    _, half_tail = half.norm(held, half.deriv(held), 2)
+    _, full_tail = full.norm(rows, 2)
+    _, half_tail = half.norm(held, 2)
     assert full_tail == half_tail > GRID.tail_tol
 
 
@@ -722,18 +728,18 @@ def test_a_linear_warm_solve_is_the_linear_block():
 def test_each_tail_crossing_takes_one_exact_norm(monkeypatch):
     # an under-resolved input crosses tail_tol at every iterate while its
     # norm bound stays below the guard: each iterate's norm and tail are
-    # evaluated afresh, once, so the derivative rows are u0's and two
-    # stacks per iteration, the update's and the iterate's, whatever the
-    # number of chunks
+    # evaluated afresh, once, so the normed rows (each with its derivative)
+    # are u0's and two stacks per iteration, the update's and the
+    # iterate's, whatever the number of chunks
     slow = fs.from_profile(GRID, lambda w: 1e-3 / (1.0 + w**2))
     rows = [0]
-    deriv = fs._Layout.deriv
+    norm = fs._Layout.norm
 
-    def counted(self, chunk, out=None, work=None):
+    def counted(self, chunk, q, out=None, work=None):
         rows[0] += chunk.shape[0]
-        return deriv(self, chunk, out, work)
+        return norm(self, chunk, q, out, work)
 
-    monkeypatch.setattr(fs._Layout, "deriv", counted)
+    monkeypatch.setattr(fs._Layout, "norm", counted)
     seen = record_exact_norms(monkeypatch)
     params = SolverParams(m=16)
     with warnings.catch_warnings(record=True) as caught:

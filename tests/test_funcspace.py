@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from block_oracles import FullRealLayout, deriv_rows, forward_sorted, inverse_sorted
+from block_oracles import FullRealLayout, deriv_rows, forward_sorted, inverse_sorted, norm_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,8 +145,7 @@ def chunked_norms(layout, rows, q, work):
     # workspace's scratch and the out= view of one result array
     out = np.empty(rows.shape[0])
     for c in fs._chunks(*rows.shape):
-        d = layout.deriv(rows[c], work.scratch(1, rows[c].shape), work)
-        layout.norm(rows[c], d, q, out[c], work)
+        layout.norm(rows[c], q, out[c], work)
     return out
 
 
@@ -162,7 +161,7 @@ def test_stacked_norm_matches_rows():
     assert held.shape == (rows.shape[0], GRID.n_points // 2 + 1)
     assert np.array_equal(half.expand(held), rows)
     for q in (0, 2, 4):
-        stacked, _ = full.norm(rows, deriv_rows(rows, GRID), q)
+        stacked, _ = full.norm(rows, q)
         # per-row reference: the weighted_norm formula on one row at a time,
         # with complex transforms; the rows are real fields, which the norm
         # transforms as such, so the two agree to rounding
@@ -170,11 +169,12 @@ def test_stacked_norm_matches_rows():
         derivs = [forward_sorted(-1j * GRID.x * inverse_sorted(r, dx), dx) for r in rows]
         expected = [np.max(weight * (np.abs(r) + np.abs(d))) for r, d in zip(rows, derivs)]
         assert np.allclose(stacked, expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(stacked, norm_rows(rows, GRID, q), rtol=2e-14, atol=0.0)
         assert np.array_equal(
             stacked, [fs.weighted_norm(fs.SpectralFunction(GRID, r), q) for r in rows]
         )
         # the sup over the half layout is the sup over the whole axis
-        assert np.array_equal(half.norm(held, half.deriv(held), q)[0], stacked)
+        assert np.array_equal(half.norm(held, q)[0], stacked)
         assert np.array_equal(chunked_norms(half, held, q, work), stacked)
         assert np.array_equal(chunked_norms(full, rows, q, work), stacked)
     # the half layout's outer octaves |omega| >= omega_max / 4 are its nodes [N/8:]
@@ -188,18 +188,18 @@ def test_stacked_norm_matches_rows():
             held = layout.rows(edge[np.newaxis])
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                _, tail = layout.norm(held, layout.deriv(held), 2)
+                _, tail = layout.norm(held, 2)
                 fs._warn_if_under_resolved(tail, GRID.tail_tol)
             assert (len(caught) == 1) == warns
     # one under-resolved row is enough for the stack's warning, in either layout
     rows[5] = 1.0 / (1.0 + GRID.omega**2)
     with pytest.warns(UnderResolvedWarning):
-        fs._warn_if_under_resolved(full.norm(rows, deriv_rows(rows, GRID), 2)[1], GRID.tail_tol)
+        fs._warn_if_under_resolved(full.norm(rows, 2)[1], GRID.tail_tol)
     held = half.rows(rows)
     with pytest.warns(UnderResolvedWarning):
-        fs._warn_if_under_resolved(half.norm(held, half.deriv(held), 2)[1], GRID.tail_tol)
+        fs._warn_if_under_resolved(half.norm(held, 2)[1], GRID.tail_tol)
     with pytest.raises(DomainError):
-        half.norm(held, held, -1)
+        half.norm(held, -1)
 
 
 def test_chunks_are_balanced_and_share_out_evenly(monkeypatch):
@@ -483,7 +483,7 @@ def test_pointwise_power_dealias_exact_for_compact_support():
     spectra = [np.where(j < b, np.exp(-((j / b) ** 2)), 0.0) for b in range(1, n // 2 + 2)]
     half = fs._to_half(np.array(spectra, dtype=np.complex128))
     for k in (2, 3):
-        lengths = fs._power_lengths(half, k, n, np.empty(half.shape))
+        lengths = fs._transform_lengths(np.abs(half), k, n)
         # band s is the last on one length and band s + 1 the first on the next
         switches = np.flatnonzero(np.diff(lengths)) + 1
         assert len(switches) >= 6 and lengths[-1] > (k + 1) * n // 2
@@ -635,7 +635,7 @@ def test_a_row_gets_the_same_power_in_any_stack(threads):
     narrow, wide, full = (layout.rows(gauss(a).fhat) for a in (1.0, 0.01, 1e-4))
     mixed = np.array([narrow, full, 0.5 * narrow, wide, full, narrow])
     coeffs = {2: 0.7, 3: -1.0}
-    lengths = fs._power_lengths(mixed, 3, GRID.n_points, np.empty(mixed.shape))
+    lengths = fs._transform_lengths(np.abs(mixed), 3, GRID.n_points)
     assert len(set(lengths.tolist())) == 3 and lengths[0] < GRID.n_points < lengths[1]
     for rows in (mixed, np.array([narrow, wide, narrow])):
         alone = [layout.power(r, coeffs) for r in rows]
@@ -661,6 +661,97 @@ def test_non_finite_rows_keep_their_power_non_finite():
     assert np.array_equal(got[0], layout.power(narrow, {2: 1.0, 3: 1.0}))
     for row in got[1:]:
         assert not np.isfinite(row[0]) and not np.any(np.isfinite(row))
+
+
+def derivative_rows():
+    """Sorted rows on every transform length of the derivative, and which
+    of them vanish at the box's edge.
+
+    Gaussians exp(-a w^2)(1 + 0.3 i w), from a = 2^12 (band 2, length 4)
+    to a = 2^-8 (length N, band below N/2), then a full-band one (a =
+    1e-4), an under-resolved 1/(1 + w^2), a zero row and a NaN. A band
+    below about 24 nodes belongs to a field wider than the box (a >= 16):
+    neither derivative is then that of a field on the line, and the N-point
+    one is no reference.
+    """
+    w = GRID.omega
+    widths = 2.0 ** np.arange(12, -9, -1)
+    rows = [np.exp(-a * w**2) * (1.0 + 0.3j * w) for a in (*widths, 1e-4)]
+    rows += [1.0 / (1.0 + w**2), np.zeros_like(w), np.full_like(w, np.nan)]
+    resolved = np.array([a < 16.0 for a in widths] + [True] * 4)
+    return np.array(rows, dtype=np.complex128), resolved
+
+
+def test_band_sized_derivative_matches_the_n_point_one():
+    # the derivative transforms each row on the length its band needs, at
+    # most N: a row on N points, the full-band, zero and NaN rows among
+    # them, is the N-point derivative bit for bit, and a narrower one
+    # agrees with it to 1e-13 of the row's peak |fhat'|, its norm to 2e-14
+    rows, resolved = derivative_rows()
+    layout = fs._Layout(GRID)
+    held = layout.rows(rows)
+    n = GRID.n_points
+    lengths = fs._transform_lengths(np.abs(held), 1, n)
+    assert set(lengths.tolist()) == {2**j for j in range(2, 13)}
+    assert np.all(lengths[-4:] == n)
+    with np.errstate(invalid="ignore"):
+        got = layout.deriv(held)
+        ref = fs._to_half(deriv_rows(rows, GRID))
+        norms, _ = layout.norm(held, 2)
+        ref_norms = norm_rows(rows, GRID, 2)
+    full = lengths == n
+    assert np.array_equal(got[full], ref[full], equal_nan=True)
+    assert np.array_equal(norms[full], ref_norms[full], equal_nan=True)
+    finite = resolved & np.all(np.isfinite(ref), axis=-1) & (np.max(np.abs(ref), axis=-1) > 0)
+    assert np.count_nonzero(finite & ~full) == 11  # lengths 64 to N/2
+    peak = np.max(np.abs(ref[finite]), axis=-1)
+    assert np.all(np.max(np.abs(got[finite] - ref[finite]), axis=-1) <= 1e-13 * peak)
+    for q in (0, 2, 4):
+        norms, _ = layout.norm(held[finite], q)
+        assert np.allclose(norms, norm_rows(rows[finite], GRID, q), rtol=2e-14, atol=0.0)
+
+
+def test_a_row_gets_the_same_derivative_in_any_stack(monkeypatch):
+    # a row's transform length depends on that row alone, so its derivative
+    # and norm are the same bits alone, in any stack, under any split into
+    # chunks and on one thread or two
+    rows, _ = derivative_rows()
+    layout = fs._Layout(GRID)
+    held = layout.rows(rows)
+    with np.errstate(invalid="ignore"):
+        alone = np.array([layout.deriv(r) for r in held])
+        norms = np.array([layout.norm(r[np.newaxis], 2)[0][0] for r in held])
+        order = np.random.default_rng(5).permutation(len(held))
+        assert np.array_equal(layout.deriv(held[order]), alone[order], equal_nan=True)
+        for workers in (1, 2):
+            monkeypatch.setattr(fs, "_WORKERS", workers)
+            for width in (held.shape[-1], 4 * held.shape[-1]):
+                chunks = fs._chunks(len(held), width)
+                out, got = np.empty_like(held), np.empty(len(held))
+                work = fs._Workspace()
+
+                def body(c):
+                    layout.deriv(held[c], out[c], work)
+                    layout.norm(held[c], 2, got[c], work)
+
+                fs._run_chunks(body, chunks)
+                assert np.array_equal(out, alone, equal_nan=True)
+                assert np.array_equal(got, norms, equal_nan=True)
+        assert len(fs._chunks(len(held), 4 * held.shape[-1])) > 2
+
+
+def test_a_narrow_derivative_transforms_on_fewer_points(monkeypatch):
+    # the norm of a narrow Gaussian (band about 75 nodes) transforms on
+    # 256 points, not on N
+    sizes = []
+    for name in ("irfft", "rfft"):
+        def recorded(a, n=None, *args, _call=getattr(np.fft, name), **kwargs):
+            sizes.append(a.shape[-1] if n is None else n)
+            return _call(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    fs.weighted_norm(gauss(), 2)
+    assert sizes == [256, 256]
 
 
 def test_non_real_spectra_are_refused():

@@ -1,6 +1,7 @@
 """RG flow: config validation, single steps, and full canonical runs."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -81,6 +82,18 @@ def test_config_validation():
     make_config(A0=1e-200, g0_kind="zero", g0_eps=0.0)
     with pytest.raises(ConfigError, match="A0"):
         make_config(A0=1e-200)
+
+
+def test_n_steps_takes_numpy_integers():
+    # an integral numpy value counts steps, as it does for SolverParams' m
+    # and picard_max, and is held as a plain int, so the manifest's
+    # json.dump takes the config; numpy bools and floats stay refused
+    cfg = make_config(n_steps=np.int64(3))
+    assert cfg.n_steps == 3 and type(cfg.n_steps) is int
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["n_steps"] == 3
+    for bad in (np.bool_(True), np.float64(3.0), np.int32(0)):
+        with pytest.raises(ConfigError, match="n_steps must be an integer"):
+            make_config(n_steps=bad)
 
 
 def test_initial_remainder_masses():
